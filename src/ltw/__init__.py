@@ -1,9 +1,12 @@
 """Linear top-down tree-to-word transducers.
 
-Equivalence is decided in polynomial time by bringing both machines into a
+Equivalence is decided in polynomial time by a linear-span fixpoint over the
+co-reachable state pairs of the two machines: the output fingerprints of each
+pair's common trees span a space of at most 5 dimensions, and the machines
+are equivalent iff their axiom words agree on the axiom pair's basis.  The
 partial normal form (quasi-periodic states earliest, erasing calls last,
-quasi-periodic rule parts earliest and reordered) and then testing a pair of
-word morphisms on the shared derivation grammar.  Words are stored as
+quasi-periodic rule parts earliest and reordered) is computed separately;
+its analyses confirm each rewrite with the same test.  Words are stored as
 straight-line programs so rule outputs may be exponentially long.
 """
 

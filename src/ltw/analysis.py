@@ -13,11 +13,12 @@ All analyses are per-machine pure functions; results are cached on the
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
 from . import words
 from .core import (EmptyTransducer, Ltw, RankedAlphabet, Rule, Tree,
-                   accessible, mirror, trim, with_axiom_state)
+                   accessible, mirror, settle, trim, with_axiom_state)
 from .words import WordRef
 
 
@@ -276,10 +277,26 @@ def mock_shift_table(M: Ltw, q: str) -> ShiftTable:
     return table
 
 
+def companion_rules(M: Ltw, q: str, name: dict[str, str]) -> dict:
+    """The rules of the states in `name` (those accessible from q), renamed
+    by it: each rule's whole output moved to the front, stripped of the
+    state's shortest word and rotated into q's alignment."""
+    w = shortest_words(M)
+    shifts = mock_shift_table(M, q)
+    rules = {}
+    for p in name:
+        for r in M.rules_of(p):
+            stripped = words.strip_prefix(_assemble(M, r, w), w[p].length)
+            front = words.rotate_left(stripped, shifts.shift(p))
+            rwords = (front,) + (M.pool.empty,) * len(r.calls)
+            calls = tuple((name[c], s) for c, s in r.calls)
+            rules[(name[p], r.symbol)] = Rule(name[p], r.symbol, rwords, calls)
+    return rules
+
+
 def build_Tq(M: Ltw, q: str) -> Ltw:
-    """The companion transducer of q: one state per accessible state, each
-    rule's whole output moved to the front, stripped of the state's shortest
-    word and rotated into the root's alignment.
+    """The companion transducer of q: one state per accessible state, with
+    the rules of :func:`companion_rules`.
 
     When q's language is quasi-periodic the companion is equivalent to q run
     under an axiom that emits q's shortest word first, and every companion
@@ -290,26 +307,12 @@ def build_Tq(M: Ltw, q: str) -> Ltw:
     w = shortest_words(M)
     if any(p not in w for p in acc):
         raise EmptyTransducer(f"state {q} reaches states with empty domains; trim first")
-    shifts = mock_shift_table(M, q)
-    name = {p: p + "__T" for p in acc}
-    pool = M.pool
-    rules = {}
-    used: dict[str, int] = {}
-    for p in M.states:
-        if p not in acc:
-            continue
-        for r in M.rules_of(p):
-            assembled = _assemble(M, r, w)
-            stripped = words.strip_prefix(assembled, w[p].length)
-            front = words.rotate_left(stripped, shifts.shift(p))
-            rwords = (front,) + (pool.empty,) * len(r.calls)
-            calls = tuple((name[c], s) for c, s in r.calls)
-            rules[(name[p], r.symbol)] = Rule(name[p], r.symbol, rwords, calls)
-            used.setdefault(r.symbol, len(r.calls))
+    name = {p: p + "__T" for p in M.states if p in acc}
+    rules = companion_rules(M, q, name)
+    used = {f for _, f in rules}
     alphabet = RankedAlphabet({f: a for f, a in M.alphabet.items() if f in used})
-    states = tuple(name[p] for p in M.states if p in acc)
-    return Ltw(alphabet=alphabet, states=states,
-               axiom=(w[q], name[q], pool.empty), rules=rules, pool=pool)
+    return Ltw(alphabet=alphabet, states=tuple(name.values()),
+               axiom=(w[q], name[q], M.pool.empty), rules=rules, pool=M.pool)
 
 
 # -- periodicity --------------------------------------------------------------
@@ -404,10 +407,6 @@ class QuasiPeriodicity:
     direction: str
     handle: WordRef
     period: WordRef
-
-    @property
-    def trivial(self) -> bool:
-        return self.period.length == 0
 
 
 def quasi_periodicity(M: Ltw, q: str, direction: str = "left") -> QuasiPeriodicity | None:
@@ -518,9 +517,9 @@ class PairSpace:
         self._expand: dict[tuple[str, str], list] = {}
         self.universe: list[tuple[str, str]] = []
         seen = {self.axiom_pair}
-        queue = [self.axiom_pair]
+        queue = deque([self.axiom_pair])
         while queue:
-            pair = queue.pop(0)
+            pair = queue.popleft()
             self.universe.append(pair)
             exp = []
             for f, kids in self._expansions(pair):
@@ -530,23 +529,17 @@ class PairSpace:
                         seen.add(kid)
                         queue.append(kid)
             self._expand[pair] = exp
-        self.productive: set[tuple[str, str]] = set()
-        changed = True
-        while changed:
-            changed = False
-            for pair in self.universe:
-                if pair in self.productive:
-                    continue
-                for _, kids in self._expand[pair]:
-                    if all(k in self.productive for k in kids):
-                        self.productive.add(pair)
-                        changed = True
-                        break
+        settled = settle((pair, f, kids) for pair in self.universe
+                         for f, kids in self._expand[pair])
+        self._common: dict[tuple[str, str], Tree] = {}
+        for pair, (f, kids) in settled.items():
+            self._common[pair] = Tree(f, tuple(self._common[k] for k in kids))
+        self.productive = set(settled)
         self.parent: dict[tuple[str, str], tuple | None] = {self.axiom_pair: None}
         self.co: list[tuple[str, str]] = []
-        queue = [self.axiom_pair]
+        queue = deque([self.axiom_pair])
         while queue:
-            pair = queue.pop(0)
+            pair = queue.popleft()
             self.co.append(pair)
             for f, kids in self._expand[pair]:
                 if not all(k in self.productive for k in kids):
@@ -555,18 +548,6 @@ class PairSpace:
                     if kid not in self.parent:
                         self.parent[kid] = (pair, f, m)
                         queue.append(kid)
-        self._common: dict[tuple[str, str], Tree] = {}
-        progress = True
-        while progress:
-            progress = False
-            for pair in self.universe:
-                if pair in self._common:
-                    continue
-                for f, kids in self._expand[pair]:
-                    if all(k in self._common for k in kids):
-                        self._common[pair] = Tree(f, tuple(self._common[k] for k in kids))
-                        progress = True
-                        break
 
     def _expansions(self, pair):
         p1, p2 = pair
@@ -601,29 +582,17 @@ class PairSpace:
         return cur
 
 
-def co_reachable_pairs(M1: Ltw, M2: Ltw) -> list[tuple[str, str]]:
-    return PairSpace(M1, M2).co
-
-
 def shortest_domain_tree(M: Ltw, q: str) -> Tree | None:
-    """Some small tree in the domain of q (settle rounds; None if empty)."""
+    """Some smallest-height tree in the domain of q (None if empty)."""
     c = _cache(M)
     if "sdt" not in c:
-        settled: dict[str, Tree] = {}
-        progress = True
-        while progress:
-            progress = False
-            for p in M.states:
-                if p in settled:
-                    continue
-                for r in M.rules_of(p):
-                    if all(callee in settled for callee, _ in r.calls):
-                        by = {s: settled[callee] for callee, s in r.calls}
-                        settled[p] = Tree(r.symbol,
-                                          tuple(by[m] for m in range(1, r.arity + 1)))
-                        progress = True
-                        break
-        c["sdt"] = settled
+        trees: dict[str, Tree] = {}
+        rules = ((r.state, r, [callee for callee, _ in r.calls])
+                 for p in M.states for r in M.rules_of(p))
+        for p, (r, _) in settle(rules).items():
+            by = {s: trees[callee] for callee, s in r.calls}
+            trees[p] = Tree(r.symbol, tuple(by[m] for m in range(1, r.arity + 1)))
+        c["sdt"] = trees
     return c["sdt"].get(q)
 
 

@@ -13,6 +13,7 @@ rewrite builds a new one sharing the pool.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 from . import words
@@ -196,19 +197,39 @@ def domain_defined(M: Ltw, t: Tree, state: str | None = None) -> bool:
     return run(state if state is not None else M.axiom[1], t)
 
 
+def settle(rules) -> dict:
+    """Least fixpoint of an and-or system, by a worklist.
+
+    `rules` yields (head, label, body) triples; a head settles once every
+    node of some body has settled.  Returns {head: (label, body)} for the
+    rule that settled each head first, in settling order, so a body's nodes
+    always come before its head.  A rule is only revisited when one of its
+    body nodes settles."""
+    waiting: dict = {}
+    ready: deque[list] = deque()
+    for head, label, body in rules:
+        cell = [head, label, body, len(body)]
+        if not body:
+            ready.append(cell)
+        for node in body:
+            waiting.setdefault(node, []).append(cell)
+    out: dict = {}
+    while ready:
+        head, label, body, _ = ready.popleft()
+        if head in out:
+            continue
+        out[head] = (label, body)
+        for cell in waiting.pop(head, ()):
+            cell[3] -= 1
+            if not cell[3]:
+                ready.append(cell)
+    return out
+
+
 def productive_states(M: Ltw) -> set[str]:
     """States with at least one tree in their domain (least fixpoint)."""
-    good: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for (state, _), r in M.rules.items():
-            if state in good:
-                continue
-            if all(c in good for c, _ in r.calls):
-                good.add(state)
-                changed = True
-    return good
+    return set(settle((r.state, r, [c for c, _ in r.calls])
+                      for r in M.rules.values()))
 
 
 def accessible(M: Ltw, q: str) -> set[str]:

@@ -1,332 +1,205 @@
 """Equivalence of linear tree-to-word transducers.
 
-Two same-ordered machines over a common domain induce one context-free
-grammar of co-reachable state pairs; each machine is then a word morphism
-applied to its derivations.  Equivalence of the morphisms is tested on the
-derivations in which no nonterminal repeats more than twice along a path
-(completed minimally below that), and by seeded random sampling when that
-set is too large to enumerate.  Every inequivalence claim is backed by an
-input tree that is re-run and verified before being reported.
+Two trimmed machines are compared on their co-reachable state pairs
+(:class:`~ltw.analysis.PairSpace`).  Their domains are compared first.
+Once the domains agree, the common trees of a pair (q1, q2) are summarized
+by vectors over F_p,
 
-:func:`decide_equiv` lifts this to arbitrary machines by normalizing both
-sides first; :func:`decide_same_ordered_equiv` is the same-ordered core that
-the analyses themselves call (no normalization involved).
+    (P1, H1, P2, H2, C),
+
+where (P, H) = (base**len, hash) is the Karp-Rabin summary of one side's
+output (:class:`~ltw.words.Fingerprinter`) and C is a constant coordinate
+both sides share.  A word acts as the lower-triangular matrix
+[[P, 0], [H, C]], and concatenation is matrix product.  Each child is read
+exactly once on each side, in any order, so a tree's vector is multilinear
+in the vectors of its children: the span of a pair's vectors is spanned by
+the images of the children's basis vectors, at most 5**arity per rule.  A
+worklist computes every pair's span, re-reading a pair's rules whenever the
+span of a pair they call grows.  Each basis vector is kept together with the
+tree it is the image of.
+
+The machines are equivalent iff the axiom words map every basis vector of
+the axiom pair to equal summaries on both sides.  The first basis vector
+that fails is the image of a real input tree; that tree is re-run on both
+machines before it is reported as the witness.  "Equivalent" errs only if
+one pair of distinct words collides under the fingerprint, with probability
+at most len/2**127.  This is the linear case of the equivalence test of
+Seidl, Maneth and Kemper for tree-to-string transducers (FOCS 2015), where
+polynomial ideals collapse to linear spans, and the tree analogue of Tzeng's
+(1992) linear-algebra test for weighted automata.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from . import oracle, words
-from .analysis import (PairSpace, domains_equal, same_ordered,
-                       shortest_domain_tree)
+from . import words
+from .analysis import PairSpace, domains_equal, shortest_domain_tree
 from .core import EmptyTransducer, Ltw, Tree, domain_defined, evaluate, trim
-
-_DERIVATION_BUDGET = 20000
-_SAMPLES = 256
-_SAMPLE_DEPTH = 64
-_IMAGE_CAP = 10 ** 6
-
-
-class NotSameOrdered(Exception):
-    """The two machines consume children in different orders somewhere."""
 
 
 @dataclass
 class EquivVerdict:
     equivalent: bool
-    exact: bool                 # False only for a sampled "equivalent"
-    reason: str | None = None   # "domain" | "order" | "output"
+    reason: str | None = None   # "domain" | "output"
     witness: Tree | None = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class _Production:
-    symbol: str | None          # None marks the start production
-    slots: tuple[int, ...]
-    children: tuple
-    left_words: tuple
-    right_words: tuple
+class _Span:
+    """A subspace of F_p^5: raw basis vectors with the trees they are the
+    images of, and echelon rows (pivot, row with 1 at the pivot) for the
+    membership test."""
+
+    __slots__ = ("vectors", "trees", "rows")
+
+    def __init__(self):
+        self.vectors: list[tuple] = []
+        self.trees: list[Tree] = []
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def add(self, v: tuple, tree: Tree, p: int) -> bool:
+        """Keep v if it lies outside the span; True when it was kept."""
+        r = list(v)
+        for c, row in self.rows:
+            k = r[c]
+            if k:
+                r = [(a - k * b) % p for a, b in zip(r, row)]
+        c = next((i for i, a in enumerate(r) if a), None)
+        if c is None:
+            return False
+        inv = pow(r[c], -1, p)
+        self.rows.append((c, [a * inv % p for a in r]))
+        self.vectors.append(v)
+        self.trees.append(tree)
+        return True
 
 
-class _Derivation:
-    __slots__ = ("prod", "children")
-
-    def __init__(self, prod, children):
-        self.prod = prod
-        self.children = children
+def _summary(w) -> tuple[int, int]:
+    """(P, H) of a word; its C is 1."""
+    _, h, pw = words.fingerprinter().triple(w)
+    return pw, h
 
 
-class ProductGrammar:
-    """Aligned-derivation grammar of two same-ordered machines."""
+def pair_spans(ps: PairSpace) -> dict[tuple[str, str], _Span]:
+    """The span of the output vectors of every co-reachable pair's common
+    trees, by a worklist over the pairs."""
+    p = words.fingerprinter().prime
+    M1, M2 = ps.M1, ps.M2
 
-    def __init__(self, ps: PairSpace):
-        M1, M2 = ps.M1, ps.M2
-        self.start = None
-        self.prods: dict = {
-            None: [_Production(None, (1,), (ps.axiom_pair,),
-                               (M1.axiom[0], M1.axiom[2]),
-                               (M2.axiom[0], M2.axiom[2]))]
-        }
-        self.order = [None] + list(ps.co)
-        for pair in ps.co:
-            p1, p2 = pair
-            plist = []
-            for f, _kids in ps.expansions(pair):
-                r1 = M1.rule(p1, f)
-                r2 = M2.rule(p2, f)
-                if r1.slots != r2.slots:
-                    raise NotSameOrdered(f"states {p1},{p2} disagree on {f}")
-                children = tuple((r1.calls[i][0], r2.calls[i][0])
-                                 for i in range(r1.arity))
-                plist.append(_Production(f, r1.slots, children,
-                                         r1.words, r2.words))
-            self.prods[pair] = plist
-        self.min_deriv: dict = {}
-        progress = True
-        while progress:
-            progress = False
-            for nt in self.order:
-                if nt in self.min_deriv:
+    def side(ws, slots, vecs, o):
+        """(P, H, C) of one side's output; the child at slot s contributes
+        vecs[s-1][o], vecs[s-1][o+1] and the shared C."""
+        P, H = ws[0]
+        C = 1
+        for (wp, wh), s in zip(ws[1:], slots):
+            v = vecs[s - 1]
+            P, H, C = P * v[o] % p, (H * v[o] + C * v[o + 1]) % p, C * v[4] % p
+            P, H = P * wp % p, (H * wp + C * wh) % p
+        return P, H, C
+
+    rules: dict[tuple, list] = {}
+    users: dict[tuple, dict] = defaultdict(dict)   # ordered set of callers
+    for pair in ps.co:
+        rules[pair] = []
+        for f, kids in ps.expansions(pair):
+            if not all(k in ps.productive for k in kids):
+                continue
+            r1, r2 = M1.rule(pair[0], f), M2.rule(pair[1], f)
+            rules[pair].append(
+                (f, kids, [_summary(w) for w in r1.words], r1.slots,
+                 [_summary(w) for w in r2.words], r2.slots))
+            for k in kids:
+                users[k][pair] = None
+
+    span = {pair: _Span() for pair in ps.co}
+    done: dict[tuple, list[int]] = {}    # (pair, rule) -> kid spans read
+    queue, queued = deque(ps.co), set(ps.co)
+    while queue:
+        pair = queue.popleft()
+        queued.discard(pair)
+        grew = False
+        for i, (f, kids, ws1, slots1, ws2, slots2) in enumerate(rules[pair]):
+            spans = [span[k] for k in kids]
+            sizes = [len(s.vectors) for s in spans]
+            old = done.get((pair, i))
+            done[(pair, i)] = sizes
+            for combo in itertools.product(*map(range, sizes)):
+                if old is not None and all(j < n for j, n in zip(combo, old)):
                     continue
-                for prod in self.prods[nt]:
-                    if all(c in self.min_deriv for c in prod.children):
-                        self.min_deriv[nt] = _Derivation(
-                            prod, tuple(self.min_deriv[c] for c in prod.children))
-                        progress = True
-                        break
-        missing = [nt for nt in self.order if nt not in self.min_deriv]
-        if missing:
-            raise ValueError(f"unproductive grammar nonterminals: {missing}")
+                vecs = [s.vectors[j] for s, j in zip(spans, combo)]
+                P1, H1, C = side(ws1, slots1, vecs, 0)
+                P2, H2, _ = side(ws2, slots2, vecs, 2)
+                tree = Tree(f, tuple(s.trees[j] for s, j in zip(spans, combo)))
+                grew |= span[pair].add((P1, H1, P2, H2, C), tree, p)
+        if grew:
+            for user in users[pair]:
+                if user not in queued:
+                    queued.add(user)
+                    queue.append(user)
+    return span
 
 
-def derivation_tree(d: _Derivation) -> Tree:
-    """The input tree a derivation stands for."""
-    memo: dict[int, Tree] = {}
-    stack = [d]
-    while stack:
-        cur = stack[-1]
-        if id(cur) in memo:
-            stack.pop()
-            continue
-        pending = [c for c in cur.children if id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if cur.prod.symbol is None:
-            memo[id(cur)] = memo[id(cur.children[0])]
-            continue
-        kids: list = [None] * len(cur.children)
-        for i, c in enumerate(cur.children):
-            kids[cur.prod.slots[i] - 1] = memo[id(c)]
-        memo[id(cur)] = Tree(cur.prod.symbol, tuple(kids))
-    return memo[id(d)]
+def morphism_equivalence(ps: PairSpace) -> tuple[str, Tree | None]:
+    """("span", a common tree on which the outputs differ, or None).
 
+    Checks the axiom frame on the basis of the axiom pair's span.  The tree
+    is not re-verified here."""
+    p = words.fingerprinter().prime
+    (a0, a1), (b0, b1) = ((_summary(M.axiom[0]), _summary(M.axiom[2]))
+                          for M in (ps.M1, ps.M2))
 
-class _Images:
-    """Morphism images of derivations, as fingerprint summaries and (in exact
-    and verify modes) as explicit strings while they fit under the cap."""
+    def framed(u0, u1, P, H, C):
+        return u0[0] * P * u1[0] % p, ((u0[1] * P + H) * u1[0] + C * u1[1]) % p
 
-    def __init__(self, mode: str, cap: int = _IMAGE_CAP):
-        self.mode = mode
-        self.cap = cap
-        self.fp = words.fingerprinter()
-        self.prime = self.fp.prime
-        self._word: dict[tuple[int, int], tuple] = {}
-
-    def of_word(self, w) -> tuple:
-        key = (id(w.pool), w.node)
-        got = self._word.get(key)
-        if got is None:
-            s = None
-            if self.mode != "fingerprint" and w.length <= self.cap:
-                s = words.expand(w, self.cap)
-            elif self.mode == "exact":
-                raise words.CapExceeded(w.length, self.cap)
-            got = self._word[key] = (self.fp.triple(w), s)
-        return got
-
-    def empty(self) -> tuple:
-        return ((0, 0, 1), None if self.mode == "fingerprint" else "")
-
-    def cat(self, a: tuple, b: tuple) -> tuple:
-        (l1, h1, b1), s1 = a
-        (l2, h2, b2), s2 = b
-        p = self.prime
-        t = (l1 + l2, (h1 * b2 + h2) % p, b1 * b2 % p)
-        if s1 is not None and s2 is not None and l1 + l2 <= self.cap:
-            return (t, s1 + s2)
-        if self.mode == "exact":
-            raise words.CapExceeded(l1 + l2, self.cap)
-        return (t, None)
-
-    def eq(self, a: tuple, b: tuple) -> bool:
-        if a[1] is not None and b[1] is not None:
-            return a[1] == b[1]
-        return a[0] == b[0]
-
-
-def _image_pair(d: _Derivation, alg: _Images, memo: dict) -> tuple:
-    stack = [d]
-    while stack:
-        cur = stack[-1]
-        if id(cur) in memo:
-            stack.pop()
-            continue
-        pending = [c for c in cur.children if id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        L = alg.of_word(cur.prod.left_words[0])
-        R = alg.of_word(cur.prod.right_words[0])
-        for i, c in enumerate(cur.children):
-            cl, cr = memo[id(c)]
-            L = alg.cat(alg.cat(L, cl), alg.of_word(cur.prod.left_words[i + 1]))
-            R = alg.cat(alg.cat(R, cr), alg.of_word(cur.prod.right_words[i + 1]))
-        memo[id(cur)] = (L, R)
-    return memo[id(d)]
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _bounded_derivations(g: ProductGrammar, budget: int) -> list[_Derivation]:
-    """All derivations unfolding every nonterminal at most twice per path,
-    finished off with minimal completions; raises once `budget` many exist."""
-    made = 0
-
-    def rec(nt, counts: dict) -> list[_Derivation]:
-        nonlocal made
-        if counts.get(nt, 0) >= 2:
-            return [g.min_deriv[nt]]
-        counts = dict(counts)
-        counts[nt] = counts.get(nt, 0) + 1
-        out = []
-        for prod in g.prods[nt]:
-            lists = [rec(c, counts) for c in prod.children]
-            for combo in itertools.product(*lists):
-                made += 1
-                if made > budget:
-                    raise _BudgetExceeded
-                out.append(_Derivation(prod, combo))
-        return out
-
-    return rec(g.start, {})
-
-
-def _sample_derivation(g: ProductGrammar, rng: random.Random) -> _Derivation:
-    def rec(nt, depth):
-        if depth >= _SAMPLE_DEPTH:
-            return g.min_deriv[nt]
-        prod = rng.choice(g.prods[nt])
-        return _Derivation(prod, tuple(rec(c, depth + 1) for c in prod.children))
-
-    return rec(g.start, 0)
-
-
-def morphism_equivalence(g: ProductGrammar) -> tuple[str, _Derivation | None]:
-    """("enumerated"|"sampled", first differing derivation or None)."""
-    alg = _Images(words.equality_mode())
-    memo: dict = {}
-
-    def differs(d):
-        L, R = _image_pair(d, alg, memo)
-        return not alg.eq(L, R)
-
-    try:
-        for d in _bounded_derivations(g, _DERIVATION_BUDGET):
-            if differs(d):
-                return "enumerated", d
-        return "enumerated", None
-    except _BudgetExceeded:
-        pass
-    if differs(g.min_deriv[g.start]):
-        return "sampled", g.min_deriv[g.start]
-    rng = random.Random(f"ltw-morphism-{words.equality_seed()}")
-    for _ in range(_SAMPLES):
-        d = _sample_derivation(g, rng)
-        if differs(d):
-            return "sampled", d
-    return "sampled", None
+    top = pair_spans(ps)[ps.axiom_pair]
+    for v, tree in zip(top.vectors, top.trees):
+        if framed(a0, a1, v[0], v[1], v[4]) != framed(b0, b1, v[2], v[3], v[4]):
+            return "span", tree
+    return "span", None
 
 
 def decide_same_ordered_equiv(M1: Ltw, M2: Ltw) -> EquivVerdict:
-    """Equivalence of two trimmed machines that consume children in the same
-    order; raises NotSameOrdered when they do not.  No normalization happens
-    here, so the verdict is about the machines exactly as given."""
+    """Equivalence of two trimmed machines exactly as given: the domain
+    check, then the span test.  The machines may consume children in
+    different orders; the analyses call this on machines that do not."""
     ps = PairSpace(M1, M2)
     dc = domains_equal(ps)
     if not dc.equal:
         t = dc.witness
         if domain_defined(M1, t) == domain_defined(M2, t):
             raise RuntimeError("domain witness failed verification")
-        return EquivVerdict(False, exact=True, reason="domain", witness=t,
-                            detail=dc.detail)
-    if not same_ordered(ps):
-        raise NotSameOrdered("machines are not same-ordered")
-    g = ProductGrammar(ps)
-    method, d = morphism_equivalence(g)
-    if d is not None:
-        t = derivation_tree(d)
+        return EquivVerdict(False, reason="domain", witness=t, detail=dc.detail)
+    method, t = morphism_equivalence(ps)
+    if t is not None:
         if words.equals(evaluate(M1, t), evaluate(M2, t)):
             raise RuntimeError("output witness failed verification")
-        return EquivVerdict(False, exact=True, reason="output", witness=t,
-                            detail=method)
-    return EquivVerdict(True, exact=(method == "enumerated"), detail=method)
+        return EquivVerdict(False, reason="output", witness=t, detail=method)
+    return EquivVerdict(True, detail=method)
 
 
-def decide_equiv(M1: Ltw, M2: Ltw, witness_depth: int = 6) -> EquivVerdict:
-    """Full equivalence decision: trim, normalize, compare.
-
-    Non-equivalence is reported with a verified witness tree whenever one is
-    found; a call-order mismatch between the normal forms is already a proof
-    of non-equivalence, so its witness (hunted by bounded enumeration on the
-    original machines) may be None.
-    """
-    from . import normalize
-
+def _trimmed(M: Ltw) -> Ltw | None:
     try:
-        T1, empty1 = trim(M1), False
+        return trim(M)
     except EmptyTransducer:
-        T1, empty1 = None, True
-    try:
-        T2, empty2 = trim(M2), False
-    except EmptyTransducer:
-        T2, empty2 = None, True
-    if empty1 and empty2:
-        return EquivVerdict(True, exact=True, detail="both domains empty")
-    if empty1 != empty2:
-        T = T1 if not empty1 else T2
+        return None
+
+
+def decide_equiv(M1: Ltw, M2: Ltw) -> EquivVerdict:
+    """Full equivalence decision: trim both machines, then compare them.
+
+    Every "not equivalent" carries a witness tree re-verified on the
+    machines; "equivalent" errs only on a fingerprint collision."""
+    T1, T2 = _trimmed(M1), _trimmed(M2)
+    if T1 is None and T2 is None:
+        return EquivVerdict(True, detail="both domains empty")
+    if T1 is None or T2 is None:
+        T = T1 or T2
         t = shortest_domain_tree(T, T.axiom[1])
         if domain_defined(M1, t) == domain_defined(M2, t):
             raise RuntimeError("domain witness failed verification")
-        return EquivVerdict(False, exact=True, reason="domain", witness=t,
+        return EquivVerdict(False, reason="domain", witness=t,
                             detail="one domain is empty")
-    P1 = normalize.partial_normal_form(T1).result
-    P2 = normalize.partial_normal_form(T2).result
-    if not same_ordered(PairSpace(P1, P2)):
-        witness = None
-        try:
-            bv = oracle.brute_equiv(
-                M1, M2, oracle.EnumerationBudget(max_depth=witness_depth))
-            if not bv.equivalent:
-                witness = bv.witness
-        except ValueError:
-            pass
-        return EquivVerdict(False, exact=True, reason="order", witness=witness,
-                            detail="normal forms disagree on call order")
-    v = decide_same_ordered_equiv(P1, P2)
-    if not v.equivalent and v.witness is not None:
-        t = v.witness
-        d1, d2 = domain_defined(M1, t), domain_defined(M2, t)
-        if d1 != d2:
-            pass
-        elif not (d1 and d2) or words.equals(evaluate(M1, t), evaluate(M2, t)):
-            raise RuntimeError("witness failed verification against the originals")
-    return v
+    return decide_same_ordered_equiv(T1, T2)

@@ -133,10 +133,6 @@ def _word_atoms(line: _Line, pool: SlpPool, slps: dict[str, WordRef],
             return out
 
 
-def _is_word_start(line: _Line) -> bool:
-    return line.peek() in ('"', "'", "$")
-
-
 def parse_ltw(text: str, pool: SlpPool | None = None) -> Ltw:
     pool = pool or SlpPool()
     alphabet = RankedAlphabet()
@@ -292,9 +288,6 @@ class _WordPrinter:
         self.names[node] = name
         self.decls.append(f"slp {name} = " + " ".join(parts))
         return name
-
-    def word_str(self, w: WordRef) -> str:
-        return " ".join(self.atoms(w))
 
 
 def print_ltw(M: Ltw) -> str:

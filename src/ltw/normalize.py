@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from . import words
-from .analysis import (QuasiPeriodicity, _assemble, erasing_states,
-                       is_periodic_state, mock_shift_table,
-                       part_quasi_periodicity, quasi_periodicity,
-                       shortest_word_lengths, shortest_words)
+from .analysis import (QuasiPeriodicity, companion_rules, erasing_states,
+                       is_periodic_state, part_quasi_periodicity,
+                       quasi_periodicity, shortest_word_lengths,
+                       shortest_words)
 from .core import Ltw, Rule, accessible, mirror, trim, validate
 
 
@@ -92,7 +92,6 @@ def make_state_earliest(M: Ltw, q: str, verdict: QuasiPeriodicity) -> Ltw:
 def _make_left(M: Ltw, q: str, verdict: QuasiPeriodicity) -> Ltw:
     acc = accessible(M, q)
     w = shortest_words(M)
-    shifts = mock_shift_table(M, q)
     pool = M.pool
     existing = set(M.states)
     copy: dict[str, str] = {}
@@ -101,17 +100,7 @@ def _make_left(M: Ltw, q: str, verdict: QuasiPeriodicity) -> Ltw:
             name = _fresh(existing, _strip_hat(p) + "__e")
             existing.add(name)
             copy[p] = name
-    new_rules = {}
-    for p in M.states:
-        if p not in acc:
-            continue
-        for r in M.rules_of(p):
-            assembled = _assemble(M, r, w)
-            stripped = words.strip_prefix(assembled, w[p].length)
-            front = words.rotate_left(stripped, shifts.shift(p))
-            rwords = (front,) + (pool.empty,) * len(r.calls)
-            calls = tuple((copy[c], s) for c, s in r.calls)
-            new_rules[(copy[p], r.symbol)] = Rule(copy[p], r.symbol, rwords, calls)
+    new_rules = companion_rules(M, q, copy)
     fixed = {}
     for key, r in M.rules.items():
         if any(c == q for c, _ in r.calls):

@@ -1,8 +1,9 @@
 """Brute-force reference checkers.
 
 Everything here works on explicit Python strings and exhaustively enumerated
-trees, independent of the compressed word algebra and of the decision
-procedures it is used to validate.  Budgets keep enumeration finite; trees
+trees, independent of the decision procedures it is used to validate.  It
+reads rule words only through ``words.expand``, once per word, and compares
+outputs as plain strings.  Budgets keep enumeration finite; trees
 whose outputs exceed the word cap fail loudly rather than silently skipping.
 """
 

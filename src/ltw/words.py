@@ -247,10 +247,6 @@ def set_equality_mode(mode: str) -> None:
     _config["mode"] = mode
 
 
-def equality_mode() -> str:
-    return _config["mode"]
-
-
 def equality_seed() -> int:
     return _config["seed"]
 

@@ -4,14 +4,14 @@ import pytest
 
 from ltw import expand, load_ltw, mirror, parse_ltw, trim
 from ltw import words as W
-from ltw.analysis import (PairSpace, build_Tq, co_reachable_pairs,
-                          domains_equal, erasing_states, is_erasing,
-                          is_periodic_state, mock_shift_table,
-                          part_quasi_periodicity, quasi_periodicity,
-                          rule_part_quasi_periodicity, same_ordered,
-                          shortest_domain_tree, shortest_nonempty_word,
-                          shortest_word, shortest_word_lengths,
-                          shortest_words, singleton_word)
+from ltw.analysis import (PairSpace, build_Tq, domains_equal,
+                          erasing_states, is_erasing, is_periodic_state,
+                          mock_shift_table, part_quasi_periodicity,
+                          quasi_periodicity, rule_part_quasi_periodicity,
+                          same_ordered, shortest_domain_tree,
+                          shortest_nonempty_word, shortest_word,
+                          shortest_word_lengths, shortest_words,
+                          singleton_word)
 from ltw.core import evaluate, same_structure, with_axiom_state
 from ltw.oracle import (EnumerationBudget, brute_quasi_periodic,
                         enumerate_trees, evaluate_explicit)

@@ -58,7 +58,7 @@ def test_check_equivalent_pair(capsys):
     assert main(["check", EX5A, EX5B]) == 0
     cap = capsys.readouterr()
     assert cap.out == "equivalent\n"
-    assert cap.err.strip() == "enumerated"
+    assert cap.err.strip() == "span"
 
 
 def test_check_machine_against_golden_form(capsys):
@@ -91,9 +91,16 @@ def test_check_domain_difference(capsys):
     assert domain_defined(M, t) != domain_defined(N, t)
 
 
-def test_check_exact_mode_hits_cap(capsys):
-    assert main(["check", STRESS, STRESS, "--exact"]) == 3
+def test_check_exact_mode_hits_cap(tmp_path, capsys):
+    # the witness f(g) prints a^(2^60) against b^(2^60); --exact must expand
+    # both to re-verify it, which the cap forbids
+    other = tmp_path / "b.ltw"
+    other.write_text(FIXTURES.joinpath("stress_doubling.ltw").read_text()
+                     .replace('slp A0 = "a"', 'slp A0 = "b"'))
+    assert main(["check", STRESS, str(other), "--exact"]) == 3
     assert "exceeds cap" in capsys.readouterr().err
+    assert main(["check", STRESS, str(other)]) == 1
+    assert capsys.readouterr().out == "not equivalent: output\nwitness: f(g)\n"
 
 
 def test_check_sampled_verdict_reproducible(tmp_path, capsys):
@@ -109,12 +116,20 @@ rule q3 n = "d"
 """
     f = tmp_path / "deep.ltw"
     f.write_text(deep)
+    g = tmp_path / "deeper.ltw"
+    g.write_text(deep.replace('rule q3 n = "d"', 'rule q3 n = "dd"'))
     runs = []
     for _ in range(2):
         assert main(["check", str(f), str(f), "--seed", "1"]) == 0
+        assert main(["check", str(f), str(g), "--seed", "1"]) == 1
         runs.append(capsys.readouterr())
-    assert runs[0].out == runs[1].out == "equivalent (randomized)\n"
-    assert runs[0].err.strip() == "sampled"
+    assert runs[0] == runs[1]
+    out = runs[0].out.splitlines()
+    assert out[:2] == ["equivalent", "not equivalent: output"]
+    assert runs[0].err.split() == ["span", "span"]
+    M, N = parse_ltw(deep), parse_ltw(g.read_text())
+    t = parse_tree(out[2].removeprefix("witness: "), M.alphabet)
+    assert not words.equals(evaluate(M, t), evaluate(N, t))
 
 
 # -- normalize ----------------------------------------------------------------
@@ -268,6 +283,11 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate", EX3]) == 2
+
+
+def test_removed_check_flags_are_usage_errors(capsys):
+    assert main(["check", EX5A, EX5B, "--jobs", "2"]) == 2
+    assert main(["check", EX5A, EX5B, "--depth", "6"]) == 2
 
 
 def test_seed_changes_fingerprint_configuration(capsys):
