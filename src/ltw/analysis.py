@@ -12,7 +12,6 @@ All analyses are per-machine pure functions; results are cached on the
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -30,180 +29,90 @@ def _cache(M: Ltw) -> dict:
     return c
 
 
-def _assemble(M: Ltw, r: Rule, wmap: dict[str, WordRef]) -> WordRef:
-    """The rule's output once every call is replaced by a chosen word."""
+def _assemble(M: Ltw, r: Rule, subs) -> WordRef:
+    """The rule's output once its calls are replaced by `subs`, in call order."""
     refs = [r.words[0]]
-    for i, (callee, _) in enumerate(r.calls):
-        refs.append(wmap[callee])
+    for i, sub in enumerate(subs):
+        refs.append(sub)
         refs.append(r.words[i + 1])
     return M.pool.concat_all(refs)
 
 
+def _fresh(existing, base: str) -> str:
+    """`base`, or `base` with the least counter from 2 on not in `existing`."""
+    name, k = base, 2
+    while name in existing:
+        name = f"{base}{k}"
+        k += 1
+    return name
+
+
 # -- shortest words -----------------------------------------------------------
+
+def _shortest(M: Ltw, key: str):
+    """The cached shortest-output maps of M, from one weighted settle.
+
+    Its nodes are (q, False), a shortest output of q, and (q, True), a
+    shortest nonempty one; a node's value is the word's length.  A rule
+    reaches (q, False) through its callees' shortest outputs, and (q, True)
+    the same way when its own words are nonempty, else with exactly one
+    callee upgraded to (c, True).  At equal length the rule that became
+    ready first wins; words are assembled in settling order, so a rule's
+    callee words always exist before its own.
+    """
+    c = _cache(M)
+    if "m" not in c:
+        rules = []
+        for p in M.states:
+            for r in M.rules_of(p):
+                cost = sum(w.length for w in r.words)
+                plain = [(callee, False) for callee, _ in r.calls]
+                rules.append(((p, False), r, plain, cost))
+                if cost:
+                    rules.append(((p, True), r, plain, cost))
+                    continue
+                for i, (callee, _) in enumerate(r.calls):
+                    rules.append(((p, True), r,
+                                  plain[:i] + [(callee, True)] + plain[i + 1:], 0))
+        out: dict[tuple[str, bool], WordRef] = {}
+        for node, (_, r, body) in settle(rules).items():
+            out[node] = _assemble(M, r, [out[b] for b in body])
+        c["w"] = {q: w for (q, nonempty), w in out.items() if not nonempty}
+        c["w+"] = {q: w for (q, nonempty), w in out.items() if nonempty}
+        c["m"] = {q: c["w"][q].length if q in c["w"] else None for q in M.states}
+    return c[key]
+
 
 def shortest_word_lengths(M: Ltw) -> dict[str, int | None]:
     """Minimal output length per state; None for states with empty domain."""
-    c = _cache(M)
-    if "m" in c:
-        return c["m"]
-    m: dict[str, int | None] = {q: None for q in M.states}
-    changed = True
-    while changed:
-        changed = False
-        for r in M.rules.values():
-            tot = sum(w.length for w in r.words)
-            ok = True
-            for callee, _ in r.calls:
-                v = m[callee]
-                if v is None:
-                    ok = False
-                    break
-                tot += v
-            if ok and (m[r.state] is None or tot < m[r.state]):
-                m[r.state] = tot
-                changed = True
-    c["m"] = m
-    return m
+    return _shortest(M, "m")
 
 
 def shortest_words(M: Ltw) -> dict[str, WordRef]:
     """A minimal-length output per productive state, materialized.
 
-    Deterministic: states settle in rounds, each taking its first rule (in
-    symbol declaration order) that attains the minimum with settled callees.
-    """
-    c = _cache(M)
-    if "w" in c:
-        return c["w"]
-    m = shortest_word_lengths(M)
-    settled: dict[str, WordRef] = {}
-    progress = True
-    while progress:
-        progress = False
-        for q in M.states:
-            if q in settled or m[q] is None:
-                continue
-            for r in M.rules_of(q):
-                tot = sum(w.length for w in r.words)
-                ok = True
-                for callee, _ in r.calls:
-                    if m[callee] is None:
-                        ok = False
-                        break
-                    tot += m[callee]
-                if not ok or tot != m[q]:
-                    continue
-                if all(callee in settled for callee, _ in r.calls):
-                    settled[q] = _assemble(M, r, settled)
-                    progress = True
-                    break
-    c["w"] = settled
-    return settled
+    Deterministic: among the rules reaching the minimum, the one that became
+    ready first wins, i.e. the one whose last callee settled earliest; rules
+    without calls rank in state, then symbol declaration order."""
+    return _shortest(M, "w")
 
 
 def shortest_word(M: Ltw, q: str) -> WordRef | None:
     return shortest_words(M).get(q)
 
 
-def shortest_nonempty_lengths(M: Ltw) -> dict[str, int | None]:
-    """Minimal nonempty output length per state; None if every output is empty.
-
-    Joint fixpoint with the plain shortest lengths: a rule's best nonempty
-    value is its shortest completion when that is already nonempty, else the
-    cheapest single callee upgraded to its own shortest nonempty output.
-    """
-    c = _cache(M)
-    if "mplus" in c:
-        return c["mplus"]
-    m = shortest_word_lengths(M)
-    mp: dict[str, int | None] = {q: None for q in M.states}
-    rounds = 2 * len(M.states) + 4
-    for _ in range(rounds):
-        changed = False
-        for r in M.rules.values():
-            base = sum(w.length for w in r.words)
-            ok = True
-            for callee, _ in r.calls:
-                if m[callee] is None:
-                    ok = False
-                    break
-                base += m[callee]
-            if not ok:
-                continue
-            if base > 0:
-                cand = base
-            else:
-                opts = [mp[callee] for callee, _ in r.calls
-                        if mp[callee] is not None]
-                cand = min(opts) if opts else None
-            if cand is not None and (mp[r.state] is None or cand < mp[r.state]):
-                mp[r.state] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        raise AssertionError("shortest nonempty lengths did not stabilize")
-    c["mplus"] = mp
-    return mp
-
-
 def shortest_nonempty_word(M: Ltw, q: str) -> WordRef | None:
-    """A minimal-length nonempty output of q, or None if q only erases."""
-    c = _cache(M)
-    key = "wplus"
-    if key not in c:
-        m = shortest_word_lengths(M)
-        mp = shortest_nonempty_lengths(M)
-        w = shortest_words(M)
-        settled: dict[str, WordRef] = {}
-        progress = True
-        while progress:
-            progress = False
-            for p in M.states:
-                if p in settled or mp[p] is None:
-                    continue
-                for r in M.rules_of(p):
-                    base = sum(u.length for u in r.words)
-                    ok = True
-                    for callee, _ in r.calls:
-                        if m[callee] is None:
-                            ok = False
-                            break
-                        base += m[callee]
-                    if not ok:
-                        continue
-                    if base > 0:
-                        if base != mp[p]:
-                            continue
-                        if all(callee in w for callee, _ in r.calls):
-                            settled[p] = _assemble(M, r, w)
-                            progress = True
-                        break
-                    picked = None
-                    for callee, _ in r.calls:
-                        if (mp[callee] is not None and mp[callee] == mp[p]
-                                and callee in settled):
-                            picked = callee
-                            break
-                    if picked is None:
-                        continue
-                    wmap = dict(w)
-                    wmap[picked] = settled[picked]
-                    settled[p] = _assemble(M, r, wmap)
-                    progress = True
-                    break
-        c[key] = settled
-    return c[key].get(q)
+    """A minimal-length nonempty output of q, or None if q only erases
+    (or has an empty domain); ties broken as in :func:`shortest_words`."""
+    return _shortest(M, "w+").get(q)
 
 
 def erasing_states(M: Ltw) -> set[str]:
     """Productive states whose every output is the empty word."""
     c = _cache(M)
     if "erasing" not in c:
-        m = shortest_word_lengths(M)
-        mp = shortest_nonempty_lengths(M)
-        c["erasing"] = {q for q in M.states
-                        if m[q] == 0 and mp[q] is None}
+        m, plus = _shortest(M, "m"), _shortest(M, "w+")
+        c["erasing"] = {q for q in M.states if m[q] == 0 and q not in plus}
     return c["erasing"]
 
 
@@ -214,20 +123,31 @@ def is_erasing(M: Ltw, q: str) -> bool:
 def singleton_word(M: Ltw, q: str) -> WordRef | None:
     """The single output of q if |L(q)| == 1, else None.
 
-    The language of every state accessible from q is a singleton exactly when
-    each rule's output, with callees replaced by their shortest words, equals
-    the state's own shortest word.
+    L(q) is a singleton exactly when every state accessible from q has a
+    nonempty domain and each of its rules, callees replaced by their
+    shortest words, outputs the state's own shortest word.  The states that
+    break this are found once per machine; the verdict then spreads to
+    their callers through a reverse call index.
     """
-    acc = accessible(M, q)
-    m = shortest_word_lengths(M)
-    if any(m[p] is None for p in acc):
-        return None
+    c = _cache(M)
     w = shortest_words(M)
-    for p in acc:
-        for r in M.rules_of(p):
-            if not words.equals(_assemble(M, r, w), w[p]):
-                return None
-    return w[q]
+    if "multi" not in c:
+        multi = {p for p in M.states if p not in w}
+        callers: dict[str, set[str]] = {}
+        for r in M.rules.values():
+            for callee, _ in r.calls:
+                callers.setdefault(callee, set()).add(r.state)
+            if all(callee in w for callee, _ in r.calls) and not words.equals(
+                    _assemble(M, r, [w[callee] for callee, _ in r.calls]), w[r.state]):
+                multi.add(r.state)
+        todo = list(multi)
+        while todo:
+            for p in callers.get(todo.pop(), ()):
+                if p not in multi:
+                    multi.add(p)
+                    todo.append(p)
+        c["multi"] = multi
+    return None if q in c["multi"] else w[q]
 
 
 # -- shifts and the companion transducer --------------------------------------
@@ -245,36 +165,25 @@ class ShiftTable:
 
 
 def mock_shift_table(M: Ltw, q: str) -> ShiftTable:
-    """Dijkstra over rule calls; the edge into a callee weighs the shortest
-    completion of everything to the right of that call."""
+    """One settle from q over rule calls: the edge from a caller into a
+    callee weighs the shortest completion of everything to the right of
+    that call."""
     c = _cache(M)
     key = ("shift", q)
-    if key in c:
-        return c[key]
-    m = shortest_word_lengths(M)
-    dist: dict[str, int] = {q: 0}
-    heap: list[tuple[int, str]] = [(0, q)]
-    while heap:
-        d, p = heapq.heappop(heap)
-        if d > dist.get(p, d):
-            continue
-        for r in M.rules_of(p):
-            n = len(r.calls)
+    if key not in c:
+        m = shortest_word_lengths(M)
+        edges = [(q, None, [], 0)]
+        for r in M.rules.values():
             if any(m[callee] is None for callee, _ in r.calls):
                 continue
-            suf = r.words[n].length
-            sufs = [0] * n
-            for i in range(n - 1, -1, -1):
-                sufs[i] = suf
-                suf += m[r.calls[i][0]] + r.words[i].length
-            for i, (callee, _) in enumerate(r.calls):
-                nd = d + sufs[i]
-                if callee not in dist or nd < dist[callee]:
-                    dist[callee] = nd
-                    heapq.heappush(heap, (nd, callee))
-    table = ShiftTable(q, dist)
-    c[key] = table
-    return table
+            suf = r.words[-1].length
+            for i in range(len(r.calls) - 1, -1, -1):
+                callee = r.calls[i][0]
+                edges.append((callee, None, [r.state], suf))
+                suf += m[callee] + r.words[i].length
+        dist = {p: value for p, (value, _, _) in settle(edges).items()}
+        c[key] = ShiftTable(q, dist)
+    return c[key]
 
 
 def companion_rules(M: Ltw, q: str, name: dict[str, str]) -> dict:
@@ -286,7 +195,8 @@ def companion_rules(M: Ltw, q: str, name: dict[str, str]) -> dict:
     rules = {}
     for p in name:
         for r in M.rules_of(p):
-            stripped = words.strip_prefix(_assemble(M, r, w), w[p].length)
+            out = _assemble(M, r, [w[callee] for callee, _ in r.calls])
+            stripped = words.strip_prefix(out, w[p].length)
             front = words.rotate_left(stripped, shifts.shift(p))
             rwords = (front,) + (M.pool.empty,) * len(r.calls)
             calls = tuple((name[c], s) for c, s in r.calls)
@@ -337,18 +247,15 @@ def is_periodic_state(M: Ltw, q: str) -> WordRef | None:
 
 def _is_periodic(M: Ltw, q: str) -> WordRef | None:
     pool = M.pool
-    m = shortest_word_lengths(M)
-    if m[q] is None:                      # empty domain: vacuously periodic
-        return pool.empty
-    mp = shortest_nonempty_lengths(M)
-    if mp[q] is None:                     # erasing
+    wp = shortest_nonempty_word(M, q)
+    if wp is None:                        # erasing, or vacuously: empty domain
         return pool.empty
     single = singleton_word(M, q)
     if single is not None:
         return words.primitive_root(single)
-    wp = shortest_nonempty_word(M, q)
     pi = words.primitive_root(wp)
     ell = pi.length
+    m = shortest_word_lengths(M)
     acc = accessible(M, q)
     erasing = erasing_states(M)
     if any(m[p] is None for p in acc):
@@ -458,12 +365,7 @@ def hat_state_machine(M: Ltw, callee: str, u: WordRef) -> tuple[Ltw, str]:
     them, any call to the callee that is followed by a word equal to u is
     itself an occurrence of the part and is redirected to the new state.
     """
-    base = callee + "__hat"
-    name, k = base, 2
-    existing = set(M.states)
-    while name in existing:
-        name = f"{base}{k}"
-        k += 1
+    name = _fresh(set(M.states), callee + "__hat")
     pool = M.pool
     new_rules = dict(M.rules)
     for r in M.rules_of(callee):
@@ -529,10 +431,10 @@ class PairSpace:
                         seen.add(kid)
                         queue.append(kid)
             self._expand[pair] = exp
-        settled = settle((pair, f, kids) for pair in self.universe
+        settled = settle((pair, f, kids, 0) for pair in self.universe
                          for f, kids in self._expand[pair])
         self._common: dict[tuple[str, str], Tree] = {}
-        for pair, (f, kids) in settled.items():
+        for pair, (_, f, kids) in settled.items():
             self._common[pair] = Tree(f, tuple(self._common[k] for k in kids))
         self.productive = set(settled)
         self.parent: dict[tuple[str, str], tuple | None] = {self.axiom_pair: None}
@@ -587,9 +489,9 @@ def shortest_domain_tree(M: Ltw, q: str) -> Tree | None:
     c = _cache(M)
     if "sdt" not in c:
         trees: dict[str, Tree] = {}
-        rules = ((r.state, r, [callee for callee, _ in r.calls])
+        rules = ((r.state, r, [callee for callee, _ in r.calls], 0)
                  for p in M.states for r in M.rules_of(p))
-        for p, (r, _) in settle(rules).items():
+        for p, (_, r, _) in settle(rules).items():
             by = {s: trees[callee] for callee, s in r.calls}
             trees[p] = Tree(r.symbol, tuple(by[m] for m in range(1, r.arity + 1)))
         c["sdt"] = trees

@@ -13,8 +13,9 @@ rewrite builds a new one sharing the pool.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass, replace
+from itertools import count
 
 from . import words
 from .words import SlpPool, WordRef
@@ -80,17 +81,39 @@ class Tree:
     children: tuple["Tree", ...] = ()
 
     def __str__(self):
-        if not self.children:
-            return self.symbol
-        return "%s(%s)" % (self.symbol, ",".join(map(str, self.children)))
+        out: list[str] = []
+        todo: list = [self]               # trees and pending punctuation
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif not t.children:
+                out.append(t.symbol)
+            else:
+                out.append(t.symbol + "(")
+                todo.append(")")
+                for i, c in enumerate(reversed(t.children)):
+                    if i:
+                        todo.append(",")
+                    todo.append(c)
+        return "".join(out)
 
     @property
     def size(self) -> int:
-        return 1 + sum(c.size for c in self.children)
+        n, stack = 0, [self]
+        while stack:
+            n += 1
+            stack.extend(stack.pop().children)
+        return n
 
     @property
     def depth(self) -> int:
-        return 1 + max((c.depth for c in self.children), default=0)
+        deepest, stack = 0, [(self, 1)]
+        while stack:
+            t, d = stack.pop()
+            deepest = max(deepest, d)
+            stack.extend((c, d + 1) for c in t.children)
+        return deepest
 
 
 @dataclass(frozen=True)
@@ -167,68 +190,92 @@ def validate(M: Ltw) -> None:
 
 
 def evaluate(M: Ltw, t: Tree, state: str | None = None) -> WordRef:
-    """The output word for `t`; UndefinedInput when some node has no rule."""
-    pool = M.pool
+    """The output word for `t`; UndefinedInput when some node has no rule.
 
-    def run(q: str, node: Tree, path: tuple) -> WordRef:
+    The output is every rule word in depth-first call order, so one stack
+    of pending words and calls builds it from left to right."""
+    pool = M.pool
+    u0, q, u1 = M.axiom
+    if state is None:
+        out, todo = u0, [u1, (q, t, ())]
+    else:
+        out, todo = pool.empty, [(state, t, ())]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, WordRef):
+            out = pool.concat(out, item)
+            continue
+        q, node, path = item              # path: nested (parent path, slot)
         r = M.rules.get((q, node.symbol))
         if r is None or len(node.children) != r.arity:
-            raise UndefinedInput(q, node.symbol, path)
-        out = r.words[0]
-        for i, (callee, slot) in enumerate(r.calls):
-            sub = run(callee, node.children[slot - 1], path + (slot,))
-            out = pool.concat(out, sub)
-            out = pool.concat(out, r.words[i + 1])
-        return out
-
-    if state is not None:
-        return run(state, t, ())
-    u0, q, u1 = M.axiom
-    return pool.concat(pool.concat(u0, run(q, t, ())), u1)
+            slots = []
+            while path:
+                path, slot = path
+                slots.append(slot)
+            raise UndefinedInput(q, node.symbol, slots[::-1])
+        todo.append(r.words[-1])
+        for i in range(r.arity - 1, -1, -1):
+            callee, slot = r.calls[i]
+            todo.append((callee, node.children[slot - 1], (path, slot)))
+            todo.append(r.words[i])
+    return out
 
 
 def domain_defined(M: Ltw, t: Tree, state: str | None = None) -> bool:
-    def run(q, node):
+    stack = [(state if state is not None else M.axiom[1], t)]
+    while stack:
+        q, node = stack.pop()
         r = M.rules.get((q, node.symbol))
         if r is None or len(node.children) != r.arity:
             return False
-        return all(run(callee, node.children[slot - 1]) for callee, slot in r.calls)
-
-    return run(state if state is not None else M.axiom[1], t)
+        stack.extend((callee, node.children[slot - 1]) for callee, slot in r.calls)
+    return True
 
 
 def settle(rules) -> dict:
-    """Least fixpoint of an and-or system, by a worklist.
+    """Least fixpoint of a weighted and-or system: Knuth's generalization
+    of Dijkstra's algorithm to grammars (IPL 1977).
 
-    `rules` yields (head, label, body) triples; a head settles once every
-    node of some body has settled.  Returns {head: (label, body)} for the
-    rule that settled each head first, in settling order, so a body's nodes
-    always come before its head.  A rule is only revisited when one of its
-    body nodes settles."""
+    `rules` yields (head, label, body, cost) tuples with cost >= 0.  A rule
+    becomes ready once every node of its body has settled, with the value
+    cost + the sum of its body's values (a node listed twice counts twice);
+    the ready rule of least value settles its head.  At equal value the rule
+    that became ready first wins, so with every cost 0 heads settle in plain
+    first-in-first-out order.  Returns {head: (value, label, body)} for the
+    winning rules, in settling order, so a body's nodes always come before
+    its head.  A rule is only revisited when one of its body nodes settles.
+    """
     waiting: dict = {}
-    ready: deque[list] = deque()
-    for head, label, body in rules:
-        cell = [head, label, body, len(body)]
-        if not body:
-            ready.append(cell)
-        for node in body:
-            waiting.setdefault(node, []).append(cell)
+    heap: list[list] = []
+    seq = count()
+    for head, label, body, cost in rules:
+        # [value so far, ready order, unsettled body nodes, head, label, body]
+        cell = [cost, 0, len(body), head, label, body]
+        if body:
+            for node in body:
+                waiting.setdefault(node, []).append(cell)
+        else:
+            cell[1] = next(seq)
+            heap.append(cell)
+    heapq.heapify(heap)
     out: dict = {}
-    while ready:
-        head, label, body, _ = ready.popleft()
+    while heap:
+        value, _, _, head, label, body = heapq.heappop(heap)
         if head in out:
             continue
-        out[head] = (label, body)
+        out[head] = (value, label, body)
         for cell in waiting.pop(head, ()):
-            cell[3] -= 1
-            if not cell[3]:
-                ready.append(cell)
+            cell[0] += value
+            cell[2] -= 1
+            if not cell[2]:
+                cell[1] = next(seq)
+                heapq.heappush(heap, cell)
     return out
 
 
 def productive_states(M: Ltw) -> set[str]:
     """States with at least one tree in their domain (least fixpoint)."""
-    return set(settle((r.state, r, [c for c, _ in r.calls])
+    return set(settle((r.state, r, [c for c, _ in r.calls], 0)
                       for r in M.rules.values()))
 
 

@@ -321,18 +321,7 @@ def print_ltw(M: Ltw) -> str:
 def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     line = _Line(text.strip(), 1)
 
-    def node() -> Tree:
-        sym = line.name()
-        children = []
-        if line.peek() == "(":
-            line.take("(")
-            if line.peek() != ")":
-                while True:
-                    children.append(node())
-                    if line.peek() == ")":
-                        break
-                    line.take(",")
-            line.take(")")
+    def finish(sym: str, children: list) -> Tree:
         if alphabet is not None:
             if sym not in alphabet:
                 line.error(f"unknown input symbol {sym}")
@@ -340,7 +329,25 @@ def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
                 line.error(f"symbol {sym} expects {alphabet.arity(sym)} children, got {len(children)}")
         return Tree(sym, tuple(children))
 
-    t = node()
+    open_nodes: list[tuple[str, list]] = []   # symbol and children so far
+    while True:
+        sym = line.name()
+        if line.peek() == "(":
+            line.take("(")
+            if line.peek() != ")":
+                open_nodes.append((sym, []))
+                continue
+            line.take(")")
+        t = finish(sym, [])
+        while open_nodes:                     # close every finished parent
+            open_nodes[-1][1].append(t)
+            if line.peek() != ")":
+                line.take(",")
+                break
+            line.take(")")
+            t = finish(*open_nodes.pop())
+        else:
+            break                             # t is the root
     if not line.at_end():
         line.error("trailing input after tree")
     return t

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from . import words
-from .analysis import (QuasiPeriodicity, companion_rules, erasing_states,
+from .analysis import (QuasiPeriodicity, _fresh, companion_rules, erasing_states,
                        is_periodic_state, part_quasi_periodicity,
                        quasi_periodicity, shortest_word_lengths,
                        shortest_words)
@@ -60,14 +60,6 @@ def _strip_hat(name: str) -> str:
         if stripped == name or not stripped:
             return name
         name = stripped
-
-
-def _fresh(existing, base: str) -> str:
-    name, k = base, 2
-    while name in existing:
-        name = f"{base}{k}"
-        k += 1
-    return name
 
 
 # -- stage 1: quasi-periodic states -------------------------------------------
@@ -389,13 +381,6 @@ def reorder_periodic_runs(M: Ltw) -> tuple[Ltw, list[str]]:
     so any fixed order preserves the output."""
     entries: list[str] = []
     rules = {}
-    periods: dict[str, object] = {}
-
-    def period(c):
-        if c not in periods:
-            periods[c] = is_periodic_state(M, c)
-        return periods[c]
-
     for q in M.states:
         for r in M.rules_of(q):
             n = len(r.calls)
@@ -404,10 +389,10 @@ def reorder_periodic_runs(M: Ltw) -> tuple[Ltw, list[str]]:
             i = 0
             while i < n:
                 j = i
-                pi = period(cl[i][0])
+                pi = is_periodic_state(M, cl[i][0])
                 while (pi is not None and j + 1 < n
                        and r.words[j + 1].length == 0):
-                    pj = period(cl[j + 1][0])
+                    pj = is_periodic_state(M, cl[j + 1][0])
                     if (pj is None or pi.length != pj.length
                             or not words.equals(pi, pj)):
                         break

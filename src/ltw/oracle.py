@@ -10,6 +10,7 @@ whose outputs exceed the word cap fail loudly rather than silently skipping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import words
 from .core import Ltw, Tree
@@ -31,16 +32,6 @@ class BruteVerdict:
     budget_hit: str | None = None  # "depth" | "trees"
 
 
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    head, rest = pools[0], pools[1:]
-    for t in head:
-        for tail in _product(rest):
-            yield (t,) + tail
-
-
 def _exact_depth_combos(shallow, exact, full, arity, cap):
     """Child tuples whose deepest member sits exactly in `exact`, grouped by
     the first slot that reaches it; every yielded tuple qualifies, so cost is
@@ -52,7 +43,7 @@ def _exact_depth_combos(shallow, exact, full, arity, cap):
         pools = [shallow[k] for k in range(j)]
         pools.append(exact[j])
         pools.extend(full[k] for k in range(j + 1, arity))
-        for combo in _product(pools):
+        for combo in product(*pools):
             yield combo
             made += 1
             if made >= cap:

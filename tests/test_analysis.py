@@ -40,6 +40,7 @@ def test_shortest_words_are_the_lcp_values():
 
 
 def test_shortest_word_agrees_with_enumeration():
+    # acyclic machines of depth <= 3, so depth-4 enumeration sees every output
     rng = random.Random(21)
     from _support import random_layered
     for _ in range(15):
@@ -49,12 +50,25 @@ def test_shortest_word_agrees_with_enumeration():
         except Exception:
             continue
         for q in M.states:
-            outs = [evaluate_explicit(with_axiom_state(M, q), t)
+            outs = {evaluate_explicit(with_axiom_state(M, q), t)
                     for t in enumerate_trees(M, q,
-                                             EnumerationBudget(max_depth=4))]
-            outs = [o for o in outs if o is not None]
-            if outs:
-                assert shortest_word_lengths(M)[q] == min(map(len, outs))
+                                             EnumerationBudget(max_depth=4))}
+            outs.discard(None)
+            assert outs
+            assert shortest_word_lengths(M)[q] == min(map(len, outs))
+            assert expand(shortest_word(M, q)) in outs
+            nonempty = {o for o in outs if o}
+            plus = shortest_nonempty_word(M, q)
+            if nonempty:
+                assert expand(plus) in nonempty
+                assert plus.length == min(map(len, nonempty))
+            else:
+                assert plus is None
+            assert is_erasing(M, q) == (outs == {""})
+            single = singleton_word(M, q)
+            assert (single is not None) == (len(outs) == 1)
+            if single is not None:
+                assert {expand(single)} == outs
 
 
 def test_shortest_nonempty_ex5a():

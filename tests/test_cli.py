@@ -47,6 +47,16 @@ def test_run_max_len_flag(capsys):
     assert "len=9" in capsys.readouterr().err
 
 
+def test_run_deep_tree(tmp_path, capsys):
+    # a depth-1500 input runs without Python recursion
+    from _support import chain_text
+    f = tmp_path / "chain.ltw"
+    f.write_text(chain_text(3))
+    tree = "f(" * 1499 + "g" + ")" * 1499
+    assert main(["run", str(f), "--tree", tree]) == 0
+    assert capsys.readouterr().out == "abc" * 1499 + "\n"
+
+
 def test_run_bad_tree(capsys):
     assert main(["run", EX3, "--tree", "f(f(g)"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -101,6 +111,20 @@ def test_check_exact_mode_hits_cap(tmp_path, capsys):
     assert "exceeds cap" in capsys.readouterr().err
     assert main(["check", STRESS, str(other)]) == 1
     assert capsys.readouterr().out == "not equivalent: output\nwitness: f(g)\n"
+
+
+def test_check_deep_witness_verified(tmp_path, capsys):
+    # the only difference sits at the end of a 1200-state chain, so the
+    # witness is 1200 deep; re-running it on both machines must not recurse
+    from _support import chain_text
+    text = chain_text(1200)
+    a, b = tmp_path / "a.ltw", tmp_path / "b.ltw"
+    a.write_text(text)
+    b.write_text(text.replace('rule q1200 g = ""', 'rule q1200 g = "x"'))
+    assert main(["check", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["not equivalent: output",
+                   "witness: " + "f(" * 1199 + "g" + ")" * 1199]
 
 
 def test_check_sampled_verdict_reproducible(tmp_path, capsys):
@@ -184,6 +208,12 @@ def test_analyze_state_block(capsys):
     assert lines[4] == "shifts: q=0 q1=1 q2=3"
     assert lines[5] == ("part q f pos=1 callee=q1: "
                         "quasi-periodic(left): handle=aaabcabc period=abc")
+
+
+@pytest.mark.parametrize("name", ["ex5a", "ex7"])
+def test_analyze_matches_golden(name, capsys):
+    assert main(["analyze", str(FIXTURES / f"{name}.ltw")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}_analyze.txt").read_text()
 
 
 def test_analyze_part_line(capsys):
@@ -288,6 +318,8 @@ def test_unknown_command_is_usage_error(capsys):
 def test_removed_check_flags_are_usage_errors(capsys):
     assert main(["check", EX5A, EX5B, "--jobs", "2"]) == 2
     assert main(["check", EX5A, EX5B, "--depth", "6"]) == 2
+    assert main(["run", EX5A, "--tree", "g", "--seed", "1"]) == 2
+    assert main(["oracle", EX5A, EX5B, "--exact"]) == 2
 
 
 def test_seed_changes_fingerprint_configuration(capsys):

@@ -7,7 +7,7 @@ from ltw import (EmptyTransducer, Ltw, Rule, Tree, UndefinedInput, evaluate,
                  validate)
 from ltw import words as W
 from ltw.core import (accessible, domain_defined, productive_states,
-                      same_structure, with_axiom_state)
+                      same_structure, settle, with_axiom_state)
 
 from _support import random_layered
 
@@ -31,6 +31,24 @@ def test_tree_shape():
     assert tr.size == 5
     assert tr.depth == 3
     assert parse_tree("g").depth == 1
+
+
+def test_deep_trees_need_no_recursion():
+    # every tree walk keeps its own stack, so depth is not bounded by
+    # Python's recursion limit
+    M = parse_ltw('input f:1 b:2 g:0\naxiom = q(x)\n'
+                  'rule q f(x1) = "a" q(x1)\nrule q b(x1,x2) = q(x2) q(x1)\n'
+                  'rule q g = "c"\n')
+    text = "f(" * 4999 + "g" + ")" * 4999
+    tr = parse_tree(text, M.alphabet)
+    assert str(tr) == text and tr.size == 5000 and tr.depth == 5000
+    assert expand(evaluate(M, tr)) == "a" * 4999 + "c"
+    assert domain_defined(M, tr)
+    bad = parse_tree("f(" * 3000 + "b(g,h)" + ")" * 3000)
+    assert not domain_defined(M, bad)
+    with pytest.raises(UndefinedInput) as ei:
+        evaluate(M, bad)
+    assert ei.value.symbol == "h" and ei.value.path == (1,) * 3000 + (2,)
 
 
 # -- evaluation ----------------------------------------------------------
@@ -121,6 +139,30 @@ def test_trim_empty_domain_raises():
     M = parse_ltw('input f:1 g:0\naxiom = q(x)\nrule q f(x1) = q(x1)\n')
     with pytest.raises(EmptyTransducer):
         trim(M)
+
+
+def test_settle_weighted_minimum_in_settling_order():
+    out = settle([
+        ("a", "a-leaf", [], 5),
+        ("b", "b-leaf", [], 1),
+        ("a", "a-via-b", ["b", "b"], 1),   # 1 + 1 + 1 beats 5
+        ("c", "c-loop", ["c"], 0),         # a zero-cost self-loop never fires
+        ("c", "c-via-a", ["a"], 0),
+        ("d", "d-dead", ["e"], 0),         # e has no rule
+    ])
+    assert out == {"b": (1, "b-leaf", []), "a": (3, "a-via-b", ["b", "b"]),
+                   "c": (3, "c-via-a", ["a"])}
+    assert list(out) == ["b", "a", "c"]
+
+
+def test_settle_equal_values_first_ready_wins():
+    # z's rules tie at 0; via-x becomes ready first although it is listed
+    # last, and the later leaf for x loses to the earlier one
+    out = settle([("x", "x-first", [], 0), ("y", "y", [], 0),
+                  ("z", "via-y", ["y"], 0), ("z", "via-x", ["x"], 0),
+                  ("x", "x-second", [], 0)])
+    assert list(out) == ["x", "y", "z"]
+    assert out["x"] == (0, "x-first", []) and out["z"] == (0, "via-x", ["x"])
 
 
 def test_productive_accessible():

@@ -7,8 +7,8 @@ import pytest
 from ltw import words, oracle
 from ltw.core import EmptyTransducer, mirror, trim
 from ltw.ltwfile import parse_ltw, print_ltw
-from ltw.analysis import PairSpace, quasi_periodicity, same_ordered
-from ltw.normalize import (_fresh, _strip_hat, eliminate_quasi_periodic_states,
+from ltw.analysis import PairSpace, _fresh, quasi_periodicity, same_ordered
+from ltw.normalize import (_strip_hat, eliminate_quasi_periodic_states,
                            erase_order, make_state_earliest,
                            partial_normal_form, processing_order)
 
