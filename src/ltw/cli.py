@@ -10,6 +10,7 @@ Exit codes, shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import words
@@ -158,7 +159,9 @@ def cmd_oracle(args) -> int:
     return NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main`."""
     parser = argparse.ArgumentParser(
         prog="ltw",
         description="linear tree-to-word transducers: equivalence, "

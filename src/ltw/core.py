@@ -75,10 +75,28 @@ class RankedAlphabet:
         return "RankedAlphabet(%s)" % ", ".join(f"{s}:{a}" for s, a in self._arities.items())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
     symbol: str
     children: tuple["Tree", ...] = ()
+
+    def _preorder(self) -> tuple:
+        """(symbol, arity) of every node in preorder: this determines the
+        tree, so equality and hashing compare it without recursion."""
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            out.append((t.symbol, len(t.children)))
+            stack.extend(reversed(t.children))
+        return tuple(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(self._preorder())
 
     def __str__(self):
         out: list[str] = []
@@ -160,29 +178,31 @@ class Ltw:
 
 def validate(M: Ltw) -> None:
     """Raise ValueError on structural defects (bad arity, bad permutation, ...)."""
-    if len(set(M.states)) != len(M.states):
+    states = set(M.states)
+    if len(states) != len(M.states):
         raise ValueError("duplicate state names")
-    if not any(a == 0 for a in dict(M.alphabet.items()).values()):
+    arities = dict(M.alphabet.items())
+    if 0 not in arities.values():
         raise ValueError("alphabet has no nullary symbol, so no finite trees exist")
     u0, q, u1 = M.axiom
-    if q not in M.states:
+    if q not in states:
         raise ValueError(f"axiom state {q} is not declared")
     for (state, symbol), r in M.rules.items():
-        if state not in M.states:
+        if state not in states:
             raise ValueError(f"rule for undeclared state {state}")
-        if symbol not in M.alphabet:
+        n = arities.get(symbol)
+        if n is None:
             raise ValueError(f"rule for undeclared symbol {symbol}")
-        n = M.alphabet.arity(symbol)
         if r.state != state or r.symbol != symbol:
             raise ValueError("rule indexed under a mismatched key")
         if len(r.calls) != n:
             raise ValueError(f"rule {state},{symbol} has {len(r.calls)} calls, arity is {n}")
         if len(r.words) != n + 1:
             raise ValueError(f"rule {state},{symbol} has {len(r.words)} words, expected {n + 1}")
-        if sorted(r.slots) != list(range(1, n + 1)):
+        if sorted(slot for _, slot in r.calls) != list(range(1, n + 1)):
             raise ValueError(f"rule {state},{symbol} call slots {r.slots} are not a permutation")
         for callee, _ in r.calls:
-            if callee not in M.states:
+            if callee not in states:
                 raise ValueError(f"rule {state},{symbol} calls undeclared state {callee}")
         for w in r.words:
             if w.pool is not M.pool:

@@ -27,7 +27,14 @@ from .words import SlpPool, WordRef
 
 INLINE_MAX = 40
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DQ = r'"(?:[^"\\]|\\["\'\\])*'             # a literal up to its closing quote
+_SQ = r"'(?:[^'\"\\]|\\[\"'\\])*"
+# blanks, then one token: a name, a number, a closed literal or any other
+# single character (a quote that opens no well-formed literal included)
+_TOKEN = re.compile(rf"""[ \t]*([A-Za-z_][A-Za-z0-9_]*|\d+|{_DQ}"|{_SQ}'|.)""", re.S)
+_BLANKS = re.compile(r"[ \t]*")
+_ESCAPE = re.compile(r"\\(.)")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 class ParseError(Exception):
@@ -41,96 +48,105 @@ class ParseError(Exception):
 
 
 class _Line:
+    """A cursor over the _TOKEN strings of one line.
+
+    An error points at the start of the next token once the parser has
+    looked at it, else just after the last token taken; its column is only
+    worked out when it is raised."""
+
     def __init__(self, text: str, no: int):
-        self.text = text
-        self.no = no
-        self.pos = 0
+        self.text, self.no = text, no
+        self.toks = _TOKEN.findall(text) + [""]    # "" marks the end
+        self.i = 0
+        self.looked = True
 
-    def error(self, msg):
-        raise ParseError(msg, self.no, self.pos + 1)
+    def _start(self, i: int) -> int:
+        pos = 0
+        for tok in self.toks[:i]:
+            pos = _BLANKS.match(self.text, pos).end() + len(tok)
+        return _BLANKS.match(self.text, pos).end()
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def error(self, msg, at: int | None = None):
+        if at is None:
+            i = self.i - (not self.looked)
+            at = self._start(i) + (0 if self.looked else len(self.toks[i]))
+        raise ParseError(msg, self.no, at + 1)
+
+    def _pop(self, ok: bool = True, what: str = "") -> str:
+        """Take the next token if `ok`, else fail expecting `what`."""
+        if not ok:
+            self.looked = True
+            self.error(f"expected {what}")
+        self.looked = False
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        self.looked = True
+        return not self.toks[self.i]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def skip(self, ch: str) -> bool:
+        """Take `ch` if it comes next."""
+        self.looked = True
+        if self.toks[self.i] != ch:
+            return False
+        self._pop()
+        return True
 
     def take(self, ch: str):
-        self.skip_ws()
-        if not self.text.startswith(ch, self.pos):
-            self.error(f"expected {ch!r}")
-        self.pos += len(ch)
+        tok = self.toks[self.i]
+        if tok != ch and tok.startswith(ch):  # `x` cut off a name like x1
+            self.toks[self.i:self.i + 1] = [ch] + _TOKEN.findall(tok[len(ch):])
+        self._pop(self.toks[self.i] == ch, repr(ch))
 
     def name(self) -> str:
-        self.skip_ws()
-        m = _NAME.match(self.text, self.pos)
-        if not m:
-            self.error("expected a name")
-        self.pos = m.end()
-        return m.group()
+        return self._pop(self.toks[self.i][:1] in _NAME_START, "a name")
 
     def number(self) -> int:
-        self.skip_ws()
-        m = re.compile(r"\d+").match(self.text, self.pos)
-        if not m:
-            self.error("expected a number")
-        self.pos = m.end()
-        return int(m.group())
+        return int(self._pop(self.toks[self.i][:1].isdecimal(), "a number"))
 
-    def quoted(self) -> str:
-        self.skip_ws()
-        quote = self.text[self.pos]
-        self.pos += 1
-        out = []
+    def slot(self) -> int:
+        """A variable: `x` and its number, as in x1 or x 1."""
+        tok = self.toks[self.i]
+        if tok[:1] == "x" and tok[1:].isdecimal():
+            return int(self._pop()[1:])
+        self.take("x")
+        return self.number()
+
+    def word(self, pool: SlpPool, slps: dict[str, WordRef],
+             bare_refs: bool) -> WordRef:
+        """Juxtaposed literals and $-references (bare too if `bare_refs`)."""
+        out = pool.empty
         while True:
-            if self.pos >= len(self.text):
-                self.error("unterminated string literal")
-            ch = self.text[self.pos]
-            if ch == quote:
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    self.error("dangling backslash")
-                esc = self.text[self.pos + 1]
-                if esc not in ('"', "'", "\\"):
-                    self.error(f"unsupported escape \\{esc}")
-                out.append(esc)
-                self.pos += 2
-                continue
-            if ch in ('"', "\\"):
-                self.error(f"{ch!r} must be escaped inside a literal")
-            out.append(ch)
-            self.pos += 1
-
-
-def _word_atoms(line: _Line, pool: SlpPool, slps: dict[str, WordRef],
-                bare_refs: bool) -> WordRef:
-    """One word: juxtaposed quoted literals and slp references."""
-    out = pool.empty
-    while True:
-        ch = line.peek()
-        if ch in ('"', "'"):
-            out = pool.concat(out, pool.literal(line.quoted()))
-        elif ch == "$":
-            line.take("$")
-            name = line.name()
-            if name not in slps:
-                line.error(f"unknown slp name {name}")
-            out = pool.concat(out, slps[name])
-        elif bare_refs and ch and _NAME.match(ch):
-            name = line.name()
-            if name not in slps:
-                line.error(f"unknown slp name {name}")
-            out = pool.concat(out, slps[name])
-        else:
-            return out
+            tok = self.toks[self.i]
+            quote = tok[:1] in ('"', "'")
+            if quote and len(tok) > 1:
+                body = self._pop()[1:-1]
+                try:
+                    out = pool.concat(out, pool.literal(
+                        _ESCAPE.sub(r"\1", body) if "\\" in body else body))
+                except ValueError as e:       # not an output symbol
+                    self.error(str(e))
+            elif quote:                       # no closing quote: say why
+                at = re.compile(_DQ if tok == '"' else _SQ).match(
+                    self.text, self._start(self.i)).end()
+                bad = self.text[at:at + 2]
+                if not bad:
+                    self.error("unterminated string literal", at)
+                if bad[0] == '"':
+                    self.error("'\"' must be escaped inside a literal", at)
+                self.error("dangling backslash" if len(bad) == 1
+                           else f"unsupported escape {bad}", at)
+            elif tok == "$" or (bare_refs and tok[:1] in _NAME_START):
+                if tok == "$":
+                    self._pop()
+                name = self.name()
+                if name not in slps:
+                    self.error(f"unknown slp name {name}")
+                out = pool.concat(out, slps[name])
+            else:
+                self.looked = True
+                return out
 
 
 def parse_ltw(text: str, pool: SlpPool | None = None) -> Ltw:
@@ -139,17 +155,11 @@ def parse_ltw(text: str, pool: SlpPool | None = None) -> Ltw:
     slps: dict[str, WordRef] = {}
     axiom = None
     rules: dict[tuple[str, str], Rule] = {}
-    states: list[str] = []
-    seen_states: set[str] = set()
-
-    def note_state(name):
-        if name not in seen_states:
-            seen_states.add(name)
-            states.append(name)
+    states: dict[str, None] = {}              # in order of first mention
 
     for no, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
+        if not stripped:
             continue
         line = _Line(stripped, no)
         head = line.name()
@@ -167,50 +177,42 @@ def parse_ltw(text: str, pool: SlpPool | None = None) -> Ltw:
             if name in slps:
                 line.error(f"slp {name} redefined")
             line.take("=")
-            slps[name] = _word_atoms(line, pool, slps, bare_refs=True)
+            slps[name] = line.word(pool, slps, bare_refs=True)
             if not line.at_end():
                 line.error("trailing input after slp definition")
         elif head == "axiom":
             if axiom is not None:
                 line.error("axiom redefined")
             line.take("=")
-            u0 = _word_atoms(line, pool, slps, bare_refs=False)
+            u0 = line.word(pool, slps, bare_refs=False)
             state = line.name()
-            line.take("(")
-            line.take("x")
-            line.take(")")
-            u1 = _word_atoms(line, pool, slps, bare_refs=False)
+            for ch in "(x)":
+                line.take(ch)
+            u1 = line.word(pool, slps, bare_refs=False)
             if not line.at_end():
                 line.error("trailing input after axiom")
-            note_state(state)
+            states[state] = None
             axiom = (u0, state, u1)
         elif head == "rule":
             state = line.name()
             symbol = line.name()
             slots: list[int] = []
-            if line.peek() == "(":
-                line.take("(")
-                if line.peek() != ")":
-                    while True:
-                        line.take("x")
-                        slots.append(line.number())
-                        if line.peek() == ")":
-                            break
+            if line.skip("("):
+                while not line.skip(")"):
+                    if slots:
                         line.take(",")
-                line.take(")")
+                    slots.append(line.slot())
             line.take("=")
-            note_state(state)
-            rwords = [_word_atoms(line, pool, slps, bare_refs=False)]
+            states[state] = None
+            rwords = [line.word(pool, slps, bare_refs=False)]
             calls: list[tuple[str, int]] = []
             while not line.at_end():
                 callee = line.name()
                 line.take("(")
-                line.take("x")
-                slot = line.number()
+                calls.append((callee, line.slot()))
                 line.take(")")
-                note_state(callee)
-                calls.append((callee, slot))
-                rwords.append(_word_atoms(line, pool, slps, bare_refs=False))
+                states[callee] = None
+                rwords.append(line.word(pool, slps, bare_refs=False))
             if (state, symbol) in rules:
                 line.error(f"duplicate rule for {state},{symbol}")
             if slots and slots != list(range(1, len(slots) + 1)):
@@ -271,23 +273,25 @@ class _WordPrinter:
         return ["$" + self._name(w.node)]
 
     def _name(self, node: int) -> str:
-        got = self.names.get(node)
-        if got is not None:
-            return got
-        pool = self.pool
-        parts: list[str] = []
-        for child in (pool._left[node], pool._right[node]):
-            ln = pool._len[child]
-            if ln == 0:
+        """Declare `node` after the long children it needs, left first."""
+        pool, names = self.pool, self.names
+        todo = [node]
+        while todo:
+            n = todo.pop()
+            if n in names:
                 continue
-            if ln <= INLINE_MAX:
-                parts.append(_quote(words.expand(WordRef(pool, child))))
-            else:
-                parts.append(self._name(child))
-        name = f"W{len(self.names)}"
-        self.names[node] = name
-        self.decls.append(f"slp {name} = " + " ".join(parts))
-        return name
+            kids = (pool._left[n], pool._right[n])
+            unnamed = [c for c in kids[::-1]
+                       if pool._len[c] > INLINE_MAX and c not in names]
+            if unnamed:                       # back to n once they are named
+                todo += [n] + unnamed
+                continue
+            parts = [names[c] if pool._len[c] > INLINE_MAX
+                     else _quote(words.expand(WordRef(pool, c)))
+                     for c in kids if pool._len[c]]
+            names[n] = f"W{len(names)}"
+            self.decls.append(f"slp {names[n]} = " + " ".join(parts))
+        return names[node]
 
 
 def print_ltw(M: Ltw) -> str:
@@ -332,19 +336,15 @@ def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     open_nodes: list[tuple[str, list]] = []   # symbol and children so far
     while True:
         sym = line.name()
-        if line.peek() == "(":
-            line.take("(")
-            if line.peek() != ")":
-                open_nodes.append((sym, []))
-                continue
-            line.take(")")
+        if line.skip("(") and not line.skip(")"):
+            open_nodes.append((sym, []))
+            continue
         t = finish(sym, [])
         while open_nodes:                     # close every finished parent
             open_nodes[-1][1].append(t)
-            if line.peek() != ")":
+            if not line.skip(")"):
                 line.take(",")
                 break
-            line.take(")")
             t = finish(*open_nodes.pop())
         else:
             break                             # t is the root

@@ -138,33 +138,29 @@ def evaluate_explicit(M: Ltw, t: Tree, cap: int = 100000,
             s = _words[w.node] = words.expand(w, cap)
         return s
 
+    # rule words in depth-first call order, as core.evaluate emits them
+    parts: list[str] = []
     total = 0
-
-    def run(q: str, node: Tree) -> str | None:
-        nonlocal total
-        r = M.rules.get((q, node.symbol))
-        if r is None or r.arity != len(node.children):
-            return None
-        parts = [word(r.words[0])]
-        total += len(parts[0])
-        if total > cap:
-            raise words.CapExceeded(total, cap)
-        for i, (callee, slot) in enumerate(r.calls):
-            sub = run(callee, node.children[slot - 1])
-            if sub is None:
-                return None
-            parts.append(sub)
-            parts.append(word(r.words[i + 1]))
+    todo: list = [(M.axiom[1], t)]
+    while todo:
+        item = todo.pop()
+        if not isinstance(item, tuple):
+            parts.append(word(item))
             total += len(parts[-1])
             if total > cap:
                 raise words.CapExceeded(total, cap)
-        return "".join(parts)
-
-    u0, q, u1 = M.axiom
-    body = run(q, t)
-    if body is None:
-        return None
-    return word(u0) + body + word(u1)
+            continue
+        q, node = item
+        r = M.rules.get((q, node.symbol))
+        if r is None or r.arity != len(node.children):
+            return None
+        todo.append(r.words[-1])
+        for i in range(r.arity - 1, -1, -1):
+            callee, slot = r.calls[i]
+            todo.append((callee, node.children[slot - 1]))
+            todo.append(r.words[i])
+    u0, _, u1 = M.axiom
+    return word(u0) + "".join(parts) + word(u1)
 
 
 def brute_equiv(M1: Ltw, M2: Ltw,

@@ -15,6 +15,7 @@ sides fit under the cap.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -233,12 +234,11 @@ class Fingerprinter:
         return (w.length, f, pw)
 
 
-_config = {"seed": 0, "mode": "fingerprint", "fp": None}
+_config = {"seed": 0, "mode": "fingerprint"}
 
 
 def set_equality_seed(seed: int) -> None:
     _config["seed"] = seed
-    _config["fp"] = None
 
 
 def set_equality_mode(mode: str) -> None:
@@ -252,10 +252,15 @@ def equality_seed() -> int:
 
 
 def fingerprinter() -> Fingerprinter:
-    fp = _config["fp"]
-    if fp is None:
-        fp = _config["fp"] = Fingerprinter(_config["seed"])
-    return fp
+    """The configured seed's fingerprinter; see `_fingerprinter_for`."""
+    return _fingerprinter_for(_config["seed"])
+
+
+@functools.lru_cache(maxsize=8)
+def _fingerprinter_for(seed: int) -> Fingerprinter:
+    """A pure function of the seed, so its prime search runs once per seed
+    (for the last 8 seeds), not on every change of seed."""
+    return Fingerprinter(seed)
 
 
 def equals(a: WordRef, b: WordRef, mode: str | None = None,

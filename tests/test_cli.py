@@ -1,7 +1,10 @@
 """CLI tests drive ltw.cli.main with argv lists and capture the streams;
 exit codes and line formats are pinned."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from ltw.ltwfile import parse_ltw, parse_tree
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 EX3 = str(FIXTURES / "ex3.ltw")
 EX5A = str(FIXTURES / "ex5a.ltw")
@@ -181,6 +185,22 @@ def test_normalize_to_files(tmp_path, capsys):
     assert report[-1] == "# parts-passes: 2"
 
 
+def test_normalize_deeply_nested_word(tmp_path, capsys):
+    # a word built by 1500 nested concatenations prints without recursion
+    lines = ["input f:1 g:0", 'slp W0 = "%s"' % ("ab" * 21)]
+    lines += [f'slp W{i} = "c" W{i - 1}' for i in range(1, 1500)]
+    lines += ["axiom = $W1499 q(x)", 'rule q f(x1) = "a" q(x1)',
+              'rule q g = "b"']
+    f = tmp_path / "deep.ltw"
+    f.write_text("\n".join(lines) + "\n")
+    assert main(["normalize", str(f)]) == 0
+    out = capsys.readouterr().out
+    M, N = parse_ltw(f.read_text()), parse_ltw(out)
+    t = parse_tree("f(f(g))", M.alphabet)
+    assert words.expand(evaluate(N, t)) == words.expand(evaluate(M, t))
+    assert out.count("\nslp ") == 1500
+
+
 def test_normalize_empty_domain(tmp_path, capsys):
     f = tmp_path / "empty.ltw"
     f.write_text("""
@@ -326,3 +346,38 @@ def test_seed_changes_fingerprint_configuration(capsys):
     # the flag must reach the word pool configuration layer
     assert main(["check", EX5A, EX5B, "--seed", "7"]) == 0
     assert words.equality_seed() == 7
+
+
+# -- one parser and one prime per process -----------------------------------
+
+def _differing_pair(tmp_path):
+    b = tmp_path / "ex5a_changed.ltw"
+    b.write_text(pathlib.Path(EX5A).read_text().replace('"abab"', '"abba"'))
+    return EX5A, str(b)
+
+
+def test_main_reentrant_after_another_seed(tmp_path, capsys):
+    a, b = _differing_pair(tmp_path)
+    fresh = subprocess.run([sys.executable, "-m", "ltw.cli", "check", a, b],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert fresh.returncode == 1 and fresh.stdout.startswith("not equivalent")
+    assert main(["check", "--seed", "7", a, b]) == 1
+    capsys.readouterr()
+    assert main(["check", a, b]) == 1
+    assert words.equality_seed() == 0
+    assert words.fingerprinter().prime == words.Fingerprinter(0).prime
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == (fresh.stdout, fresh.stderr)
+
+
+def test_usage_error_between_calls_changes_nothing(tmp_path, capsys):
+    a, b = _differing_pair(tmp_path)
+    assert main(["check", a, b]) == 1
+    first = capsys.readouterr()
+    assert main(["check", "--seed", "7", a]) == 2      # b is missing
+    assert main(["check", "--seed", "x", a, b]) == 2
+    capsys.readouterr()
+    assert main(["check", a, b]) == 1
+    assert capsys.readouterr() == first
+    assert words.equality_seed() == 0

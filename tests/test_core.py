@@ -8,6 +8,7 @@ from ltw import (EmptyTransducer, Ltw, Rule, Tree, UndefinedInput, evaluate,
 from ltw import words as W
 from ltw.core import (accessible, domain_defined, productive_states,
                       same_structure, settle, with_axiom_state)
+from ltw.oracle import evaluate_explicit
 
 from _support import random_layered
 
@@ -49,6 +50,13 @@ def test_deep_trees_need_no_recursion():
     with pytest.raises(UndefinedInput) as ei:
         evaluate(M, bad)
     assert ei.value.symbol == "h" and ei.value.path == (1,) * 3000 + (2,)
+    deep = parse_tree("f(" * 3000 + "g" + ")" * 3000)
+    twin = parse_tree("f(" * 3000 + "g" + ")" * 3000)
+    assert deep == twin and hash(deep) == hash(twin)
+    assert deep != parse_tree("f(" * 3000 + "h" + ")" * 3000)
+    assert len({deep, twin}) == 1
+    assert evaluate_explicit(M, deep) == "a" * 3000 + "c"
+    assert evaluate_explicit(M, bad) is None
 
 
 # -- evaluation ----------------------------------------------------------

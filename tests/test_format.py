@@ -136,3 +136,125 @@ def test_parse_tree_syntax_errors():
     for bad in ("", "f(", "f)g", "f(g))", "f(,)"):
         with pytest.raises(ParseError):
             parse_tree(bad)
+
+
+# -- loader error contract: message, line and column -----------------------
+
+_HEAD = "input f:1 g:0\n"
+
+MALFORMED = [
+    ("unterminated literal", _HEAD + 'axiom = "ab q(x)\n',
+     "unterminated string literal", 2, 17),
+    ("dangling backslash", _HEAD + "axiom = 'ab\\",
+     "dangling backslash", 2, 12),
+    ("bad escape", _HEAD + 'axiom = "a\\nb" q(x)\n',
+     "unsupported escape \\n", 2, 11),
+    ("unescaped double quote", _HEAD + "axiom = 'a\"b' q(x)\n",
+     "'\"' must be escaped inside a literal", 2, 11),
+    ("hash starts a comment even inside a literal",
+     _HEAD + 'axiom = "a#b" q(x)\n', "unterminated string literal", 2, 11),
+    ("unknown $ reference", _HEAD + "axiom = $NOPE  q(x)\n",
+     "unknown slp name NOPE", 2, 14),
+    ("unknown bare reference", _HEAD + 'slp W = "a" V\n',
+     "unknown slp name V", 2, 14),
+    ("missing =", _HEAD + "axiom q(x)\n", "expected '='", 2, 7),
+    ("missing (", _HEAD + "axiom = q x)\n", "expected '('", 2, 11),
+    ("missing x in the axiom", _HEAD + "axiom = q(y)\n", "expected 'x'", 2, 11),
+    ("missing x in a call", _HEAD + "axiom = q(x)\nrule q f(x1) = q(y1)\n",
+     "expected 'x'", 3, 18),
+    ("missing slot number", _HEAD + "axiom = q(x)\nrule q f(x1) = q(xa)\n",
+     "expected a number", 3, 19),
+    ("slot number glued to a name", _HEAD + "axiom = q(x)\nrule q f(x1) = q(x1a)\n",
+     "expected ')'", 3, 20),
+    ("missing arity", "input g:x\n", "expected a number", 1, 9),
+    ("trailing input after an axiom", _HEAD + 'axiom = q(x) "a" )\n',
+     "trailing input after axiom", 2, 18),
+    ("trailing input after an slp", _HEAD + 'slp W = "a" = \n',
+     "trailing input after slp definition", 2, 13),
+    ("duplicate rule", _HEAD + 'axiom = q(x)\nrule q g = "a"\n\trule q g = "b"\n',
+     "duplicate rule for q,g", 4, 16),
+    ("non-permutation", "input f:2 g:0\naxiom = q(x)\n"
+     "rule q f(x1,x2) = q(x1) q(x1)\n",
+     "call slots [1, 1] are not a permutation of the children", 3, 30),
+    ("head variables out of order", "input f:2 g:0\naxiom = q(x)\n"
+     "rule q f(x2,x1) = q(x1) q(x2)\n",
+     "head variables must be x1,..,xn in order", 3, 30),
+    ("head and calls disagree", "input f:2 g:0\naxiom = q(x)\n"
+     "rule q f(x1,x2) = q(x1)\n",
+     "head declares 2 children but 1 are called", 3, 24),
+    ("arity conflict", "input f:1 f:2\n",
+     "symbol f redeclared with arity 2 != 1", 1, 14),
+    ("unknown declaration", _HEAD + "  output g\n",
+     "unknown declaration 'output'", 2, 9),
+    ("slp redefined", "input g:0\nslp A = 'a'\nslp A = 'b'\n",
+     "slp A redefined", 3, 6),
+    ("axiom redefined", _HEAD + "axiom = q(x)\naxiom = q(x)\n",
+     "axiom redefined", 3, 6),
+]
+
+
+@pytest.mark.parametrize("text,msg,line,col", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_input_message_and_position(text, msg, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_ltw(text)
+    assert str(e.value) == f"{msg} (line {line}, col {col})"
+    assert (e.value.line, e.value.col) == (line, col)
+
+
+def test_missing_axiom_has_no_position():
+    with pytest.raises(ParseError) as e:
+        parse_ltw("input g:0\n")
+    assert str(e.value) == "missing axiom"
+    assert (e.value.line, e.value.col) == (None, None)
+
+
+def test_tabs_comments_and_quote_styles():
+    M = parse_ltw("\tinput\tf:1\tg : 0   # symbols\n"
+                  "# a whole-line comment\n"
+                  "slp W1 = 'it''s' \"\\\\\"\t# bare refs follow\n"
+                  "slp W0 = W1\tW1\n"
+                  "axiom\t=\t$W0 q ( x ) 'a\\'b'\n"
+                  "rule q f( x1 ) = \"'\" q(x 1) '\\\"'\n"
+                  "rule q g =\t\"\"\n")
+    u0, q, u1 = M.axiom
+    assert q == "q"
+    assert expand(u0) == "its\\its\\"
+    assert expand(u1) == "a'b"
+    assert [expand(w) for w in M.rule("q", "f").words] == ["'", '"']
+    assert M.rule("q", "f").calls == (("q", 1),)
+    assert expand(M.rule("q", "g").words[0]) == ""
+
+
+TREE_ERRORS = [
+    ("", "expected a name (line 1, col 1)"),
+    ("f(", "expected a name (line 1, col 3)"),
+    ("f)g", "trailing input after tree (line 1, col 2)"),
+    ("f(g))", "trailing input after tree (line 1, col 5)"),
+    ("f(,)", "expected a name (line 1, col 3)"),
+    ("f\ng", "trailing input after tree (line 1, col 2)"),
+    ("f( g , h( g ) ) x", "trailing input after tree (line 1, col 17)"),
+]
+
+
+@pytest.mark.parametrize("text,msg", TREE_ERRORS)
+def test_tree_error_message_and_position(text, msg):
+    with pytest.raises(ParseError) as e:
+        parse_tree(text)
+    assert str(e.value) == msg
+
+
+def test_tree_arity_errors_point_after_the_node():
+    M = load_ltw(FIXTURES / "ex3.ltw")
+    with pytest.raises(ParseError) as e:
+        parse_tree("f(g() , g)", M.alphabet)
+    assert str(e.value) == "symbol f expects 1 children, got 2 (line 1, col 11)"
+    with pytest.raises(ParseError) as e:
+        parse_tree("f(h )", M.alphabet)
+    assert str(e.value) == "unknown input symbol h (line 1, col 5)"
+
+
+def test_non_symbol_in_a_literal_is_a_parse_error():
+    with pytest.raises(ParseError) as e:
+        parse_ltw(_HEAD + 'axiom = "a\tb" q(x)\n')
+    assert str(e.value) == "invalid output symbol: '\\t' (line 2, col 14)"

@@ -120,6 +120,19 @@ def test_seed_change_keeps_answers():
     assert equality_differential(2000, seed=17) == 0
 
 
+def test_prime_drawn_once_per_seed():
+    # the configured fingerprinter always matches a fresh one for its seed,
+    # and going back to a seed reuses the prime drawn for it
+    drawn = {}
+    for seed in (7, 0, 7):
+        W.set_equality_seed(seed)
+        fp = W.fingerprinter()
+        fresh = W.Fingerprinter(seed)
+        assert (fp.prime, fp.base) == (fresh.prime, fresh.base)
+        assert drawn.setdefault(seed, fp) is fp
+    assert drawn[0].prime != drawn[7].prime
+
+
 # -- operation laws -----------------------------------------------------
 
 texts = st.text(alphabet="ab", max_size=12)
