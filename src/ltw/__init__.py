@@ -6,7 +6,8 @@ pair's common trees span a space of at most 5 dimensions, and the machines
 are equivalent iff their axiom words agree on the axiom pair's basis.  The
 partial normal form (quasi-periodic states earliest, erasing calls last,
 quasi-periodic rule parts earliest and reordered) is computed separately;
-its analyses confirm each rewrite with the same test.  Words are stored as
+its verdicts read each state's span from the same fixpoint run on a machine
+against itself.  Words are stored as
 straight-line programs so rule outputs may be exponentially long.
 """
 

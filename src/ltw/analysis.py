@@ -1,10 +1,17 @@
 """Language analyses on transducer states.
 
 Everything a normal form needs to know about a state's output language:
-shortest words, erasing/singleton detection, periodicity of the language,
-quasi-periodicity (the language sits inside handle.period* or period*.handle),
-the hat states that expose rule parts as states of their own, and the
-co-reachable pair space two machines induce on a common domain.
+shortest words, erasing detection, the co-reachable pair space two machines
+induce on a common domain and the span of their outputs over it, the
+companion transducer, and the hat states that expose rule parts as states of
+their own.
+
+The language verdicts (singleton, periodic, quasi-periodic) all read one
+object: the span of a state's output vectors (P, H, C) = (base**len, hash, 1)
+over F_p, which is the diagonal of :func:`pair_spans` on the pair space of a
+machine with itself.  Each verdict is one linear form that must vanish on
+every basis vector, so it errs only on a fingerprint collision, like
+"equivalent".
 
 All analyses are per-machine pure functions; results are cached on the
 (immutable) transducer instance.
@@ -12,12 +19,13 @@ All analyses are per-machine pure functions; results are cached on the
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from . import words
 from .core import (EmptyTransducer, Ltw, RankedAlphabet, Rule, Tree,
-                   accessible, mirror, settle, trim, with_axiom_state)
+                   accessible, settle, with_axiom_state)
 from .words import WordRef
 
 
@@ -121,33 +129,10 @@ def is_erasing(M: Ltw, q: str) -> bool:
 
 
 def singleton_word(M: Ltw, q: str) -> WordRef | None:
-    """The single output of q if |L(q)| == 1, else None.
-
-    L(q) is a singleton exactly when every state accessible from q has a
-    nonempty domain and each of its rules, callees replaced by their
-    shortest words, outputs the state's own shortest word.  The states that
-    break this are found once per machine; the verdict then spreads to
-    their callers through a reverse call index.
-    """
-    c = _cache(M)
-    w = shortest_words(M)
-    if "multi" not in c:
-        multi = {p for p in M.states if p not in w}
-        callers: dict[str, set[str]] = {}
-        for r in M.rules.values():
-            for callee, _ in r.calls:
-                callers.setdefault(callee, set()).add(r.state)
-            if all(callee in w for callee, _ in r.calls) and not words.equals(
-                    _assemble(M, r, [w[callee] for callee, _ in r.calls]), w[r.state]):
-                multi.add(r.state)
-        todo = list(multi)
-        while todo:
-            for p in callers.get(todo.pop(), ()):
-                if p not in multi:
-                    multi.add(p)
-                    todo.append(p)
-        c["multi"] = multi
-    return None if q in c["multi"] else w[q]
+    """The single output of q if |L(q)| == 1, else None: distinct words have
+    distinct vectors, all with C = 1, so L(q) is a singleton exactly when
+    q's span has dimension 1."""
+    return shortest_word(M, q) if len(_state_span(M, q).vectors) == 1 else None
 
 
 # -- shifts and the companion transducer --------------------------------------
@@ -208,10 +193,12 @@ def build_Tq(M: Ltw, q: str) -> Ltw:
     """The companion transducer of q: one state per accessible state, with
     the rules of :func:`companion_rules`.
 
-    When q's language is quasi-periodic the companion is equivalent to q run
-    under an axiom that emits q's shortest word first, and every companion
-    state's language lies inside period*.  Both facts are checked by
-    :func:`quasi_periodicity`; nothing here assumes them.
+    When q's language is quasi-periodic (on the left) the companion is
+    equivalent to q run under an axiom that emits q's shortest word first,
+    and every companion state's language lies inside period*: each output of
+    an accessible state starts with its shortest word, and the rest is a
+    power of a rotation of the period that the mock shift turns back into
+    the period.  Nothing here checks either fact.
     """
     acc = accessible(M, q)
     w = shortest_words(M)
@@ -225,86 +212,93 @@ def build_Tq(M: Ltw, q: str) -> Ltw:
                axiom=(w[q], name[q], M.pool.empty), rules=rules, pool=M.pool)
 
 
-# -- periodicity --------------------------------------------------------------
+# -- periodicity and quasi-periodicity ----------------------------------------
+
+def _state_span(M: Ltw, q: str) -> _Span:
+    """The span of the vectors (P, H, C) of L(q).
+
+    It is the diagonal of the pair spans of M with itself, computed from the
+    axiom once per machine.  A state the axiom does not reach gets the
+    diagonal of M restarted at it, and so do the states below it.
+    """
+    c = _cache(M)
+    if "spans" not in c:
+        c["spans"] = {p: s for (p, _), s in pair_spans(PairSpace(M, M)).items()}
+    spans = c["spans"]
+    if q not in spans:
+        Mq = with_axiom_state(M, q)
+        for (p, _), s in pair_spans(PairSpace(Mq, Mq)).items():
+            spans.setdefault(p, s)
+    return spans[q]
+
+
+def _basis_words(M: Ltw, q: str) -> list[WordRef]:
+    """The outputs of q on the trees behind its span's basis.
+
+    Basis trees share their subtrees, so outputs are memoized per (state,
+    subtree) on M.  The memo holds each subtree, so its id is not reused."""
+    memo = _cache(M).setdefault("out", {})
+    trees = _state_span(M, q).trees
+    todo = [(q, t) for t in trees]
+    while todo:
+        p, t = todo[-1]
+        if (p, id(t)) in memo:
+            todo.pop()
+            continue
+        r = M.rule(p, t.symbol)
+        kids = [(callee, t.children[s - 1]) for callee, s in r.calls]
+        missing = [k for k in kids if (k[0], id(k[1])) not in memo]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        memo[(p, id(t))] = t, _assemble(M, r, [memo[(c, id(k))][1] for c, k in kids])
+    return [memo[(q, id(t))][1] for t in trees]
+
+
+def _fits(M: Ltw, q: str, u: WordRef, rho: WordRef, direction: str) -> bool:
+    """L(q) lies inside u.rho* ("left") or rho*.u ("right"), for a shortest
+    output u of q and a primitive nonempty rho.
+
+    Left: a word w, no shorter than u, lies in u.rho* iff w.rho^omega =
+    u.rho^omega, because x.rho^omega = rho^omega forces x into rho* for a
+    primitive rho (Lyndon-Schuetzenberger).  With (beta, gamma) the (P, H)
+    of rho, that identity of fingerprints reads
+
+        (P_u H - H_u P)(beta - 1) = gamma (P - P_u C),
+
+    linear in w's vector (P, H, C), so it holds on L(q) iff it holds on the
+    basis of q's span.  Right is the same with rho^omega on the left:
+    (H - H_u C)(beta - 1) = gamma (P - P_u C).
+    """
+    p = words.fingerprinter().prime
+    (pu, hu), (beta, gamma) = _summary(u), _summary(rho)
+    for v in _state_span(M, q).vectors:
+        P, H, C = v[0], v[1], v[4]
+        a = pu * H - hu * P if direction == "left" else H - hu * C
+        if (a * (beta - 1) - gamma * (P - pu * C)) % p:
+            return False
+    return True
+
 
 def is_periodic_state(M: Ltw, q: str) -> WordRef | None:
     """The primitive period p with L(q) a subset of p*, or None.
 
-    Empty and singleton languages short-circuit (period empty resp. the
-    primitive root of the one word).  Otherwise the only candidate period is
-    the primitive root of the shortest nonempty output; rule lengths must
-    close modulo its length and every rule word must match the period's
-    rotation at the position where it is emitted.  Complete on trimmed input:
-    a state genuinely used at two alignments cannot emit anything.
+    The period is empty when q has no nonempty output.  Otherwise the only
+    candidate is the primitive root of the shortest nonempty output, and
+    L(q) must fit inside it with an empty handle (:func:`_fits`).
     """
     c = _cache(M)
     key = ("periodic", q)
-    if key in c:
-        return c[key]
-    c[key] = out = _is_periodic(M, q)
-    return out
+    if key not in c:
+        wp = shortest_nonempty_word(M, q)
+        if wp is None:                    # erasing, or vacuously: empty domain
+            c[key] = M.pool.empty
+        else:
+            pi = words.primitive_root(wp)
+            c[key] = pi if _fits(M, q, M.pool.empty, pi, "left") else None
+    return c[key]
 
-
-def _is_periodic(M: Ltw, q: str) -> WordRef | None:
-    pool = M.pool
-    wp = shortest_nonempty_word(M, q)
-    if wp is None:                        # erasing, or vacuously: empty domain
-        return pool.empty
-    single = singleton_word(M, q)
-    if single is not None:
-        return words.primitive_root(single)
-    pi = words.primitive_root(wp)
-    ell = pi.length
-    m = shortest_word_lengths(M)
-    acc = accessible(M, q)
-    erasing = erasing_states(M)
-    if any(m[p] is None for p in acc):
-        return None
-    r0 = {p: (0 if p in erasing else m[p] % ell) for p in acc}
-    if r0[q] != 0:
-        return None
-    for p in acc:
-        for r in M.rules_of(p):
-            tot = sum(u.length for u in r.words) + sum(r0[cal] for cal, _ in r.calls)
-            if tot % ell != r0[p]:
-                return None
-    # alignment: the word at offset c must be a prefix of rotate(pi, c)**inf
-    rot_pow: dict[tuple[int, int], WordRef] = {}
-
-    def fits(u: WordRef, pos: int) -> bool:
-        if u.length == 0:
-            return True
-        k = -(-u.length // ell)
-        big = rot_pow.get((pos, k))
-        if big is None:
-            big = rot_pow[(pos, k)] = words.power(words.rotate_left(pi, pos), k)
-        return words.equals(words.strip_suffix(big, big.length - u.length), u)
-
-    phase: dict[str, int] = {q: 0}
-    queue = [q]
-    while queue:
-        p = queue.pop(0)
-        for r in M.rules_of(p):
-            pos = phase[p]
-            for i in range(len(r.calls) + 1):
-                if not fits(r.words[i], pos):
-                    return None
-                pos = (pos + r.words[i].length) % ell
-                if i < len(r.calls):
-                    callee = r.calls[i][0]
-                    if callee in erasing:
-                        continue
-                    got = phase.get(callee)
-                    if got is None:
-                        phase[callee] = pos
-                        queue.append(callee)
-                    elif got != pos:
-                        return None
-                    pos = (pos + r0[callee]) % ell
-    return pi
-
-
-# -- quasi-periodicity --------------------------------------------------------
 
 @dataclass(frozen=True)
 class QuasiPeriodicity:
@@ -319,9 +313,12 @@ class QuasiPeriodicity:
 def quasi_periodicity(M: Ltw, q: str, direction: str = "left") -> QuasiPeriodicity | None:
     """Decide quasi-periodicity of L(q) and return the certificate.
 
-    Left: builds the companion transducer, requires its root to be periodic,
-    then confirms the companion is equivalent to q itself (same-ordered by
-    construction).  Right goes through the mirror machine.
+    The handle can only be q's shortest output u, and the period only the
+    primitive root of what a basis word w other than u adds to it (u^-1 w
+    on the left, w u^-1 on the right; the shortest such w is used).  The
+    period is empty when u is q's only output; otherwise L(q) must fit the
+    candidate (:func:`_fits`), which fails too when u is not a prefix
+    (suffix) of w.
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be left or right, not {direction!r}")
@@ -334,26 +331,23 @@ def quasi_periodicity(M: Ltw, q: str, direction: str = "left") -> QuasiPeriodici
 
 
 def _quasi_periodicity(M: Ltw, q: str, direction: str) -> QuasiPeriodicity | None:
-    if direction == "right":
-        v = quasi_periodicity(mirror(M), q, "left")
-        if v is None:
-            return None
-        return QuasiPeriodicity("right", words.reverse(v.handle),
-                                words.reverse(v.period))
-    Mq = with_axiom_state(M, q)
-    try:
-        Mq = trim(Mq)
-    except EmptyTransducer:
+    u = shortest_word(M, q)
+    if u is None:
         return None
-    T = build_Tq(Mq, q)
-    pi = is_periodic_state(T, q + "__T")
-    if pi is None:
+    u_vec = _summary(u)
+    others = [w for w, v in zip(_basis_words(M, q), _state_span(M, q).vectors)
+              if (v[0], v[1]) != u_vec]
+    if not others:
+        return QuasiPeriodicity(direction, u, M.pool.empty)
+    w = min(others, key=lambda w: w.length)
+    if w.length == u.length:
         return None
-    from .equivalence import decide_same_ordered_equiv
-    verdict = decide_same_ordered_equiv(Mq, T)
-    if not verdict.equivalent:
-        return None
-    return QuasiPeriodicity("left", shortest_words(Mq)[q], pi)
+    if direction == "left":
+        rest = words.strip_prefix(w, u.length)
+    else:
+        rest = words.strip_suffix(w, u.length)
+    rho = words.primitive_root(rest)
+    return QuasiPeriodicity(direction, u, rho) if _fits(M, q, u, rho, direction) else None
 
 
 # -- rule parts ---------------------------------------------------------------
@@ -385,10 +379,11 @@ def part_quasi_periodicity(M: Ltw, callee: str, u: WordRef):
 
     Returns (certificate-or-None, extended machine, hat state name); the
     extended machine is M plus the hat state and is what a rewrite of the
-    part should start from.
+    part should start from.  The verdict itself is read on M2 restarted
+    at the hat state, which nothing else in M2 reaches.
     """
     M2, hat = hat_state_machine(M, callee, u)
-    return quasi_periodicity(M2, hat, "left"), M2, hat
+    return quasi_periodicity(with_axiom_state(M2, hat), hat, "left"), M2, hat
 
 
 def rule_part_quasi_periodicity(M: Ltw, state: str, symbol: str, pos: int):
@@ -482,6 +477,101 @@ class PairSpace:
             cur = Tree(f, children)
             p = parent
         return cur
+
+
+class _Span:
+    """A subspace of F_p^5: raw basis vectors with the trees they are the
+    images of, and echelon rows (pivot, row with 1 at the pivot) for the
+    membership test."""
+
+    __slots__ = ("vectors", "trees", "rows")
+
+    def __init__(self):
+        self.vectors: list[tuple] = []
+        self.trees: list[Tree] = []
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def add(self, v: tuple, tree: Tree, p: int) -> bool:
+        """Keep v if it lies outside the span; True when it was kept."""
+        r = list(v)
+        for c, row in self.rows:
+            k = r[c]
+            if k:
+                r = [(a - k * b) % p for a, b in zip(r, row)]
+        c = next((i for i, a in enumerate(r) if a), None)
+        if c is None:
+            return False
+        inv = pow(r[c], -1, p)
+        self.rows.append((c, [a * inv % p for a in r]))
+        self.vectors.append(v)
+        self.trees.append(tree)
+        return True
+
+
+def _summary(w) -> tuple[int, int]:
+    """(P, H) of a word; its C is 1."""
+    _, h, pw = words.fingerprinter().triple(w)
+    return pw, h
+
+
+def pair_spans(ps: PairSpace) -> dict[tuple[str, str], _Span]:
+    """The span of the output vectors (P1, H1, P2, H2, C) of every
+    co-reachable pair's common trees, by a worklist over the pairs (see
+    :mod:`ltw.equivalence`)."""
+    p = words.fingerprinter().prime
+    M1, M2 = ps.M1, ps.M2
+
+    def side(ws, slots, vecs, o):
+        """(P, H, C) of one side's output; the child at slot s contributes
+        vecs[s-1][o], vecs[s-1][o+1] and the shared C."""
+        P, H = ws[0]
+        C = 1
+        for (wp, wh), s in zip(ws[1:], slots):
+            v = vecs[s - 1]
+            P, H, C = P * v[o] % p, (H * v[o] + C * v[o + 1]) % p, C * v[4] % p
+            P, H = P * wp % p, (H * wp + C * wh) % p
+        return P, H, C
+
+    rules: dict[tuple, list] = {}
+    users: dict[tuple, dict] = defaultdict(dict)   # ordered set of callers
+    for pair in ps.co:
+        rules[pair] = []
+        for f, kids in ps.expansions(pair):
+            if not all(k in ps.productive for k in kids):
+                continue
+            r1, r2 = M1.rule(pair[0], f), M2.rule(pair[1], f)
+            rules[pair].append(
+                (f, kids, [_summary(w) for w in r1.words], r1.slots,
+                 [_summary(w) for w in r2.words], r2.slots))
+            for k in kids:
+                users[k][pair] = None
+
+    span = {pair: _Span() for pair in ps.co}
+    done: dict[tuple, list[int]] = {}    # (pair, rule) -> kid spans read
+    queue, queued = deque(ps.co), set(ps.co)
+    while queue:
+        pair = queue.popleft()
+        queued.discard(pair)
+        grew = False
+        for i, (f, kids, ws1, slots1, ws2, slots2) in enumerate(rules[pair]):
+            spans = [span[k] for k in kids]
+            sizes = [len(s.vectors) for s in spans]
+            old = done.get((pair, i))
+            done[(pair, i)] = sizes
+            for combo in itertools.product(*map(range, sizes)):
+                if old is not None and all(j < n for j, n in zip(combo, old)):
+                    continue
+                vecs = [s.vectors[j] for s, j in zip(spans, combo)]
+                P1, H1, C = side(ws1, slots1, vecs, 0)
+                P2, H2, _ = side(ws2, slots2, vecs, 2)
+                tree = Tree(f, tuple(s.trees[j] for s, j in zip(spans, combo)))
+                grew |= span[pair].add((P1, H1, P2, H2, C), tree, p)
+        if grew:
+            for user in users[pair]:
+                if user not in queued:
+                    queued.add(user)
+                    queue.append(user)
+    return span
 
 
 def shortest_domain_tree(M: Ltw, q: str) -> Tree | None:

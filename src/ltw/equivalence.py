@@ -13,10 +13,10 @@ both sides share.  A word acts as the lower-triangular matrix
 [[P, 0], [H, C]], and concatenation is matrix product.  Each child is read
 exactly once on each side, in any order, so a tree's vector is multilinear
 in the vectors of its children: the span of a pair's vectors is spanned by
-the images of the children's basis vectors, at most 5**arity per rule.  A
-worklist computes every pair's span, re-reading a pair's rules whenever the
-span of a pair they call grows.  Each basis vector is kept together with the
-tree it is the image of.
+the images of the children's basis vectors, at most 5**arity per rule.
+:func:`~ltw.analysis.pair_spans` computes every pair's span by a worklist,
+re-reading a pair's rules whenever the span of a pair they call grows.  Each
+basis vector is kept together with the tree it is the image of.
 
 The machines are equivalent iff the axiom words map every basis vector of
 the axiom pair to equal summaries on both sides.  The first basis vector
@@ -31,12 +31,11 @@ polynomial ideals collapse to linear spans, and the tree analogue of Tzeng's
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from . import words
-from .analysis import PairSpace, domains_equal, shortest_domain_tree
+from .analysis import (PairSpace, _summary, domains_equal, pair_spans,
+                       shortest_domain_tree)
 from .core import EmptyTransducer, Ltw, Tree, domain_defined, evaluate, trim
 
 
@@ -46,100 +45,6 @@ class EquivVerdict:
     reason: str | None = None   # "domain" | "output"
     witness: Tree | None = None
     detail: str = ""
-
-
-class _Span:
-    """A subspace of F_p^5: raw basis vectors with the trees they are the
-    images of, and echelon rows (pivot, row with 1 at the pivot) for the
-    membership test."""
-
-    __slots__ = ("vectors", "trees", "rows")
-
-    def __init__(self):
-        self.vectors: list[tuple] = []
-        self.trees: list[Tree] = []
-        self.rows: list[tuple[int, list[int]]] = []
-
-    def add(self, v: tuple, tree: Tree, p: int) -> bool:
-        """Keep v if it lies outside the span; True when it was kept."""
-        r = list(v)
-        for c, row in self.rows:
-            k = r[c]
-            if k:
-                r = [(a - k * b) % p for a, b in zip(r, row)]
-        c = next((i for i, a in enumerate(r) if a), None)
-        if c is None:
-            return False
-        inv = pow(r[c], -1, p)
-        self.rows.append((c, [a * inv % p for a in r]))
-        self.vectors.append(v)
-        self.trees.append(tree)
-        return True
-
-
-def _summary(w) -> tuple[int, int]:
-    """(P, H) of a word; its C is 1."""
-    _, h, pw = words.fingerprinter().triple(w)
-    return pw, h
-
-
-def pair_spans(ps: PairSpace) -> dict[tuple[str, str], _Span]:
-    """The span of the output vectors of every co-reachable pair's common
-    trees, by a worklist over the pairs."""
-    p = words.fingerprinter().prime
-    M1, M2 = ps.M1, ps.M2
-
-    def side(ws, slots, vecs, o):
-        """(P, H, C) of one side's output; the child at slot s contributes
-        vecs[s-1][o], vecs[s-1][o+1] and the shared C."""
-        P, H = ws[0]
-        C = 1
-        for (wp, wh), s in zip(ws[1:], slots):
-            v = vecs[s - 1]
-            P, H, C = P * v[o] % p, (H * v[o] + C * v[o + 1]) % p, C * v[4] % p
-            P, H = P * wp % p, (H * wp + C * wh) % p
-        return P, H, C
-
-    rules: dict[tuple, list] = {}
-    users: dict[tuple, dict] = defaultdict(dict)   # ordered set of callers
-    for pair in ps.co:
-        rules[pair] = []
-        for f, kids in ps.expansions(pair):
-            if not all(k in ps.productive for k in kids):
-                continue
-            r1, r2 = M1.rule(pair[0], f), M2.rule(pair[1], f)
-            rules[pair].append(
-                (f, kids, [_summary(w) for w in r1.words], r1.slots,
-                 [_summary(w) for w in r2.words], r2.slots))
-            for k in kids:
-                users[k][pair] = None
-
-    span = {pair: _Span() for pair in ps.co}
-    done: dict[tuple, list[int]] = {}    # (pair, rule) -> kid spans read
-    queue, queued = deque(ps.co), set(ps.co)
-    while queue:
-        pair = queue.popleft()
-        queued.discard(pair)
-        grew = False
-        for i, (f, kids, ws1, slots1, ws2, slots2) in enumerate(rules[pair]):
-            spans = [span[k] for k in kids]
-            sizes = [len(s.vectors) for s in spans]
-            old = done.get((pair, i))
-            done[(pair, i)] = sizes
-            for combo in itertools.product(*map(range, sizes)):
-                if old is not None and all(j < n for j, n in zip(combo, old)):
-                    continue
-                vecs = [s.vectors[j] for s, j in zip(spans, combo)]
-                P1, H1, C = side(ws1, slots1, vecs, 0)
-                P2, H2, _ = side(ws2, slots2, vecs, 2)
-                tree = Tree(f, tuple(s.trees[j] for s, j in zip(spans, combo)))
-                grew |= span[pair].add((P1, H1, P2, H2, C), tree, p)
-        if grew:
-            for user in users[pair]:
-                if user not in queued:
-                    queued.add(user)
-                    queue.append(user)
-    return span
 
 
 def morphism_equivalence(ps: PairSpace) -> tuple[str, Tree | None]:

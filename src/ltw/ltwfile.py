@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from . import words
-from .core import Ltw, RankedAlphabet, Rule, Tree, validate
+from .core import Ltw, RankedAlphabet, Rule, Tree
 from .words import SlpPool, WordRef
 
 INLINE_MAX = 40
@@ -232,13 +232,12 @@ def parse_ltw(text: str, pool: SlpPool | None = None) -> Ltw:
 
     if axiom is None:
         raise ParseError("missing axiom")
-    M = Ltw(alphabet=alphabet, states=tuple(states), axiom=axiom,
-            rules=rules, pool=pool)
-    try:
-        validate(M)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
-    return M
+    # the lines above guarantee all that core.validate checks but this one,
+    # which is only known at the end of the input: it points there
+    if 0 not in dict(alphabet.items()).values():
+        line.error("alphabet has no nullary symbol, so no finite trees exist")
+    return Ltw(alphabet=alphabet, states=tuple(states), axiom=axiom,
+               rules=rules, pool=pool)
 
 
 def load_ltw(path) -> Ltw:

@@ -68,9 +68,10 @@ def make_state_earliest(M: Ltw, q: str, verdict: QuasiPeriodicity) -> Ltw:
     """Replace q by earliest copies of everything it reaches.
 
     Copies follow the companion-transducer construction (whole output at the
-    rule front, handle stripped, rotated into q's alignment), which the
-    verdict has already certified equivalent; calls to q itself are redirected
-    to the root copy with the handle written just before them.  Original
+    rule front, handle stripped, rotated into q's alignment), which is
+    equivalent to q whenever the verdict holds (see
+    :func:`~ltw.analysis.build_Tq`); calls to q itself are redirected to the
+    root copy with the handle written just before them.  Original
     states stay put -- whatever is still reachable keeps its meaning, the
     rest falls to the next trim.
     """
@@ -325,7 +326,9 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                 continue
             q, sym = key
             for i in range(len(M.rules[key].calls) - 1, -1, -1):
-                r = M.rules[key]
+                r = M.rules.get(key)
+                if r is None:
+                    break               # a rewrite copied q and trimmed it away
                 callee, slot = r.calls[i]
                 u = r.words[i + 1]
                 if shortest_word_lengths(M)[callee] == 0 and u.length == 0:
@@ -357,8 +360,9 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                     cl[i] = (hat, slot)
                     rules = dict(M2.rules)
                     rules[key] = Rule(q, sym, tuple(wl), tuple(cl))
-                    M = trim(make_state_earliest(M2.with_(rules=rules), hat, v))
+                    M = make_state_earliest(M2.with_(rules=rules), hat, v)
                     root_copy = M.rules[key].calls[i][0]
+                    M = trim(M)
                     period_len = v.period.length
                     registry[ukey] = (v.handle, root_copy, u, period_len)
                 changed = True

@@ -88,13 +88,10 @@ class SlpPool:
         self._len = [0]
         self._chars: dict[str, int] = {}
         self._fp: dict[object, list] = {}
+        self.empty = WordRef(self, 0)
 
     def __len__(self):
         return len(self._kind)
-
-    @property
-    def empty(self) -> WordRef:
-        return WordRef(self, 0)
 
     def _push(self, kind, left, right, sym, ln) -> int:
         self._kind.append(kind)

@@ -70,6 +70,41 @@ def random_layered(rng: random.Random, n_states: int = 3) -> Ltw:
     return parse_ltw(random_layered_text(rng, n_states))
 
 
+def random_cyclic_text(rng: random.Random, n_states: int = 3) -> str:
+    """Machine over n0:0 n1:0 u:1 b2:2 whose rules may call any state,
+    itself included, and whose words are rotations of powers of one
+    primitive period (now and then cut short or given one extra letter).
+    Every state has a nullary rule, so all are productive; a fair share of
+    the states comes out quasi-periodic, many with a nonempty handle."""
+    period = rng.choice(["a", "ab", "abc", "aab"])
+
+    def word() -> str:
+        k = rng.randrange(3)
+        r = rng.randrange(len(period))
+        w = (period * (k + 1))[r:r + len(period) * k]
+        x = rng.random()
+        if x < 0.1:
+            w = w[:rng.randrange(len(w) + 1)]
+        elif x < 0.15:
+            w += rng.choice(WORD_CHARS)
+        return _quote(w)
+
+    lines = ["input n0:0 n1:0 u:1 b2:2", f"axiom = {word()} q0(x)"]
+    for i in range(n_states):
+        lines.append(f"rule q{i} n0 = {word()}")
+        if rng.random() < 0.3:
+            lines.append(f"rule q{i} n1 = {word()}")
+        if rng.random() < 0.7:
+            j = rng.randrange(n_states)
+            lines.append(f"rule q{i} u(x1) = {word()} q{j}(x1) {word()}")
+        if rng.random() < 0.3:
+            a, b = rng.randrange(n_states), rng.randrange(n_states)
+            s1, s2 = (1, 2) if rng.random() < 0.5 else (2, 1)
+            lines.append(f"rule q{i} b2(x1,x2) = {word()} q{a}(x{s1}) "
+                         f"{word()} q{b}(x{s2}) {word()}")
+    return "\n".join(lines) + "\n"
+
+
 def periodic_run_machine(rng: random.Random) -> tuple[Ltw, Ltw]:
     """A rule with two adjacent calls to states sharing one primitive period,
     and the same machine with the calls swapped; the pair is equivalent."""

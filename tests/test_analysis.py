@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -210,6 +211,73 @@ def test_quasi_periodicity_matches_brute_evidence():
             assert bv.handle == expand(v.handle)
             if bv.period and v.period.length:
                 assert bv.period == expand(v.period)
+
+
+def _admits(out: str, handle: str, period: str, direction: str) -> bool:
+    """`out` lies in handle.period* (left) or period*.handle (right)."""
+    if direction == "right":
+        out, handle, period = out[::-1], handle[::-1], period[::-1]
+    rest = out[len(handle):]
+    powers = period * (len(rest) // len(period)) if period else ""
+    return out.startswith(handle) and rest == powers
+
+
+def test_verdicts_match_brute_evidence_on_cyclic_machines():
+    # cyclic machines whose words are rotations of one period: a positive
+    # verdict must admit every output up to depth 5; when the outputs hold
+    # q's shortest word and still refute quasi-periodicity, the verdict
+    # must be None (and so must periodicity, which implies it)
+    from _support import random_cyclic_text
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(60):
+        M = trim(parse_ltw(random_cyclic_text(rng, rng.randrange(2, 5))))
+        for q in M.states:
+            Mq = with_axiom_state(M, q)
+            outs = {evaluate_explicit(Mq, t) for t in enumerate_trees(
+                Mq, q, EnumerationBudget(max_depth=5, max_trees=400))}
+            outs = sorted(outs - {None})
+            shortest_seen = expand(shortest_word(M, q)) in outs
+            for d in ("left", "right"):
+                v = quasi_periodicity(M, q, d)
+                refuted = shortest_seen and brute_quasi_periodic(outs, d) is None
+                if v is not None:
+                    assert not refuted, (q, d, outs)
+                    h, p = expand(v.handle), expand(v.period)
+                    assert all(_admits(o, h, p, d) for o in outs), (q, d, outs)
+                seen[d, v is not None, refuted] += 1
+            pi = is_periodic_state(M, q)
+            refuted = shortest_seen and brute_quasi_periodic(outs) is None
+            if pi is not None:
+                assert not refuted, (q, outs)
+                assert all(_admits(o, "", expand(pi), "left") for o in outs), (q, outs)
+            seen["periodic", pi is not None, refuted] += 1
+    for d in ("left", "right", "periodic"):
+        assert seen[d, True, False] and seen[d, False, True], seen
+
+
+def test_companion_is_equivalent_whenever_quasi_periodic():
+    # the normal form rewrites a quasi-periodic state by its companion
+    # without re-checking it, so the verdict must imply the equivalence
+    from _support import random_cyclic_text
+    from ltw.equivalence import decide_same_ordered_equiv
+    rng = random.Random(12)
+    machines = [ex(name) for name in ("ex3", "ex5a", "ex6", "ex7")]
+    machines += [trim(parse_ltw(random_cyclic_text(rng, rng.randrange(2, 5))))
+                 for _ in range(60)]
+    checked = 0
+    for M in machines:
+        for q in M.states:
+            v = quasi_periodicity(M, q, "left")
+            if v is None:
+                continue
+            Mq = with_axiom_state(M, q)
+            T = build_Tq(Mq, q)
+            assert decide_same_ordered_equiv(Mq, T).equivalent, q
+            pi = is_periodic_state(T, q + "__T")
+            assert pi is not None and W.equals(pi, v.period)
+            checked += 1
+    assert checked > 50
 
 
 # -- rule parts -----------------------------------------------------------

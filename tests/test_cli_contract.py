@@ -8,10 +8,12 @@ import os
 import random
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ltw.cli import main
+from ltw.core import validate
+from ltw.ltwfile import ParseError, parse_ltw
 
 from _support import random_layered_text
 from conftest import FIXTURES
@@ -78,3 +80,16 @@ def test_every_subcommand_keeps_the_exit_code_contract(a, b, tree):
             rc, printed = run_cli(argv)
             assert rc in (0, 1, 2, 3), (argv, rc)
             assert "Traceback" not in printed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=ltw_texts())
+@example(text="input f:1\naxiom = q(x)\nrule q f(x1) = q(x1)\n")
+@example(text="input f:2 g:0\naxiom = q(x)\nrule q f(x1,x2) = q(x2) q(x2)\n")
+def test_every_text_the_loader_accepts_is_a_valid_machine(text):
+    # the loader does not run core.validate; its own checks must imply it
+    try:
+        M = parse_ltw(text)
+    except ParseError:
+        return
+    validate(M)

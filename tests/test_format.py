@@ -190,6 +190,9 @@ MALFORMED = [
      "slp A redefined", 3, 6),
     ("axiom redefined", _HEAD + "axiom = q(x)\naxiom = q(x)\n",
      "axiom redefined", 3, 6),
+    ("no nullary symbol, reported at the end of the input",
+     "input f:1\naxiom = q(x)\nrule q f(x1) = q(x1)  # loops\n\n",
+     "alphabet has no nullary symbol, so no finite trees exist", 3, 21),
 ]
 
 

@@ -6,11 +6,13 @@ import pytest
 
 from ltw import words, oracle
 from ltw.core import EmptyTransducer, mirror, trim
+from ltw.equivalence import decide_equiv
 from ltw.ltwfile import parse_ltw, print_ltw
 from ltw.analysis import PairSpace, _fresh, quasi_periodicity, same_ordered
 from ltw.normalize import (_strip_hat, eliminate_quasi_periodic_states,
                            erase_order, make_state_earliest,
-                           partial_normal_form, processing_order)
+                           partial_normal_form, processing_order,
+                           reorder_periodic_runs)
 
 from _support import check_elimination_laws, replay_with_laws, stage_pipeline
 
@@ -185,6 +187,40 @@ def test_make_state_earliest_rewrites_only_the_target(fixtures):
     r = N.rule("q1", "f")
     assert r.calls == (("q2__e", 1),)
     assert words.expand(r.words[0]) == "aaabc"
+
+
+def test_reorder_reads_spans_once_per_machine(monkeypatch):
+    # periodicity of every callee comes from one span computation for the
+    # whole machine, however long the chain
+    from ltw import analysis
+    from _support import chain
+    calls = []
+    real = analysis.pair_spans
+    monkeypatch.setattr(analysis, "pair_spans",
+                        lambda ps: calls.append(ps) or real(ps))
+    counts = {}
+    for k in (40, 160):
+        calls.clear()
+        M, entries = reorder_periodic_runs(trim(chain(k)))
+        assert entries == []
+        counts[k] = len(calls)
+    assert counts == {40: 1, 160: 1}
+
+
+def test_part_rewrite_that_strands_its_own_rule():
+    # q2's part calls q1, whose earliest copies include q2 itself; the trim
+    # after that rewrite drops the original q2 and the rule being rewritten
+    M = parse_ltw('input n0:0 n1:0 u:1 b2:2\naxiom = "a" q0(x)\n'
+                  'rule q0 n0 = ""\nrule q0 u(x1) = q1(x1)\n'
+                  'rule q1 n0 = ""\nrule q1 u(x1) = q2(x1) "aa"\n'
+                  'rule q1 b2(x1,x2) = q2(x2) q2(x1) "aaa"\n'
+                  'rule q2 n0 = ""\nrule q2 u(x1) = "a" q0(x1)\n'
+                  'rule q2 b2(x1,x2) = "aa" q1(x1) "a" q2(x2)\n')
+    N = partial_normal_form(M).result
+    assert "q2" not in N.states
+    assert decide_equiv(M, N).equivalent
+    for t in oracle.enumerate_trees(M, None, oracle.EnumerationBudget(max_depth=5)):
+        assert oracle.evaluate_explicit(M, t) == oracle.evaluate_explicit(N, t)
 
 
 # -- small helpers ------------------------------------------------------------
