@@ -22,10 +22,11 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from operator import mul
 
 from . import words
 from .core import (EmptyTransducer, Ltw, RankedAlphabet, Rule, Tree,
-                   accessible, settle, with_axiom_state)
+                   accessible, outputs, settle, with_axiom_state)
 from .words import WordRef
 
 
@@ -236,24 +237,9 @@ def _basis_words(M: Ltw, q: str) -> list[WordRef]:
     """The outputs of q on the trees behind its span's basis.
 
     Basis trees share their subtrees, so outputs are memoized per (state,
-    subtree) on M.  The memo holds each subtree, so its id is not reused."""
+    subtree) on M."""
     memo = _cache(M).setdefault("out", {})
-    trees = _state_span(M, q).trees
-    todo = [(q, t) for t in trees]
-    while todo:
-        p, t = todo[-1]
-        if (p, id(t)) in memo:
-            todo.pop()
-            continue
-        r = M.rule(p, t.symbol)
-        kids = [(callee, t.children[s - 1]) for callee, s in r.calls]
-        missing = [k for k in kids if (k[0], id(k[1])) not in memo]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        memo[(p, id(t))] = t, _assemble(M, r, [memo[(c, id(k))][1] for c, k in kids])
-    return [memo[(q, id(t))][1] for t in trees]
+    return outputs(M, [(q, t) for t in _state_span(M, q).trees], memo)
 
 
 def _fits(M: Ltw, q: str, u: WordRef, rho: WordRef, direction: str) -> bool:
@@ -481,30 +467,47 @@ class PairSpace:
 
 class _Span:
     """A subspace of F_p^5: raw basis vectors with the trees they are the
-    images of, and echelon rows (pivot, row with 1 at the pivot) for the
-    membership test."""
+    images of, and its reduced echelon form for the membership test.
 
-    __slots__ = ("vectors", "trees", "rows")
+    Row k of the echelon form holds a common scale d at its pivot column
+    pivots[k] and 0 at the other pivots, so building it takes no inverse.
+    Only the rows' entries on the free columns are stored, one list per
+    free column: cols[i][k] is row k's entry at column free[i].  A vector v
+    lies in the span iff d*v[j] = sum_k v[pivots[k]]*row_k[j] on every free
+    column j; on the pivot columns that holds by construction."""
+
+    __slots__ = ("vectors", "trees", "pivots", "free", "cols", "d")
 
     def __init__(self):
         self.vectors: list[tuple] = []
         self.trees: list[Tree] = []
-        self.rows: list[tuple[int, list[int]]] = []
+        self.pivots: list[int] = []
+        self.free = [0, 1, 2, 3, 4]
+        self.cols: list[list[int]] = [[], [], [], [], []]
+        self.d = 1
 
-    def add(self, v: tuple, tree: Tree, p: int) -> bool:
-        """Keep v if it lies outside the span; True when it was kept."""
-        r = list(v)
-        for c, row in self.rows:
-            k = r[c]
-            if k:
-                r = [(a - k * b) % p for a, b in zip(r, row)]
-        c = next((i for i, a in enumerate(r) if a), None)
-        if c is None:
+    def add(self, v: tuple, p: int) -> bool:
+        """Keep v if it lies outside the span; True when it was kept (the
+        caller then appends its tree)."""
+        d, free, cols = self.d, self.free, self.cols
+        pv = [v[c] for c in self.pivots]
+        for i, (j, col) in enumerate(zip(free, cols)):
+            e = (d * v[j] - sum(map(mul, pv, col))) % p
+            if e:
+                break
+        else:
             return False
-        inv = pow(r[c], -1, p)
-        self.rows.append((c, [a * inv % p for a in r]))
+        # the remainder d*v - sum_k v[pivots[k]]*row_k, 0 on the pivots and
+        # on the free columns before free[i], becomes a row with pivot free[i]
+        c, cc = free.pop(i), cols.pop(i)
+        new = [[e * a % p for a in col] + [0] for col in cols[:i]]
+        for j, col in zip(free[i:], cols[i:]):
+            x = (d * v[j] - sum(map(mul, pv, col))) % p
+            new.append([(e * a - b * x) % p for a, b in zip(col, cc)] + [d * x % p])
+        self.cols = new
+        self.pivots.append(c)
+        self.d = d * e % p
         self.vectors.append(v)
-        self.trees.append(tree)
         return True
 
 
@@ -514,24 +517,55 @@ def _summary(w) -> tuple[int, int]:
     return pw, h
 
 
-def pair_spans(ps: PairSpace) -> dict[tuple[str, str], _Span]:
+def _image(rule, vecs: list, p: int) -> tuple:
+    """The vector (P1, H1, P2, H2, 1) of a rule applied to one basis vector
+    per child.  Each side starts from its first word's (P, H) and folds in
+    each call's child and the word after it; C stays 1 throughout."""
+    _, _, (P1, H1), steps1, (P2, H2), steps2 = rule
+    for s, wp, wh in steps1:
+        v = vecs[s]
+        x = v[0] * wp
+        P1, H1 = P1 * x % p, (H1 * x + v[1] * wp + wh) % p
+    for s, wp, wh in steps2:
+        v = vecs[s]
+        x = v[2] * wp
+        P2, H2 = P2 * x % p, (H2 * x + v[3] * wp + wh) % p
+    return P1, H1, P2, H2, 1
+
+
+def _new_combos(sizes: list[int], old: list[int] | None):
+    """Index tuples over `sizes` in lexicographic order, leaving out those
+    read before: the ones below `old` in every place.  The new ones are the
+    disjoint blocks whose first index at or past `old` is at place t."""
+    if old is None:
+        return itertools.product(*map(range, sizes))
+    out = []
+    for t in range(len(sizes)):
+        out.extend(itertools.product(*map(range, old[:t]), range(old[t], sizes[t]),
+                                     *map(range, sizes[t + 1:])))
+    out.sort()
+    return out
+
+
+def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
     """The span of the output vectors (P1, H1, P2, H2, C) of every
     co-reachable pair's common trees, by a worklist over the pairs (see
-    :mod:`ltw.equivalence`)."""
+    :mod:`ltw.equivalence`).
+
+    `stop`, a test on vectors of the axiom pair, ends the fixpoint as soon
+    as a vector kept there passes it; that vector is then the axiom pair's
+    last basis vector, and the other spans are partial."""
     p = words.fingerprinter().prime
     M1, M2 = ps.M1, ps.M2
+    span = {pair: _Span() for pair in ps.co}
 
-    def side(ws, slots, vecs, o):
-        """(P, H, C) of one side's output; the child at slot s contributes
-        vecs[s-1][o], vecs[s-1][o+1] and the shared C."""
-        P, H = ws[0]
-        C = 1
-        for (wp, wh), s in zip(ws[1:], slots):
-            v = vecs[s - 1]
-            P, H, C = P * v[o] % p, (H * v[o] + C * v[o + 1]) % p, C * v[4] % p
-            P, H = P * wp % p, (H * wp + C * wh) % p
-        return P, H, C
+    def fold(r):
+        """One side of a rule: the (P, H) of its first word, then the
+        (child index, P, H) of each call and the word after it."""
+        return (_summary(r.words[0]),
+                [(s - 1, *_summary(w)) for s, w in zip(r.slots, r.words[1:])])
 
+    # per pair: (symbol, child spans, side 1 fold, side 2 fold), flattened
     rules: dict[tuple, list] = {}
     users: dict[tuple, dict] = defaultdict(dict)   # ordered set of callers
     for pair in ps.co:
@@ -539,33 +573,33 @@ def pair_spans(ps: PairSpace) -> dict[tuple[str, str], _Span]:
         for f, kids in ps.expansions(pair):
             if not all(k in ps.productive for k in kids):
                 continue
-            r1, r2 = M1.rule(pair[0], f), M2.rule(pair[1], f)
-            rules[pair].append(
-                (f, kids, [_summary(w) for w in r1.words], r1.slots,
-                 [_summary(w) for w in r2.words], r2.slots))
+            rules[pair].append((f, [span[k] for k in kids], *fold(M1.rule(pair[0], f)),
+                                *fold(M2.rule(pair[1], f))))
             for k in kids:
                 users[k][pair] = None
 
-    span = {pair: _Span() for pair in ps.co}
     done: dict[tuple, list[int]] = {}    # (pair, rule) -> kid spans read
     queue, queued = deque(ps.co), set(ps.co)
     while queue:
         pair = queue.popleft()
         queued.discard(pair)
+        here = span[pair]
         grew = False
-        for i, (f, kids, ws1, slots1, ws2, slots2) in enumerate(rules[pair]):
-            spans = [span[k] for k in kids]
+        for i, rule in enumerate(rules[pair]):
+            f, spans = rule[0], rule[1]
             sizes = [len(s.vectors) for s in spans]
             old = done.get((pair, i))
+            if sizes == old:
+                continue
             done[(pair, i)] = sizes
-            for combo in itertools.product(*map(range, sizes)):
-                if old is not None and all(j < n for j, n in zip(combo, old)):
+            for combo in _new_combos(sizes, old):
+                v = _image(rule, [s.vectors[j] for s, j in zip(spans, combo)], p)
+                if not here.add(v, p):
                     continue
-                vecs = [s.vectors[j] for s, j in zip(spans, combo)]
-                P1, H1, C = side(ws1, slots1, vecs, 0)
-                P2, H2, _ = side(ws2, slots2, vecs, 2)
-                tree = Tree(f, tuple(s.trees[j] for s, j in zip(spans, combo)))
-                grew |= span[pair].add((P1, H1, P2, H2, C), tree, p)
+                here.trees.append(Tree(f, tuple(s.trees[j] for s, j in zip(spans, combo))))
+                grew = True
+                if stop is not None and pair == ps.axiom_pair and stop(v):
+                    return span
         if grew:
             for user in users[pair]:
                 if user not in queued:

@@ -212,33 +212,49 @@ def validate(M: Ltw) -> None:
 def evaluate(M: Ltw, t: Tree, state: str | None = None) -> WordRef:
     """The output word for `t`; UndefinedInput when some node has no rule.
 
-    The output is every rule word in depth-first call order, so one stack
-    of pending words and calls builds it from left to right."""
-    pool = M.pool
+    Subtrees that occur more than once are run once per state (see
+    :func:`outputs`), so a tree that shares its subtrees costs its shared
+    size, not its unfolded size."""
+    if state is not None:
+        return outputs(M, [(state, t)], {})[0]
     u0, q, u1 = M.axiom
-    if state is None:
-        out, todo = u0, [u1, (q, t, ())]
-    else:
-        out, todo = pool.empty, [(state, t, ())]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, WordRef):
-            out = pool.concat(out, item)
-            continue
-        q, node, path = item              # path: nested (parent path, slot)
-        r = M.rules.get((q, node.symbol))
-        if r is None or len(node.children) != r.arity:
-            slots = []
-            while path:
-                path, slot = path
-                slots.append(slot)
-            raise UndefinedInput(q, node.symbol, slots[::-1])
-        todo.append(r.words[-1])
-        for i in range(r.arity - 1, -1, -1):
-            callee, slot = r.calls[i]
-            todo.append((callee, node.children[slot - 1], (path, slot)))
-            todo.append(r.words[i])
-    return out
+    return M.pool.concat_all([u0, outputs(M, [(q, t)], {})[0], u1])
+
+
+def outputs(M: Ltw, runs, memo: dict) -> list[WordRef]:
+    """The output of each (state, tree) in `runs`, memoized in `memo` per
+    (state, subtree id); an entry holds its subtree, so the id is not
+    reused while the memo lives.
+
+    Children are run in call order, depth first, so the first node without
+    a rule is the one a plain left-to-right run meets first, and the
+    UndefinedInput carries its slot path from the root of its run."""
+    for root in runs:
+        todo = [(*root, ())]              # path: nested (parent path, slot)
+        while todo:
+            q, node, path = todo[-1]
+            if (q, id(node)) in memo:
+                todo.pop()
+                continue
+            r = M.rule(q, node.symbol)
+            if r is None or len(node.children) != r.arity:
+                slots = []
+                while path:
+                    path, slot = path
+                    slots.append(slot)
+                raise UndefinedInput(q, node.symbol, slots[::-1])
+            kids = [(callee, node.children[slot - 1], (path, slot))
+                    for callee, slot in r.calls]
+            missing = [k for k in kids if (k[0], id(k[1])) not in memo]
+            if missing:
+                todo += reversed(missing)
+                continue
+            todo.pop()
+            parts = [r.words[0]]
+            for (callee, kid, _), w in zip(kids, r.words[1:]):
+                parts += (memo[(callee, id(kid))][1], w)
+            memo[(q, id(node))] = node, M.pool.concat_all(parts)
+    return [memo[(q, id(t))][1] for q, t in runs]
 
 
 def domain_defined(M: Ltw, t: Tree, state: str | None = None) -> bool:

@@ -13,17 +13,25 @@ both sides share.  A word acts as the lower-triangular matrix
 [[P, 0], [H, C]], and concatenation is matrix product.  Each child is read
 exactly once on each side, in any order, so a tree's vector is multilinear
 in the vectors of its children: the span of a pair's vectors is spanned by
-the images of the children's basis vectors, at most 5**arity per rule.
+the images of the children's basis vectors.
 :func:`~ltw.analysis.pair_spans` computes every pair's span by a worklist,
-re-reading a pair's rules whenever the span of a pair they call grows.  Each
-basis vector is kept together with the tree it is the image of.
+re-reading a pair's rules whenever the span of a pair they call grows, and
+evaluating only the combinations of child basis vectors not read before.
+Over the whole fixpoint a rule thus costs the product of its callees' final
+span dimensions in products, at most 5**arity: polynomial only for bounded
+arity.  Each product costs one membership test, made without inverses on
+the free columns of the span's reduced echelon form (all rows at one common
+scale).  Each basis vector is kept together with the tree it is the image
+of; the tree is built only for vectors that are kept.
 
 The machines are equivalent iff the axiom words map every basis vector of
-the axiom pair to equal summaries on both sides.  The first basis vector
-that fails is the image of a real input tree; that tree is re-run on both
-machines before it is reported as the witness.  "Equivalent" errs only if
-one pair of distinct words collides under the fingerprint, with probability
-at most len/2**127.  This is the linear case of the equivalence test of
+the axiom pair to equal summaries on both sides.  Basis vectors are only
+ever appended, so the fixpoint stops at the first kept vector of the axiom
+pair that fails: it is the first failing one of the full basis.  It is the
+image of a real input tree; that tree is re-run on both machines, each
+shared subtree once, before it is reported as the witness.  "Equivalent"
+errs only if one pair of distinct words collides under the fingerprint,
+with probability at most len/2**127.  This is the linear case of the equivalence test of
 Seidl, Maneth and Kemper for tree-to-string transducers (FOCS 2015), where
 polynomial ideals collapse to linear spans, and the tree analogue of Tzeng's
 (1992) linear-algebra test for weighted automata.
@@ -50,8 +58,9 @@ class EquivVerdict:
 def morphism_equivalence(ps: PairSpace) -> tuple[str, Tree | None]:
     """("span", a common tree on which the outputs differ, or None).
 
-    Checks the axiom frame on the basis of the axiom pair's span.  The tree
-    is not re-verified here."""
+    Checks the axiom frame on the basis of the axiom pair's span, which
+    stops growing at the first vector that fails it.  The tree is not
+    re-verified here."""
     p = words.fingerprinter().prime
     (a0, a1), (b0, b1) = ((_summary(M.axiom[0]), _summary(M.axiom[2]))
                           for M in (ps.M1, ps.M2))
@@ -59,9 +68,12 @@ def morphism_equivalence(ps: PairSpace) -> tuple[str, Tree | None]:
     def framed(u0, u1, P, H, C):
         return u0[0] * P * u1[0] % p, ((u0[1] * P + H) * u1[0] + C * u1[1]) % p
 
-    top = pair_spans(ps)[ps.axiom_pair]
+    def fails(v):
+        return framed(a0, a1, v[0], v[1], v[4]) != framed(b0, b1, v[2], v[3], v[4])
+
+    top = pair_spans(ps, stop=fails)[ps.axiom_pair]
     for v, tree in zip(top.vectors, top.trees):
-        if framed(a0, a1, v[0], v[1], v[4]) != framed(b0, b1, v[2], v[3], v[4]):
+        if fails(v):
             return "span", tree
     return "span", None
 

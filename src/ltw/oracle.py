@@ -9,6 +9,7 @@ whose outputs exceed the word cap fail loudly rather than silently skipping.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
 
@@ -125,42 +126,79 @@ def enumerate_all_trees(alphabet_items, budget: EnumerationBudget) -> list[Tree]
     return out
 
 
+def _rule(M: Ltw, q: str, node: Tree):
+    """The rule q runs at node, or None when q is undefined there."""
+    r = M.rules.get((q, node.symbol))
+    return r if r is not None and r.arity == len(node.children) else None
+
+
 def evaluate_explicit(M: Ltw, t: Tree, cap: int = 100000,
-                      _words=None) -> str | None:
+                      _memo=None) -> str | None:
     """Output as a plain string, None when undefined, CapExceeded when the
-    output would exceed `cap` symbols."""
-    if _words is None:
-        _words = {}
+    output would exceed `cap` symbols.
 
-    def word(w) -> str:
-        s = _words.get(w.node)
-        if s is None:
-            s = _words[w.node] = words.expand(w, cap)
-        return s
-
-    # rule words in depth-first call order, as core.evaluate emits them
-    parts: list[str] = []
-    total = 0
-    todo: list = [(M.axiom[1], t)]
+    `_memo`, a defaultdict(dict), maps None to the expansion of each rule
+    word by pool node, and each state to its output on each proper subtree
+    run so far by subtree id; callers may share it between trees that stay
+    alive as long as it does.  An undefined subtree is memoized as the length of
+    what it emits before its first undefined node, so the cap covers the
+    same prefix as a plain left-to-right run: everything emitted before the
+    first undefined node, or the whole output but the axiom words."""
+    memo = defaultdict(dict) if _memo is None else _memo
+    expanded = memo[None]
+    q0 = M.axiom[1]
+    out, todo = memo[q0].get(id(t)), []
+    if out is None:
+        r = _rule(M, q0, t)
+        if r is None:
+            out = 0
+        else:
+            todo.append((q0, t, r))
     while todo:
-        item = todo.pop()
-        if not isinstance(item, tuple):
-            parts.append(word(item))
-            total += len(parts[-1])
+        # rule words and children in call order, up to the first child that
+        # is undefined or not run yet; the top of the stack always has a
+        # rule and is never memoized
+        q, node, r = todo[-1]
+        parts, total = [], 0
+        for i, w in enumerate(r.words):
+            if i:
+                callee, slot = r.calls[i - 1]
+                kid = node.children[slot - 1]
+                out = memo[callee].get(id(kid))
+                if out is None:
+                    rk = _rule(M, callee, kid)
+                    if rk is not None:
+                        todo.append((callee, kid, rk))
+                        break
+                    out = 0
+                if isinstance(out, int):
+                    out += total
+                    break
+                parts.append(out)
+                total += len(out)
+            s = expanded.get(w.node)
+            if s is None:
+                s = expanded[w.node] = words.expand(w, cap)
+            parts.append(s)
+            total += len(s)
             if total > cap:
                 raise words.CapExceeded(total, cap)
+        else:
+            out = "".join(parts)
+        if out is None:
             continue
-        q, node = item
-        r = M.rules.get((q, node.symbol))
-        if r is None or r.arity != len(node.children):
-            return None
-        todo.append(r.words[-1])
-        for i in range(r.arity - 1, -1, -1):
-            callee, slot = r.calls[i]
-            todo.append((callee, node.children[slot - 1]))
-            todo.append(r.words[i])
+        todo.pop()
+        if todo:                          # not kept for the root: most trees
+            memo[q][id(node)] = out       # are never the child of another
+    if isinstance(out, int):
+        if out > cap:
+            raise words.CapExceeded(out, cap)
+        return None
     u0, _, u1 = M.axiom
-    return word(u0) + "".join(parts) + word(u1)
+    for w in (u0, u1):
+        if w.node not in expanded:
+            expanded[w.node] = words.expand(w, cap)
+    return expanded[u0.node] + out + expanded[u1.node]
 
 
 def brute_equiv(M1: Ltw, M2: Ltw,
@@ -175,13 +213,13 @@ def brute_equiv(M1: Ltw, M2: Ltw,
             raise ValueError(f"alphabets disagree on the arity of {s}")
     trees = enumerate_all_trees(merged, budget)
     hit = "trees" if len(trees) >= budget.max_trees else None
-    cache1: dict = {}
-    cache2: dict = {}
+    memo1: dict = defaultdict(dict)
+    memo2: dict = defaultdict(dict)
     checked = 0
     for t in trees:
         checked += 1
-        o1 = evaluate_explicit(M1, t, budget.max_word_len, cache1)
-        o2 = evaluate_explicit(M2, t, budget.max_word_len, cache2)
+        o1 = evaluate_explicit(M1, t, budget.max_word_len, memo1)
+        o2 = evaluate_explicit(M2, t, budget.max_word_len, memo2)
         if (o1 is None) != (o2 is None):
             return BruteVerdict(False, t, "definedness", checked, hit)
         if o1 is not None and o1 != o2:

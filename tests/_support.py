@@ -4,12 +4,15 @@ unit suites and the acceptance gate."""
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import defaultdict, deque
 
-from ltw import Ltw, Rule, parse_ltw
+from ltw import Ltw, Rule, Tree, parse_ltw
 from ltw import words as W
 from ltw.core import accessible, mirror, trim
-from ltw.analysis import mock_shift_table, quasi_periodicity, shortest_words
+from ltw.analysis import (_summary, mock_shift_table, quasi_periodicity,
+                          shortest_words)
 from ltw.normalize import (eliminate_quasi_periodic_states, erase_order,
                            make_rule_parts_earliest, partial_normal_form,
                            reorder_periodic_runs)
@@ -253,3 +256,67 @@ def equality_differential(cases: int, seed: int) -> int:
         if got != truth:
             mismatches += 1
     return mismatches
+
+
+def reference_pair_spans(ps) -> dict:
+    """The span fixpoint read the plain way, as a reference for
+    :func:`ltw.analysis.pair_spans`: {pair: (basis vectors, basis trees)}.
+
+    Every rule read evaluates every combination of its children's basis
+    vectors in product order, skipping those read before, and keeps a
+    vector when row reduction against normalized echelon rows leaves a
+    remainder."""
+    p = W.fingerprinter().prime
+    M1, M2 = ps.M1, ps.M2
+
+    def side(ws, slots, vecs, o):
+        P, H = ws[0]
+        C = 1
+        for (wp, wh), s in zip(ws[1:], slots):
+            v = vecs[s - 1]
+            P, H, C = P * v[o] % p, (H * v[o] + C * v[o + 1]) % p, C * v[4] % p
+            P, H = P * wp % p, (H * wp + C * wh) % p
+        return P, H, C
+
+    rules, users = {}, defaultdict(dict)
+    for pair in ps.co:
+        rules[pair] = []
+        for f, kids in ps.expansions(pair):
+            if all(k in ps.productive for k in kids):
+                r1, r2 = M1.rule(pair[0], f), M2.rule(pair[1], f)
+                rules[pair].append((f, kids, [_summary(w) for w in r1.words], r1.slots,
+                                    [_summary(w) for w in r2.words], r2.slots))
+                for k in kids:
+                    users[k][pair] = None
+    span = {pair: ([], [], []) for pair in ps.co}    # vectors, trees, rows
+    done, queue, queued = {}, deque(ps.co), set(ps.co)
+    while queue:
+        pair = queue.popleft()
+        queued.discard(pair)
+        vectors, trees, rows = span[pair]
+        grew = False
+        for i, (f, kids, ws1, slots1, ws2, slots2) in enumerate(rules[pair]):
+            sizes = [len(span[k][0]) for k in kids]
+            old, done[(pair, i)] = done.get((pair, i)), sizes
+            for combo in itertools.product(*map(range, sizes)):
+                if old is not None and all(j < n for j, n in zip(combo, old)):
+                    continue
+                vecs = [span[k][0][j] for k, j in zip(kids, combo)]
+                P1, H1, C = side(ws1, slots1, vecs, 0)
+                P2, H2, _ = side(ws2, slots2, vecs, 2)
+                r = [P1, H1, P2, H2, C]
+                for c, row in rows:
+                    r = [(a - r[c] * b) % p for a, b in zip(r, row)]
+                c = next((i for i, a in enumerate(r) if a), None)
+                if c is not None:
+                    inv = pow(r[c], -1, p)
+                    rows.append((c, [a * inv % p for a in r]))
+                    vectors.append((P1, H1, P2, H2, C))
+                    trees.append(Tree(f, tuple(span[k][1][j] for k, j in zip(kids, combo))))
+                    grew = True
+        if grew:
+            for user in users[pair]:
+                if user not in queued:
+                    queued.add(user)
+                    queue.append(user)
+    return {pair: (vectors, trees) for pair, (vectors, trees, _) in span.items()}

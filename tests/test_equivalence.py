@@ -1,15 +1,19 @@
 """Equivalence decision tests: verdict reasons, verified witnesses, and
 the span fixpoint behind every verdict."""
 
-from ltw import words
-from ltw.core import trim, domain_defined, evaluate, with_axiom_state
+import random
+
+from ltw import analysis, words
+from ltw.core import (EmptyTransducer, Ltw, trim, domain_defined, evaluate,
+                      with_axiom_state)
 from ltw.ltwfile import parse_ltw, print_tree
 from ltw.analysis import PairSpace, same_ordered
 from ltw.normalize import partial_normal_form
 from ltw.equivalence import (decide_equiv, decide_same_ordered_equiv,
                              morphism_equivalence, pair_spans)
 
-from _support import chain
+from _support import (chain, mutate, periodic_run_machine, random_cyclic_text,
+                      random_layered, reference_pair_spans)
 
 
 def _load(fixtures, name):
@@ -259,3 +263,104 @@ def test_recursive_probe_chain_end_witnessed():
 def test_long_chain_decided_without_recursion_error():
     v = decide_equiv(chain(640), chain(640))
     assert v.equivalent and v.detail == "span"
+
+
+# -- the span fixpoint against its plain reading --------------------------------
+
+def _span_cases(fixtures):
+    names = ("ex3", "ex5a", "ex5b", "ex6", "ex7", "stress_doubling")
+    fx = {n: _load(fixtures, n) for n in names}
+    cases = [(M, M) for M in fx.values()] + [(fx["ex5a"], fx["ex5b"])]
+    cases += [(chain(k), chain(k)) for k in (2, 5, 9)]
+    rng = random.Random(6)
+    for _ in range(80):
+        M = random_layered(rng, rng.randrange(2, 6))
+        cases += [(M, M), (M, mutate(M, rng))]
+    cases += [periodic_run_machine(rng) for _ in range(40)]
+    for _ in range(80):
+        M = parse_ltw(random_cyclic_text(rng, rng.randrange(2, 5)))
+        cases += [(M, M), (M, mutate(M, rng))]
+    return cases
+
+
+def test_pair_spans_match_the_reference(fixtures):
+    # same basis vectors and trees, in the same order, for every pair; the
+    # early-stopped witness is the first failing tree of the full span
+    witnesses = 0
+    for A, B in _span_cases(fixtures):
+        try:
+            A, B = trim(A), trim(B)
+        except EmptyTransducer:
+            continue
+        ps = PairSpace(A, B)
+        spans, ref = pair_spans(ps), reference_pair_spans(ps)
+        assert set(spans) == set(ref)
+        for pair, (vectors, trees) in ref.items():
+            assert spans[pair].vectors == vectors
+            assert list(map(str, spans[pair].trees)) == list(map(str, trees))
+        _, t = morphism_equivalence(ps)
+        first = next((u for u in ref[ps.axiom_pair][1]
+                      if not words.equals(evaluate(A, u), evaluate(B, u))), None)
+        assert str(t) == str(first)
+        witnesses += t is not None
+    assert witnesses >= 40
+
+
+def _count_products(monkeypatch):
+    seen = []
+    real = analysis._image
+
+    def image(rule, vecs, p):
+        seen.append((id(rule), tuple(vecs)))
+        return real(rule, vecs, p)
+
+    monkeypatch.setattr(analysis, "_image", image)
+    return seen
+
+
+def test_each_product_is_evaluated_once(monkeypatch, fixtures):
+    # every (pair, rule, combination of child basis vectors) at most once;
+    # on a pair that is not equivalent the early stop evaluates fewer
+    A = parse_ltw(PROBE)
+    B = parse_ltw(PROBE.replace('rule c8 n = "d"', 'rule c8 n = "e"'))
+    seen = _count_products(monkeypatch)
+    for M1, M2 in ((A, B), (A, A), (parse_ltw(DEEP), parse_ltw(DEEP)),
+                   (_load(fixtures, "ex5a"), _load(fixtures, "ex5b"))):
+        ps = PairSpace(trim(M1), trim(M2))
+        seen.clear()
+        pair_spans(ps)
+        assert seen and len(set(seen)) == len(seen)
+    ps = PairSpace(trim(A), trim(B))
+    seen.clear()
+    pair_spans(ps)
+    full = len(seen)
+    seen.clear()
+    _, t = morphism_equivalence(ps)
+    assert t is not None and len(seen) < full
+
+
+def _doubling(depth: int, letter: str) -> Ltw:
+    lines = ["input b:2 n:0", "axiom = q0(x)"]
+    lines += [f"rule q{i} b(x1,x2) = q{i + 1}(x1) q{i + 1}(x2)" for i in range(depth)]
+    lines.append(f'rule q{depth} n = "{letter}"')
+    return parse_ltw("\n".join(lines) + "\n")
+
+
+def test_shared_witness_verified_at_its_shared_size(monkeypatch):
+    # the witness is the full binary tree of depth 30, built from 31 shared
+    # subtrees; its re-verification reads each (state, subtree) once
+    A, B = _doubling(30, "a"), _doubling(30, "b")
+    reads = [0]
+    real = Ltw.rule
+
+    def rule(self, state, symbol):
+        reads[0] += 1
+        return real(self, state, symbol)
+
+    monkeypatch.setattr(Ltw, "rule", rule)
+    v = decide_equiv(A, B)
+    assert not v.equivalent and v.reason == "output"
+    assert reads[0] < 1000
+    t = v.witness
+    assert not words.equals(evaluate(A, t), evaluate(B, t))
+    assert evaluate(A, t).length == 2 ** 30

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -89,6 +90,84 @@ def test_evaluate_explicit_cap_is_loud():
     t = parse_tree("f(g)", M.alphabet)
     with pytest.raises(W.CapExceeded):
         evaluate_explicit(M, t, cap=10 ** 6)
+
+
+def test_evaluate_explicit_cap_covers_the_prefix_before_undefined():
+    M = parse_ltw('input f:2 g:0 h:0\naxiom = "zz" q(x) "zz"\n'
+                  'rule q f(x1,x2) = "aaaa" q(x1) q(x2)\nrule q g = "bb"\n')
+    cases = [("f(g,g)", 8, "zzaaaabbbbzz"),     # the axiom words do not count
+             ("f(g,h)", 6, None),                # six symbols before h
+             ("f(g,h)", 5, "cap"),
+             ("f(h,f(g,g))", 5, None),           # nothing after h counts
+             ("f(g,f(g,h))", 11, "cap"),         # twelve symbols before h
+             ("f(g,f(g,h))", 12, None),
+             ("f(f(g,g),g)", 9, "cap")]
+    trees = [parse_tree(text, M.alphabet) for text, _, _ in cases]
+    memo = defaultdict(dict)
+    for shared in (None, memo):
+        for t, (_, cap, want) in zip(trees, cases):
+            assert _outcome(M, t, cap, shared) == want
+
+
+class _RuleBudget(dict):
+    """A rule table whose lookups fail past a budget."""
+
+    def __init__(self, rules, budget):
+        super().__init__(rules)
+        self.left = budget
+
+    def get(self, key, default=None):
+        self.left -= 1
+        assert self.left >= 0, "rule lookup budget exceeded"
+        return super().get(key, default)
+
+
+def test_evaluate_explicit_runs_shared_subtrees_once():
+    # full binary trees of depth 40 built from 41 shared subtrees: silent
+    # ones (every leaf prints nothing), and one whose last leaf is
+    # undefined; a run per (state, subtree) stays within 500 rule lookups
+    M = parse_ltw('input f:2 g:0 e:0 h:0\naxiom = q(x)\n'
+                  'rule q f(x1,x2) = q(x1) q(x2)\n'
+                  'rule q g = "ab"\nrule q e = ""\n')
+    M = M.with_(rules=_RuleBudget(M.rules, 500))
+    silent, bad, full = Tree("e"), Tree("h"), [Tree("g")]
+    for _ in range(40):
+        silent, bad = Tree("f", (silent, silent)), Tree("f", (silent, bad))
+        full.append(Tree("f", (full[-1], full[-1])))
+    assert evaluate_explicit(M, silent) == ""
+    assert evaluate_explicit(M, bad) is None
+    with pytest.raises(W.CapExceeded):
+        evaluate_explicit(M, full[-1])
+    memo = defaultdict(dict)
+    assert evaluate_explicit(M, full[5], 100, memo) == "ab" * 32
+    # one entry per distinct proper subtree; the root is not kept
+    assert sorted(memo["q"].values()) == ["ab" * 2 ** k for k in range(5)]
+    assert [evaluate_explicit(M, t, 100, memo) for t in full[:6]] == \
+        ["ab" * 2 ** k for k in range(6)]
+
+
+def test_shared_memo_agrees_with_fresh_runs():
+    rng = random.Random(12)
+    budget = EnumerationBudget(max_depth=4, max_trees=300)
+    runs = 0
+    for _ in range(30):
+        M = random_layered(rng, 4)
+        N = mutate(M, rng)
+        trees = enumerate_all_trees(list(M.alphabet.items()), budget)
+        for cap in (4, 100000):
+            for A in (M, N):
+                memo = defaultdict(dict)
+                for t in trees:
+                    runs += 1
+                    assert _outcome(A, t, cap, memo) == _outcome(A, t, cap, None)
+    assert runs > 10000
+
+
+def _outcome(M, t, cap, memo):
+    try:
+        return evaluate_explicit(M, t, cap, memo)
+    except W.CapExceeded:
+        return "cap"
 
 
 # -- brute-force equivalence ----------------------------------------------
