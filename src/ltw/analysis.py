@@ -3,15 +3,15 @@
 Everything a normal form needs to know about a state's output language:
 shortest words, erasing detection, the co-reachable pair space two machines
 induce on a common domain and the span of their outputs over it, the
-companion transducer, and the hat states that expose rule parts as states of
-their own.
+companion transducer, and the verdicts on rule parts.
 
 The language verdicts (singleton, periodic, quasi-periodic) all read one
 object: the span of a state's output vectors (P, H, C) = (base**len, hash, 1)
 over F_p, which is the diagonal of :func:`pair_spans` on the pair space of a
-machine with itself.  Each verdict is one linear form that must vanish on
-every basis vector, so it errs only on a fingerprint collision, like
-"equivalent".
+machine with itself restarted at the state; a rule part callee(x).u reads
+the callee's span times u's matrix.  Each verdict is one linear form that
+must vanish on every basis vector, so it errs only on a fingerprint
+collision, like "equivalent".
 
 All analyses are per-machine pure functions; results are cached on the
 (immutable) transducer instance.
@@ -216,16 +216,9 @@ def build_Tq(M: Ltw, q: str) -> Ltw:
 # -- periodicity and quasi-periodicity ----------------------------------------
 
 def _state_span(M: Ltw, q: str) -> _Span:
-    """The span of the vectors (P, H, C) of L(q).
-
-    It is the diagonal of the pair spans of M with itself, computed from the
-    axiom once per machine.  A state the axiom does not reach gets the
-    diagonal of M restarted at it, and so do the states below it.
-    """
-    c = _cache(M)
-    if "spans" not in c:
-        c["spans"] = {p: s for (p, _), s in pair_spans(PairSpace(M, M)).items()}
-    spans = c["spans"]
+    """The span of the vectors (P, H, C) of L(q): the diagonal of the pair
+    spans of M restarted at q, which also gives the states below q."""
+    spans = _cache(M).setdefault("spans", {})
     if q not in spans:
         Mq = with_axiom_state(M, q)
         for (p, _), s in pair_spans(PairSpace(Mq, Mq)).items():
@@ -242,9 +235,10 @@ def _basis_words(M: Ltw, q: str) -> list[WordRef]:
     return outputs(M, [(q, t) for t in _state_span(M, q).trees], memo)
 
 
-def _fits(M: Ltw, q: str, u: WordRef, rho: WordRef, direction: str) -> bool:
-    """L(q) lies inside u.rho* ("left") or rho*.u ("right"), for a shortest
-    output u of q and a primitive nonempty rho.
+def _fits(vectors, u: WordRef, rho: WordRef, direction: str) -> bool:
+    """A language whose span has the basis `vectors`, triples (P, H, C), lies
+    inside u.rho* ("left") or rho*.u ("right"), for a shortest word u of it
+    and a primitive nonempty rho.
 
     Left: a word w, no shorter than u, lies in u.rho* iff w.rho^omega =
     u.rho^omega, because x.rho^omega = rho^omega forces x into rho* for a
@@ -253,14 +247,13 @@ def _fits(M: Ltw, q: str, u: WordRef, rho: WordRef, direction: str) -> bool:
 
         (P_u H - H_u P)(beta - 1) = gamma (P - P_u C),
 
-    linear in w's vector (P, H, C), so it holds on L(q) iff it holds on the
-    basis of q's span.  Right is the same with rho^omega on the left:
+    linear in w's vector (P, H, C), so it holds on the language iff it holds
+    on the basis.  Right is the same with rho^omega on the left:
     (H - H_u C)(beta - 1) = gamma (P - P_u C).
     """
     p = words.fingerprinter().prime
     (pu, hu), (beta, gamma) = _summary(u), _summary(rho)
-    for v in _state_span(M, q).vectors:
-        P, H, C = v[0], v[1], v[4]
+    for P, H, C in vectors:
         a = pu * H - hu * P if direction == "left" else H - hu * C
         if (a * (beta - 1) - gamma * (P - pu * C)) % p:
             return False
@@ -282,7 +275,8 @@ def is_periodic_state(M: Ltw, q: str) -> WordRef | None:
             c[key] = M.pool.empty
         else:
             pi = words.primitive_root(wp)
-            c[key] = pi if _fits(M, q, M.pool.empty, pi, "left") else None
+            vectors = [(P, H, C) for P, H, _, _, C in _state_span(M, q).vectors]
+            c[key] = pi if _fits(vectors, M.pool.empty, pi, "left") else None
     return c[key]
 
 
@@ -310,21 +304,20 @@ def quasi_periodicity(M: Ltw, q: str, direction: str = "left") -> QuasiPeriodici
         raise ValueError(f"direction must be left or right, not {direction!r}")
     c = _cache(M)
     key = ("qp", q, direction)
-    if key in c:
-        return c[key]
-    c[key] = out = _quasi_periodicity(M, q, direction)
-    return out
+    if key not in c:
+        u = shortest_word(M, q)
+        vectors = [(P, H, C) for P, H, _, _, C in _state_span(M, q).vectors]
+        c[key] = None if u is None else _verdict(u, _basis_words(M, q), vectors, direction)
+    return c[key]
 
 
-def _quasi_periodicity(M: Ltw, q: str, direction: str) -> QuasiPeriodicity | None:
-    u = shortest_word(M, q)
-    if u is None:
-        return None
+def _verdict(u: WordRef, ws, vectors, direction: str) -> QuasiPeriodicity | None:
+    """:func:`quasi_periodicity` of a language with shortest word u whose
+    span has the basis `vectors`, the vectors (P, H, C) of the words `ws`."""
     u_vec = _summary(u)
-    others = [w for w, v in zip(_basis_words(M, q), _state_span(M, q).vectors)
-              if (v[0], v[1]) != u_vec]
+    others = [w for w, v in zip(ws, vectors) if v[:2] != u_vec]
     if not others:
-        return QuasiPeriodicity(direction, u, M.pool.empty)
+        return QuasiPeriodicity(direction, u, u.pool.empty)
     w = min(others, key=lambda w: w.length)
     if w.length == u.length:
         return None
@@ -333,7 +326,7 @@ def _quasi_periodicity(M: Ltw, q: str, direction: str) -> QuasiPeriodicity | Non
     else:
         rest = words.strip_suffix(w, u.length)
     rho = words.primitive_root(rest)
-    return QuasiPeriodicity(direction, u, rho) if _fits(M, q, u, rho, direction) else None
+    return QuasiPeriodicity(direction, u, rho) if _fits(vectors, u, rho, direction) else None
 
 
 # -- rule parts ---------------------------------------------------------------
@@ -356,20 +349,27 @@ def hat_state_machine(M: Ltw, callee: str, u: WordRef) -> tuple[Ltw, str]:
                 calls[i] = (name, slot)
                 rwords[i + 1] = pool.empty
         new_rules[(name, r.symbol)] = Rule(name, r.symbol, tuple(rwords), tuple(calls))
-    M2 = M.with_(states=M.states + (name,), rules=new_rules)
-    return M2, name
+    return M.with_(states=M.states + (name,), rules=new_rules), name
 
 
 def part_quasi_periodicity(M: Ltw, callee: str, u: WordRef):
     """Quasi-periodicity (left) of the part language L(callee).u.
 
-    Returns (certificate-or-None, extended machine, hat state name); the
-    extended machine is M plus the hat state and is what a rewrite of the
-    part should start from.  The verdict itself is read on M2 restarted
-    at the hat state, which nothing else in M2 reaches.
+    Appending u maps a word's vector (P, H, C) to (P P_u, H P_u + H_u C, C),
+    so the verdict reads the callee's basis times u.  Returns (certificate,
+    M plus a hat state of language L(callee).u for a rewrite to start from,
+    its name), or three Nones when the part is not quasi-periodic.
     """
-    M2, hat = hat_state_machine(M, callee, u)
-    return quasi_periodicity(with_axiom_state(M2, hat), hat, "left"), M2, hat
+    w = shortest_word(M, callee)
+    p = words.fingerprinter().prime
+    pu, hu = _summary(u)
+    vectors = [(P * pu % p, (H * pu + hu * C) % p, C)
+               for P, H, _, _, C in _state_span(M, callee).vectors]
+    ws = [M.pool.concat(b, u) for b in _basis_words(M, callee)]
+    v = None if w is None else _verdict(M.pool.concat(w, u), ws, vectors, "left")
+    if v is None:
+        return None, None, None
+    return (v, *hat_state_machine(M, callee, u))
 
 
 def rule_part_quasi_periodicity(M: Ltw, state: str, symbol: str, pos: int):

@@ -88,6 +88,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.max_len < 0:
+        print("error: --max-len must be at least 0", file=sys.stderr)
+        return USAGE
     M = load_ltw(args.a)
     t = parse_tree(args.tree, M.alphabet)
     try:
@@ -99,7 +102,7 @@ def cmd_run(args) -> int:
         print(f"output too long: len={out.length} exceeds max-len {args.max_len}",
               file=sys.stderr)
         return CAP
-    print(words.expand(out, cap=max(args.max_len, 1)))
+    print(words.expand(out, cap=args.max_len))
     return OK
 
 
@@ -141,6 +144,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if min(args.depth, args.max_trees) < 1:
+        print("error: --depth and --max-trees must be at least 1", file=sys.stderr)
+        return USAGE
     M1 = load_ltw(args.a)
     M2 = load_ltw(args.b)
     budget = EnumerationBudget(max_depth=args.depth, max_trees=args.max_trees)
@@ -222,15 +228,12 @@ def main(argv=None) -> int:
     words.set_equality_mode("exact" if args.exact else "fingerprint")
     try:
         return args.func(args)
-    except ParseError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return CAP
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
 
 
 if __name__ == "__main__":

@@ -141,10 +141,6 @@ class SlpPool:
         return out
 
 
-def length(w: WordRef) -> int:
-    return w.length
-
-
 def concat(a: WordRef, b: WordRef) -> WordRef:
     return a.pool.concat(a, b)
 

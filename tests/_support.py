@@ -35,6 +35,23 @@ def chain(k: int) -> Ltw:
     return parse_ltw(chain_text(k))
 
 
+def comb_text(n: int) -> str:
+    """A ring of n states s<i>, each with a tooth p<i> of language
+    h<i%5>(ab)*.  Normalization makes every tooth earliest and then finds
+    no quasi-periodic rule part, so it rewrites no part."""
+    lines = ["input n:0 u:1 b:2", "axiom = s0(x)"]
+    for i in range(n):
+        lines.append(f'rule s{i} b(x1,x2) = "z" s{(i + 1) % n}(x1) "y" p{i}(x2)')
+        lines.append(f'rule s{i} n = "z{i % 3}"')
+        lines.append(f'rule p{i} n = "h{i % 5}"')
+        lines.append(f'rule p{i} u(x1) = p{i}(x1) "ab"')
+    return "\n".join(lines) + "\n"
+
+
+def comb(n: int) -> Ltw:
+    return parse_ltw(comb_text(n))
+
+
 def _word(rng: random.Random, max_len: int = 4) -> str:
     n = rng.randrange(max_len + 1)
     return "".join(rng.choice(WORD_CHARS) for _ in range(n))

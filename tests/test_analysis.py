@@ -6,8 +6,9 @@ import pytest
 from ltw import expand, load_ltw, mirror, parse_ltw, trim
 from ltw import words as W
 from ltw.analysis import (PairSpace, build_Tq, domains_equal,
-                          erasing_states, is_erasing, is_periodic_state,
-                          mock_shift_table, part_quasi_periodicity,
+                          erasing_states, hat_state_machine, is_erasing,
+                          is_periodic_state, mock_shift_table,
+                          part_quasi_periodicity,
                           quasi_periodicity, rule_part_quasi_periodicity,
                           same_ordered, shortest_domain_tree,
                           shortest_nonempty_word, shortest_word,
@@ -316,6 +317,30 @@ def test_part_not_quasi_periodic():
                   'rule p n = "a"\nrule p m = "b"\n')
     v2, _, _ = rule_part_quasi_periodicity(trim(N), "s", "u", 0)
     assert v2 is None
+
+
+def test_part_verdicts_match_the_hat_state_reference():
+    # a part's verdict reads its callee's span times u; the reference reads
+    # the span of a hat state with language L(callee).u restarted at it
+    from _support import mutate, random_cyclic_text
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(40):
+        M = parse_ltw(random_cyclic_text(rng, rng.randrange(2, 5)))
+        for M in (M, mutate(M, rng)):
+            for r in M.rules.values():
+                for (callee, _), u in zip(r.calls, r.words[1:]):
+                    v, M2, hat = part_quasi_periodicity(M, callee, u)
+                    R2, rhat = hat_state_machine(M, callee, u)
+                    ref = quasi_periodicity(with_axiom_state(R2, rhat), rhat, "left")
+                    seen[ref is not None] += 1
+                    if ref is None:
+                        assert (v, M2, hat) == (None, None, None)
+                        continue
+                    assert W.equals(v.handle, ref.handle) and v.direction == "left"
+                    assert W.equals(v.period, ref.period)
+                    assert hat == rhat and same_structure(M2, R2)
+    assert seen[True] > 50 and seen[False] > 50
 
 
 # -- pair space -----------------------------------------------------------

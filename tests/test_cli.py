@@ -51,6 +51,19 @@ def test_run_max_len_flag(capsys):
     assert "len=9" in capsys.readouterr().err
 
 
+def test_run_rejects_a_negative_max_len(tmp_path, capsys):
+    assert main(["run", EX3, "--tree", "f(f(g))", "--max-len", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    # zero is a cap like any other: the empty output fits under it
+    from _support import chain_text
+    f = tmp_path / "chain.ltw"
+    f.write_text(chain_text(1))
+    assert main(["run", str(f), "--tree", "g", "--max-len", "0"]) == 0
+    assert capsys.readouterr().out == "\n"
+    assert main(["run", str(f), "--tree", "f(g)", "--max-len", "0"]) == 3
+
+
 def test_run_deep_tree(tmp_path, capsys):
     # a depth-1500 input runs without Python recursion
     from _support import chain_text
@@ -299,6 +312,21 @@ def test_oracle_witness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("not equivalent:")
     assert "witness: " in out
+
+
+def test_oracle_rejects_budgets_that_check_no_tree(tmp_path, capsys):
+    # with no tree checked, "equivalent" would be claimed for a pair that
+    # `check` tells apart
+    mutated = tmp_path / "m.ltw"
+    mutated.write_text(FIXTURES.joinpath("ex3.ltw").read_text()
+                       .replace('"abc" q2(x1)', '"abz" q2(x1)'))
+    assert main(["check", EX3, str(mutated)]) == 1
+    capsys.readouterr()
+    for flags in (["--depth", "0"], ["--depth", "-2"], ["--max-trees", "0"],
+                  ["--max-trees", "-1"]):
+        assert main(["oracle", EX3, str(mutated), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_oracle_arity_conflict(tmp_path, capsys):

@@ -207,6 +207,27 @@ def test_reorder_reads_spans_once_per_machine(monkeypatch):
     assert counts == {40: 1, 160: 1}
 
 
+def test_comb_normal_form_reads_spans_in_linear_total(monkeypatch):
+    # a verdict restarts the span fixpoint at the state it asks about, and a
+    # part reads its callee's span, so the pair nodes summed over every
+    # fixpoint grow linearly; no part is rewritten, so no hat state is built
+    from ltw import analysis
+    from _support import comb
+    pairs, hats = [], []
+    real_spans, real_hat = analysis.pair_spans, analysis.hat_state_machine
+    monkeypatch.setattr(analysis, "pair_spans",
+                        lambda ps, *a: pairs.append(len(ps.co)) or real_spans(ps, *a))
+    monkeypatch.setattr(analysis, "hat_state_machine",
+                        lambda *a: hats.append(a) or real_hat(*a))
+    for n in (25, 50, 100):
+        pairs.clear()
+        rep = partial_normal_form(comb(n))
+        assert len(rep.eliminated) == n
+        assert not any(e.startswith("earliest-part") for e in rep.entries)
+        assert hats == []
+        assert sum(pairs) <= 8 * n
+
+
 def test_part_rewrite_that_strands_its_own_rule():
     # q2's part calls q1, whose earliest copies include q2 itself; the trim
     # after that rewrite drops the original q2 and the rule being rewritten
