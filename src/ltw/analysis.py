@@ -21,21 +21,12 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from operator import mul
 
 from . import words
 from .core import (EmptyTransducer, Ltw, RankedAlphabet, Rule, Tree,
                    accessible, outputs, settle, with_axiom_state)
-from .words import WordRef
-
-
-def _cache(M: Ltw) -> dict:
-    c = M.__dict__.get("_analysis")
-    if c is None:
-        c = {}
-        object.__setattr__(M, "_analysis", c)
-    return c
+from .words import Frozen, Record, WordRef, _set
 
 
 def _assemble(M: Ltw, r: Rule, subs) -> WordRef:
@@ -69,7 +60,7 @@ def _shortest(M: Ltw, key: str):
     ready first wins; words are assembled in settling order, so a rule's
     callee words always exist before its own.
     """
-    c = _cache(M)
+    c = M._analysis
     if "m" not in c:
         rules = []
         for p in M.states:
@@ -118,7 +109,7 @@ def shortest_nonempty_word(M: Ltw, q: str) -> WordRef | None:
 
 def erasing_states(M: Ltw) -> set[str]:
     """Productive states whose every output is the empty word."""
-    c = _cache(M)
+    c = M._analysis
     if "erasing" not in c:
         m, plus = _shortest(M, "m"), _shortest(M, "w+")
         c["erasing"] = {q for q in M.states if m[q] == 0 and q not in plus}
@@ -138,13 +129,15 @@ def singleton_word(M: Ltw, q: str) -> WordRef | None:
 
 # -- shifts and the companion transducer --------------------------------------
 
-@dataclass(frozen=True)
-class ShiftTable:
+class ShiftTable(Frozen):
     """Least length produced strictly after a call to each accessible state,
     over all outputs of the root (shortest completions elsewhere)."""
 
-    root: str
-    dist: dict[str, int]
+    __slots__ = ("root", "dist")
+
+    def __init__(self, root: str, dist: dict[str, int]):
+        _set(self, "root", root)
+        _set(self, "dist", dist)
 
     def shift(self, q: str) -> int:
         return self.dist[q]
@@ -154,7 +147,7 @@ def mock_shift_table(M: Ltw, q: str) -> ShiftTable:
     """One settle from q over rule calls: the edge from a caller into a
     callee weighs the shortest completion of everything to the right of
     that call."""
-    c = _cache(M)
+    c = M._analysis
     key = ("shift", q)
     if key not in c:
         m = shortest_word_lengths(M)
@@ -218,7 +211,7 @@ def build_Tq(M: Ltw, q: str) -> Ltw:
 def _state_span(M: Ltw, q: str) -> _Span:
     """The span of the vectors (P, H, C) of L(q): the diagonal of the pair
     spans of M restarted at q, which also gives the states below q."""
-    spans = _cache(M).setdefault("spans", {})
+    spans = M._analysis.setdefault("spans", {})
     if q not in spans:
         Mq = with_axiom_state(M, q)
         for (p, _), s in pair_spans(PairSpace(Mq, Mq)).items():
@@ -231,7 +224,7 @@ def _basis_words(M: Ltw, q: str) -> list[WordRef]:
 
     Basis trees share their subtrees, so outputs are memoized per (state,
     subtree) on M."""
-    memo = _cache(M).setdefault("out", {})
+    memo = M._analysis.setdefault("out", {})
     return outputs(M, [(q, t) for t in _state_span(M, q).trees], memo)
 
 
@@ -267,7 +260,7 @@ def is_periodic_state(M: Ltw, q: str) -> WordRef | None:
     candidate is the primitive root of the shortest nonempty output, and
     L(q) must fit inside it with an empty handle (:func:`_fits`).
     """
-    c = _cache(M)
+    c = M._analysis
     key = ("periodic", q)
     if key not in c:
         wp = shortest_nonempty_word(M, q)
@@ -280,14 +273,16 @@ def is_periodic_state(M: Ltw, q: str) -> WordRef | None:
     return c[key]
 
 
-@dataclass(frozen=True)
-class QuasiPeriodicity:
+class QuasiPeriodicity(Frozen):
     """Certificate that a state's language is handle.period* (direction left)
     or period*.handle (direction right)."""
 
-    direction: str
-    handle: WordRef
-    period: WordRef
+    __slots__ = ("direction", "handle", "period")
+
+    def __init__(self, direction: str, handle: WordRef, period: WordRef):
+        _set(self, "direction", direction)
+        _set(self, "handle", handle)
+        _set(self, "period", period)
 
 
 def quasi_periodicity(M: Ltw, q: str, direction: str = "left") -> QuasiPeriodicity | None:
@@ -302,7 +297,7 @@ def quasi_periodicity(M: Ltw, q: str, direction: str = "left") -> QuasiPeriodici
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be left or right, not {direction!r}")
-    c = _cache(M)
+    c = M._analysis
     key = ("qp", q, direction)
     if key not in c:
         u = shortest_word(M, q)
@@ -610,7 +605,7 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
 
 def shortest_domain_tree(M: Ltw, q: str) -> Tree | None:
     """Some smallest-height tree in the domain of q (None if empty)."""
-    c = _cache(M)
+    c = M._analysis
     if "sdt" not in c:
         trees: dict[str, Tree] = {}
         rules = ((r.state, r, [callee for callee, _ in r.calls], 0)
@@ -622,12 +617,13 @@ def shortest_domain_tree(M: Ltw, q: str) -> Tree | None:
     return c["sdt"].get(q)
 
 
-@dataclass
-class DomainCheck:
-    equal: bool
-    witness: Tree | None = None
-    pair: tuple[str, str] | None = None
-    detail: str = ""
+class DomainCheck(Record):
+    __slots__ = ("equal", "witness", "pair", "detail")
+
+    def __init__(self, equal: bool, witness: Tree | None = None,
+                 pair: tuple[str, str] | None = None, detail: str = ""):
+        self.equal, self.witness = equal, witness
+        self.pair, self.detail = pair, detail
 
 
 def domains_equal(ps: PairSpace) -> DomainCheck:

@@ -14,9 +14,9 @@ import functools
 import sys
 
 from . import words
-from .analysis import (is_erasing, mock_shift_table, quasi_periodicity,
-                       rule_part_quasi_periodicity, shortest_word,
-                       shortest_word_lengths)
+from .analysis import (_state_span, is_erasing, mock_shift_table,
+                       quasi_periodicity, rule_part_quasi_periodicity,
+                       shortest_word, shortest_word_lengths)
 from .core import EmptyTransducer, Ltw, UndefinedInput, evaluate, trim
 from .equivalence import decide_equiv
 from .ltwfile import ParseError, load_ltw, parse_tree, print_ltw, print_tree
@@ -107,15 +107,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    M = load_ltw(args.a)
+    declared = load_ltw(args.a)
     try:
-        M = trim(M)
+        M = trim(declared)
     except EmptyTransducer:
         print("empty domain")
         return OK
     if args.state is not None and args.state not in M.states:
-        print(f"error: no state named {args.state}", file=sys.stderr)
+        msg = (f"state {args.state} is trimmed away (unreachable or empty domain)"
+               if args.state in declared.states else f"no state named {args.state}")
+        print(f"error: {msg}", file=sys.stderr)
         return USAGE
+    if args.state is None:    # one fixpoint from the axiom spans every state
+        _state_span(M, M.axiom[1])
     targets = [args.state] if args.state else list(M.states)
     directions = [args.direction] if args.direction else ["left", "right"]
     m = shortest_word_lengths(M)

@@ -7,18 +7,17 @@ axiom ``u0 q(x) u1`` and at most one rule per (state, symbol).  A rule
 
 carries n+1 words and n calls; the call slots s(1..n) form a permutation of
 the children, so every child is read exactly once.  All words are WordRefs
-into the transducer's pool; transducers are treated as immutable and every
-rewrite builds a new one sharing the pool.
+into the transducer's pool.  Machines are immutable (assignment raises), so
+analyses cached on them stay valid; rewrites build new ones sharing the pool.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 from itertools import count
 
 from . import words
-from .words import SlpPool, WordRef
+from .words import Frozen, SlpPool, WordRef, _set
 
 
 class UndefinedInput(Exception):
@@ -75,10 +74,12 @@ class RankedAlphabet:
         return "RankedAlphabet(%s)" % ", ".join(f"{s}:{a}" for s, a in self._arities.items())
 
 
-@dataclass(frozen=True, eq=False)
-class Tree:
-    symbol: str
-    children: tuple["Tree", ...] = ()
+class Tree(Frozen):
+    __slots__ = ("symbol", "children")
+
+    def __init__(self, symbol: str, children: tuple[Tree, ...] = ()):
+        _set(self, "symbol", symbol)
+        _set(self, "children", children)
 
     def _preorder(self) -> tuple:
         """(symbol, arity) of every node in preorder: this determines the
@@ -134,12 +135,16 @@ class Tree:
         return deepest
 
 
-@dataclass(frozen=True)
-class Rule:
-    state: str
-    symbol: str
-    words: tuple[WordRef, ...]          # n+1 entries
-    calls: tuple[tuple[str, int], ...]  # (callee, input slot), slots 1-based
+class Rule(Frozen):
+    __slots__ = ("state", "symbol", "words", "calls")
+
+    def __init__(self, state: str, symbol: str,
+                 words: tuple[WordRef, ...],           # n+1 entries
+                 calls: tuple[tuple[str, int], ...]):  # (callee, slot), 1-based
+        _set(self, "state", state)
+        _set(self, "symbol", symbol)
+        _set(self, "words", words)
+        _set(self, "calls", calls)
 
     @property
     def arity(self) -> int:
@@ -150,13 +155,20 @@ class Rule:
         return tuple(slot for _, slot in self.calls)
 
 
-@dataclass(frozen=True, eq=False)
-class Ltw:
-    alphabet: RankedAlphabet
-    states: tuple[str, ...]
-    axiom: tuple[WordRef, str, WordRef]
-    rules: dict[tuple[str, str], Rule]
-    pool: SlpPool
+class Ltw(Frozen):
+    __slots__ = ("alphabet", "states", "axiom", "rules", "pool", "_analysis")
+    __eq__ = object.__eq__                # equal only to itself
+    __hash__ = object.__hash__
+
+    def __init__(self, alphabet: RankedAlphabet, states: tuple[str, ...],
+                 axiom: tuple[WordRef, str, WordRef],
+                 rules: dict[tuple[str, str], Rule], pool: SlpPool):
+        _set(self, "alphabet", alphabet)
+        _set(self, "states", states)
+        _set(self, "axiom", axiom)
+        _set(self, "rules", rules)
+        _set(self, "pool", pool)
+        _set(self, "_analysis", {})       # what ltw.analysis computes on it
 
     def rule(self, state: str, symbol: str) -> Rule | None:
         return self.rules.get((state, symbol))
@@ -172,8 +184,10 @@ class Ltw:
     def rule_symbols(self, state: str) -> tuple[str, ...]:
         return tuple(sym for sym in self.alphabet if (state, sym) in self.rules)
 
-    def with_(self, **kw) -> "Ltw":
-        return replace(self, **kw)
+    def with_(self, **kw) -> Ltw:
+        """Replace some fields (others are a TypeError); the cache starts empty."""
+        fields = {f: kw.pop(f, getattr(self, f)) for f in self._fields}
+        return Ltw(**fields, **kw)
 
 
 def validate(M: Ltw) -> None:

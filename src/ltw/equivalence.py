@@ -39,20 +39,19 @@ polynomial ideals collapse to linear spans, and the tree analogue of Tzeng's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import words
 from .analysis import (PairSpace, _summary, domains_equal, pair_spans,
                        shortest_domain_tree)
 from .core import EmptyTransducer, Ltw, Tree, domain_defined, evaluate, trim
 
 
-@dataclass
-class EquivVerdict:
-    equivalent: bool
-    reason: str | None = None   # "domain" | "output"
-    witness: Tree | None = None
-    detail: str = ""
+class EquivVerdict(words.Record):
+    __slots__ = ("equivalent", "reason", "witness", "detail")  # reason: "domain" | "output"
+
+    def __init__(self, equivalent: bool, reason: str | None = None,
+                 witness: Tree | None = None, detail: str = ""):
+        self.equivalent, self.reason = equivalent, reason
+        self.witness, self.detail = witness, detail
 
 
 def morphism_equivalence(ps: PairSpace) -> tuple[str, Tree | None]:

@@ -24,7 +24,6 @@ exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from time import perf_counter
 
 from . import words
@@ -35,13 +34,14 @@ from .analysis import (QuasiPeriodicity, _fresh, companion_rules, erasing_states
 from .core import Ltw, Rule, accessible, mirror, trim, validate
 
 
-@dataclass
-class NormalizationReport:
-    result: Ltw
-    entries: list[str]
-    timings: dict[str, float]
-    eliminated: list[tuple[str, str]]   # replayable via order_override
-    parts_passes: int
+class NormalizationReport(words.Record):
+    __slots__ = ("result", "entries", "timings", "eliminated", "parts_passes")
+
+    def __init__(self, result: Ltw, entries: list[str], timings: dict[str, float],
+                 eliminated: list[tuple[str, str]],  # replayable via order_override
+                 parts_passes: int):
+        self.result, self.entries, self.timings = result, entries, timings
+        self.eliminated, self.parts_passes = eliminated, parts_passes
 
     def lines(self) -> list[str]:
         out = list(self.entries)

@@ -10,27 +10,31 @@ whose outputs exceed the word cap fail loudly rather than silently skipping.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import product
 
 from . import words
 from .core import Ltw, Tree
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_depth: int = 5
-    max_trees: int = 20000
-    max_word_len: int = 100000
+class EnumerationBudget(words.Frozen):
+    __slots__ = ("max_depth", "max_trees", "max_word_len")
+
+    def __init__(self, max_depth: int = 5, max_trees: int = 20000,
+                 max_word_len: int = 100000):
+        words._set(self, "max_depth", max_depth)
+        words._set(self, "max_trees", max_trees)
+        words._set(self, "max_word_len", max_word_len)
 
 
-@dataclass
-class BruteVerdict:
-    equivalent: bool
-    witness: Tree | None = None
-    reason: str | None = None      # "definedness" | "output"
-    trees_checked: int = 0
-    budget_hit: str | None = None  # "depth" | "trees"
+class BruteVerdict(words.Record):
+    __slots__ = ("equivalent", "witness", "reason", "trees_checked", "budget_hit")
+
+    def __init__(self, equivalent: bool, witness: Tree | None = None,
+                 reason: str | None = None,       # "definedness" | "output"
+                 trees_checked: int = 0,
+                 budget_hit: str | None = None):  # "depth" | "trees"
+        self.equivalent, self.witness, self.reason = equivalent, witness, reason
+        self.trees_checked, self.budget_hit = trees_checked, budget_hit
 
 
 def _exact_depth_combos(shallow, exact, full, arity, cap):
@@ -243,10 +247,11 @@ def string_primitive_root(s: str) -> str:
     return s[:p] if n % p == 0 else s
 
 
-@dataclass
-class BruteQp:
-    handle: str
-    period: str
+class BruteQp(words.Record):
+    __slots__ = ("handle", "period")
+
+    def __init__(self, handle: str, period: str):
+        self.handle, self.period = handle, period
 
 
 def brute_quasi_periodic(outputs: list[str], direction: str = "left") -> BruteQp | None:

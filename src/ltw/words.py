@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from operator import attrgetter
 
 DEFAULT_EXPAND_CAP = 10 ** 6
 
@@ -51,16 +51,58 @@ def valid_symbol(ch: str) -> bool:
     return 32 <= o <= 126 or 160 <= o <= 255
 
 
-@dataclass(frozen=True)
-class WordRef:
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the value types, instead of `dataclasses` (dearer to import
+    than ltw).  A subclass names its fields in `__slots__` (at least two; a
+    slot named `_x` is no field) and sets them in `__init__`; records compare
+    field-wise within one class and are unhashable, like eq=True dataclasses."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        if cls._fields:
+            cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields))
+
+
+class Frozen(Record):
+    """A hashable record whose fields only `__init__` sets, with `_set`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values)
+
+
+class WordRef(Frozen):
     """Handle to one word: a pool plus a node id inside it.
 
     Two WordRefs may denote equal words without being equal handles; use
     :func:`equals` for word equality.
     """
 
-    pool: "SlpPool"
-    node: int
+    __slots__ = ("pool", "node")
+
+    def __init__(self, pool: SlpPool, node: int):
+        _set(self, "pool", pool)
+        _set(self, "node", node)
 
     @property
     def length(self) -> int:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ltw import words
+from ltw import analysis, words
 from ltw.cli import main
 from ltw.core import domain_defined, evaluate
 from ltw.ltwfile import parse_ltw, parse_tree
@@ -288,6 +288,40 @@ rule q g = "{word}"
 def test_analyze_unknown_state(capsys):
     assert main(["analyze", EX3, "--state", "nope"]) == 2
     assert "no state named nope" in capsys.readouterr().err
+
+
+def test_analyze_trimmed_state_is_named_as_such(tmp_path, capsys):
+    f = tmp_path / "t.ltw"
+    f.write_text(FIXTURES.joinpath("ex3.ltw").read_text()
+                 + 'rule lost g = "a"\nrule stuck f(x1) = stuck(x1)\n')
+    for name in ("lost", "stuck"):
+        assert main(["analyze", str(f), "--state", name]) == 2
+        err = capsys.readouterr().err
+        assert f"state {name} is trimmed away" in err
+        assert "no state named" not in err
+
+
+def test_analyze_bottom_up_file_runs_one_fixpoint(tmp_path, capsys, monkeypatch):
+    # states declared callee-first, axiom last: asking them in declaration
+    # order must not restart the span fixpoint below every state
+    n = 200
+    rules = [f'rule q{i} f(x1) = "abc" q{i + 1}(x1)' for i in range(1, n)]
+    rules += [f'rule q{n} f(x1) = "abc" q{n}(x1)', f'rule q{n} g = ""']
+    f = tmp_path / "bottom_up.ltw"
+    f.write_text("\n".join(["input f:1 g:0", *rules[::-1], "axiom = q1(x)"]) + "\n")
+    nodes = []
+    real = analysis.pair_spans
+
+    def counted(ps, **kw):
+        spans = real(ps, **kw)
+        nodes.append(len(spans))
+        return spans
+
+    monkeypatch.setattr(analysis, "pair_spans", counted)
+    assert main(["analyze", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert out.index(f"state q{n}\n") < out.index("state q1\n")
+    assert sum(nodes) <= 2 * n
 
 
 # -- oracle -------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -6,13 +8,16 @@ from ltw import (EmptyTransducer, Ltw, Rule, Tree, UndefinedInput, evaluate,
                  expand, load_ltw, mirror, parse_ltw, parse_tree, trim,
                  validate)
 from ltw import words as W
+from ltw.analysis import QuasiPeriodicity, mock_shift_table
 from ltw.core import (accessible, domain_defined, productive_states,
                       same_structure, settle, with_axiom_state)
-from ltw.oracle import evaluate_explicit
+from ltw.oracle import EnumerationBudget, evaluate_explicit
 
 from _support import random_layered
 
 from conftest import FIXTURES
+
+SRC = FIXTURES.parent.parent / "src"
 
 
 def ex3():
@@ -209,3 +214,59 @@ def test_same_structure_detects_word_change():
                               r.calls)
     assert not same_structure(M, M.with_(rules=rules))
     assert same_structure(M, M.with_())
+
+
+# -- value types ---------------------------------------------------------
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # modules the interpreter loaded before the import (site's) do not count
+    code = ("import sys; before = set(sys.modules); import ltw; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    p = subprocess.run([sys.executable, "-I", "-c", f"import sys; "
+                        f"sys.path.insert(0, {str(SRC)!r}); {code}"],
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "[]\n"
+
+
+def _frozen_values():
+    M = ex3()
+    w = M.pool.literal("ab")
+    return [(w, "node"), (Tree("f", (Tree("g"),)), "children"),
+            (M.rule("q", "f"), "words"), (M, "rules"),
+            (mock_shift_table(M, "q"), "dist"),
+            (QuasiPeriodicity("left", w, w), "period"),
+            (EnumerationBudget(), "max_trees")]
+
+
+@pytest.mark.parametrize("i", range(7), ids=[
+    "WordRef", "Tree", "Rule", "Ltw", "ShiftTable", "QuasiPeriodicity",
+    "EnumerationBudget"])
+def test_immutable_types_reject_assignment_and_deletion(i):
+    v, name = _frozen_values()[i]
+    with pytest.raises(AttributeError):
+        setattr(v, name, None)
+    with pytest.raises(AttributeError):
+        delattr(v, name)
+    with pytest.raises(AttributeError):
+        v.extra = 1
+
+
+def test_value_equality_hashing_and_repr():
+    M = ex3()
+    r = M.rule("q", "f")
+    twin = Rule(r.state, r.symbol, r.words, r.calls)
+    assert twin == r and hash(twin) == hash(r) and twin != (r.state, r.symbol)
+    assert EnumerationBudget(max_trees=3) == EnumerationBudget(5, 3)
+    assert repr(EnumerationBudget()) == (
+        "EnumerationBudget(max_depth=5, max_trees=20000, max_word_len=100000)")
+    assert M != M.with_() and M == M and len({M, M.with_()}) == 2
+
+
+def test_with_rejects_unknown_fields():
+    M = ex3()
+    with pytest.raises(TypeError):
+        M.with_(bogus=1)
+    N = M.with_(states=("q",))
+    assert N.states == ("q",) and N.rules is M.rules and N.pool is M.pool
