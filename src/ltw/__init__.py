@@ -26,7 +26,7 @@ from .normalize import (NormalizationReport, eliminate_quasi_periodic_states,
                         reorder_periodic_runs)
 from .oracle import EnumerationBudget, brute_equiv
 from .words import (CapExceeded, SlpPool, WordRef, equals, expand,
-                    set_equality_mode, set_equality_seed)
+                    set_equality_seed)
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "mock_shift_table", "parse_ltw", "parse_tree", "part_quasi_periodicity",
     "partial_normal_form", "print_ltw", "print_tree", "quasi_periodicity",
     "reorder_periodic_runs", "rule_part_quasi_periodicity", "same_ordered",
-    "set_equality_mode", "set_equality_seed", "shortest_word",
-    "shortest_word_lengths", "trim", "validate",
+    "set_equality_seed", "shortest_word", "shortest_word_lengths", "trim",
+    "validate",
 ]

@@ -144,22 +144,23 @@ class ShiftTable(Frozen):
 
 
 def mock_shift_table(M: Ltw, q: str) -> ShiftTable:
-    """One settle from q over rule calls: the edge from a caller into a
-    callee weighs the shortest completion of everything to the right of
-    that call."""
+    """One settle from q over the calls in the rules of q's accessible
+    states (no other edge can fire): the edge from a caller into a callee
+    weighs the shortest completion of everything to the right of that call."""
     c = M._analysis
     key = ("shift", q)
     if key not in c:
         m = shortest_word_lengths(M)
         edges = [(q, None, [], 0)]
-        for r in M.rules.values():
-            if any(m[callee] is None for callee, _ in r.calls):
-                continue
-            suf = r.words[-1].length
-            for i in range(len(r.calls) - 1, -1, -1):
-                callee = r.calls[i][0]
-                edges.append((callee, None, [r.state], suf))
-                suf += m[callee] + r.words[i].length
+        for p in accessible(M, q):
+            for r in M.rules_of(p):
+                if any(m[callee] is None for callee, _ in r.calls):
+                    continue
+                suf = r.words[-1].length
+                for i in range(len(r.calls) - 1, -1, -1):
+                    callee = r.calls[i][0]
+                    edges.append((callee, None, [p], suf))
+                    suf += m[callee] + r.words[i].length
         dist = {p: value for p, (value, _, _) in settle(edges).items()}
         c[key] = ShiftTable(q, dist)
     return c[key]

@@ -179,9 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for fingerprints (default 0)")
-    common.add_argument("--exact", action="store_true",
-                        help="compare words by expansion instead of fingerprints")
-    parser.set_defaults(seed=0, exact=False)   # run and oracle compare no words
+    parser.set_defaults(seed=0)   # run and oracle compare no words
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],
@@ -229,7 +227,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE
     words.set_equality_seed(args.seed)
-    words.set_equality_mode("exact" if args.exact else "fingerprint")
     try:
         return args.func(args)
     except (ParseError, OSError) as e:

@@ -54,10 +54,6 @@ class RankedAlphabet:
     def arity(self, name: str) -> int:
         return self._arities[name]
 
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(self._arities)
-
     def __contains__(self, name) -> bool:
         return name in self._arities
 
@@ -223,14 +219,12 @@ def validate(M: Ltw) -> None:
                 raise ValueError("rule word from a foreign pool")
 
 
-def evaluate(M: Ltw, t: Tree, state: str | None = None) -> WordRef:
+def evaluate(M: Ltw, t: Tree) -> WordRef:
     """The output word for `t`; UndefinedInput when some node has no rule.
 
     Subtrees that occur more than once are run once per state (see
     :func:`outputs`), so a tree that shares its subtrees costs its shared
     size, not its unfolded size."""
-    if state is not None:
-        return outputs(M, [(state, t)], {})[0]
     u0, q, u1 = M.axiom
     return M.pool.concat_all([u0, outputs(M, [(q, t)], {})[0], u1])
 

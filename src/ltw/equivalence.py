@@ -79,8 +79,9 @@ def morphism_equivalence(ps: PairSpace) -> tuple[str, Tree | None]:
 
 def decide_same_ordered_equiv(M1: Ltw, M2: Ltw) -> EquivVerdict:
     """Equivalence of two trimmed machines exactly as given: the domain
-    check, then the span test.  The machines may consume children in
-    different orders; the analyses call this on machines that do not."""
+    check, then the span test.  The span test handles children read in any
+    order on either side, so the machines need not be same-ordered.  Only
+    :func:`decide_equiv` calls this, after trimming both machines."""
     ps = PairSpace(M1, M2)
     dc = domains_equal(ps)
     if not dc.equal:

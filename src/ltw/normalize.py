@@ -16,9 +16,7 @@ Four language-preserving stages, each exposed on its own:
 Stage order matters: 1 removes the singleton and periodic non-earliest
 states that would otherwise break 2's and 3's invariants, and after 3 every
 member of a reorderable run has an empty shortest word, so 4 cannot create
-new work for the earlier stages.  The pipeline is deterministic, so a replay
-of a recorded elimination order (see `order_override`) reproduces the result
-exactly.
+new work for the earlier stages.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ class NormalizationReport(words.Record):
     __slots__ = ("result", "entries", "timings", "eliminated", "parts_passes")
 
     def __init__(self, result: Ltw, entries: list[str], timings: dict[str, float],
-                 eliminated: list[tuple[str, str]],  # replayable via order_override
+                 eliminated: list[tuple[str, str]],
                  parts_passes: int):
         self.result, self.entries, self.timings = result, entries, timings
         self.eliminated, self.parts_passes = eliminated, parts_passes
@@ -217,8 +215,7 @@ def processing_order(M: Ltw) -> list[str]:
 
 
 def eliminate_quasi_periodic_states(
-        M: Ltw, order_override: list[tuple[str, str]] | None = None
-) -> tuple[Ltw, list[str], list[tuple[str, str]]]:
+        M: Ltw) -> tuple[Ltw, list[str], list[tuple[str, str]]]:
     """Repeatedly make the first quasi-periodic non-earliest state earliest.
 
     A state is already earliest on both sides when its shortest word is
@@ -229,22 +226,6 @@ def eliminate_quasi_periodic_states(
     """
     entries: list[str] = []
     eliminated: list[tuple[str, str]] = []
-
-    def apply(s: str, d: str, v: QuasiPeriodicity, M: Ltw) -> Ltw:
-        M = trim(make_state_earliest(M, s, v))
-        entries.append(f"earliest-state {s} {d} "
-                       f"handle_len={v.handle.length} period_len={v.period.length}")
-        eliminated.append((s, d))
-        return M
-
-    if order_override is not None:
-        for s, d in order_override:
-            v = quasi_periodicity(M, s, d)
-            if v is None:
-                raise ValueError(f"replay: state {s} is not quasi-periodic ({d})")
-            M = apply(s, d, v, M)
-        return M, entries, eliminated
-
     cache: dict[tuple[str, str], QuasiPeriodicity | None] = {}
     while True:
         m = shortest_word_lengths(M)
@@ -264,7 +245,10 @@ def eliminate_quasi_periodic_states(
         if found is None:
             return M, entries, eliminated
         s, d, v = found
-        M = apply(s, d, v, M)
+        M = trim(make_state_earliest(M, s, v))
+        entries.append(f"earliest-state {s} {d} "
+                       f"handle_len={v.handle.length} period_len={v.period.length}")
+        eliminated.append((s, d))
 
 
 # -- stage 2: erasing calls ---------------------------------------------------
@@ -333,15 +317,14 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                 u = r.words[i + 1]
                 if shortest_word_lengths(M)[callee] == 0 and u.length == 0:
                     continue
+                # length and hash fix the whole fingerprint triple, so
+                # equal keys are equal words under words.equals
                 ukey = (callee, u.length, fp.triple(u)[1])
                 hit = registry.get(ukey, "miss")
                 if hit is None:
                     continue            # known not quasi-periodic
-                if hit != "miss":
-                    handle, root_copy, stored_u, _ = hit
-                    if not words.equals(stored_u, u) or root_copy not in M.states:
-                        hit = "miss"    # fingerprint-key clash or stale copy
-                if hit != "miss":
+                if hit != "miss" and hit[1] in M.states:    # else a stale copy
+                    handle, root_copy, period_len = hit
                     wl, cl = list(r.words), list(r.calls)
                     wl[i] = M.pool.concat(wl[i], handle)
                     wl[i + 1] = M.pool.empty
@@ -349,7 +332,6 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                     rules = dict(M.rules)
                     rules[key] = Rule(q, sym, tuple(wl), tuple(cl))
                     M = M.with_(rules=rules)
-                    period_len = registry[ukey][3]
                 else:
                     v, M2, hat = part_quasi_periodicity(M, callee, u)
                     if v is None:
@@ -363,12 +345,11 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                     M = make_state_earliest(M2.with_(rules=rules), hat, v)
                     root_copy = M.rules[key].calls[i][0]
                     M = trim(M)
-                    period_len = v.period.length
-                    registry[ukey] = (v.handle, root_copy, u, period_len)
+                    handle, period_len = v.handle, v.period.length
+                    registry[ukey] = (handle, root_copy, period_len)
                 changed = True
-                handle_len = registry[ukey][0].length
                 entries.append(f"earliest-part {q} {sym} pos={i + 1} callee={callee} "
-                               f"handle_len={handle_len} period_len={period_len}")
+                               f"handle_len={handle.length} period_len={period_len}")
     # a rewrite served from the registry bypasses the per-elimination trim,
     # which can strand the replaced callee; rewrites preserve the language,
     # so the machine stays nonempty and one final trim is always safe
@@ -417,9 +398,7 @@ def reorder_periodic_runs(M: Ltw) -> tuple[Ltw, list[str]]:
 
 # -- pipeline -----------------------------------------------------------------
 
-def partial_normal_form(M: Ltw,
-                        order_override: list[tuple[str, str]] | None = None
-                        ) -> NormalizationReport:
+def partial_normal_form(M: Ltw) -> NormalizationReport:
     """Trim, eliminate quasi-periodic states, erase-order, make parts
     earliest, reorder runs.  Raises EmptyTransducer on an empty domain."""
     timings: dict[str, float] = {}
@@ -428,7 +407,7 @@ def partial_normal_form(M: Ltw,
     timings["trim"] = perf_counter() - t0
 
     t0 = perf_counter()
-    M, e1, eliminated = eliminate_quasi_periodic_states(M, order_override)
+    M, e1, eliminated = eliminate_quasi_periodic_states(M)
     timings["eliminate"] = perf_counter() - t0
 
     t0 = perf_counter()

@@ -6,11 +6,9 @@ by a :class:`WordRef`.  Lengths are exact Python integers, so words like
 a**(2**60) are first-class values; structural operations (strip, rotate,
 reverse, power) add O(depth) or O(log k) nodes and never expand.
 
-Equality is strategy-based: the default compares Karp-Rabin fingerprints over
-a random 128-bit prime (per-comparison error at most len/2**127, i.e. below
-2**-67 for lengths up to 2**60); ``exact`` expands both sides under a cap;
-``verify`` runs the fingerprint and then the exact comparison whenever both
-sides fit under the cap.
+Equality compares Karp-Rabin fingerprints over a random 128-bit prime drawn
+from the configured seed (per-comparison error at most len/2**127, i.e. below
+2**-67 for lengths up to 2**60); `expand` gives the ground truth under a cap.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from operator import attrgetter
 DEFAULT_EXPAND_CAP = 10 ** 6
 
 _EMPTY, _LIT, _CAT = 0, 1, 2
-
-_MODES = ("fingerprint", "exact", "verify")
 
 
 class CapExceeded(Exception):
@@ -269,17 +265,11 @@ class Fingerprinter:
         return (w.length, f, pw)
 
 
-_config = {"seed": 0, "mode": "fingerprint"}
+_config = {"seed": 0}
 
 
 def set_equality_seed(seed: int) -> None:
     _config["seed"] = seed
-
-
-def set_equality_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    _config["mode"] = mode
 
 
 def equality_seed() -> int:
@@ -298,26 +288,15 @@ def _fingerprinter_for(seed: int) -> Fingerprinter:
     return Fingerprinter(seed)
 
 
-def equals(a: WordRef, b: WordRef, mode: str | None = None,
-           cap: int = DEFAULT_EXPAND_CAP) -> bool:
-    """Word equality under the configured (or given) strategy.
-
-    Fingerprint mode may err toward True with probability at most
-    len/2**127 per comparison; exact mode never errs but raises
-    CapExceeded beyond `cap`.
-    """
+def equals(a: WordRef, b: WordRef) -> bool:
+    """Word equality by fingerprint; may err toward True with probability
+    at most len/2**127 per comparison."""
     if a.length != b.length:
         return False
     if a.pool is b.pool and a.node == b.node:
         return True
-    mode = mode or _config["mode"]
-    if mode == "exact":
-        return expand(a, cap) == expand(b, cap)
     fp = fingerprinter()
-    ans = fp.triple(a) == fp.triple(b)
-    if mode == "verify" and a.length <= cap:
-        return expand(a, cap) == expand(b, cap)
-    return ans
+    return fp.triple(a) == fp.triple(b)
 
 
 # -- structure ---------------------------------------------------------------

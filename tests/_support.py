@@ -14,8 +14,8 @@ from ltw.core import accessible, mirror, trim
 from ltw.analysis import (_summary, mock_shift_table, quasi_periodicity,
                           shortest_words)
 from ltw.normalize import (eliminate_quasi_periodic_states, erase_order,
-                           make_rule_parts_earliest, partial_normal_form,
-                           reorder_periodic_runs)
+                           make_rule_parts_earliest, make_state_earliest,
+                           partial_normal_form, reorder_periodic_runs)
 
 WORD_CHARS = "ab"
 
@@ -248,7 +248,7 @@ def replay_with_laws(M: Ltw) -> int:
     N = trim(M)
     for s, d in rep.eliminated:
         check_elimination_laws(N, s, d)
-        N, _, _ = eliminate_quasi_periodic_states(N, order_override=[(s, d)])
+        N = trim(make_state_earliest(N, s, quasi_periodicity(N, s, d)))
     return len(rep.eliminated)
 
 

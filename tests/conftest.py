@@ -21,10 +21,8 @@ def pytest_terminal_summary(terminalreporter):
 def _reset_equality():
     # every test starts from the default word-equality configuration
     words.set_equality_seed(0)
-    words.set_equality_mode("fingerprint")
     yield
     words.set_equality_seed(0)
-    words.set_equality_mode("fingerprint")
 
 
 @pytest.fixture

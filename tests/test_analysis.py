@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from ltw import expand, load_ltw, mirror, parse_ltw, trim
+from ltw import analysis, expand, load_ltw, mirror, parse_ltw, trim
 from ltw import words as W
 from ltw.analysis import (PairSpace, build_Tq, domains_equal,
                           erasing_states, hat_state_machine, is_erasing,
@@ -14,10 +14,11 @@ from ltw.analysis import (PairSpace, build_Tq, domains_equal,
                           shortest_nonempty_word, shortest_word,
                           shortest_word_lengths, shortest_words,
                           singleton_word)
-from ltw.core import evaluate, same_structure, with_axiom_state
+from ltw.core import accessible, evaluate, same_structure, with_axiom_state
 from ltw.oracle import (EnumerationBudget, brute_quasi_periodic,
                         enumerate_trees, evaluate_explicit)
 
+from _support import chain
 from conftest import FIXTURES
 
 
@@ -120,6 +121,29 @@ def test_shift_additivity_on_chain():
     t = mock_shift_table(M, "q")
     t1 = mock_shift_table(M, "q1")
     assert t.dist["q2"] == t.dist["q1"] + t1.dist["q2"]
+
+
+def test_shift_table_reads_only_accessible_rules(monkeypatch):
+    # edges out of states q cannot reach never fire, so the settle must not
+    # be handed them: deep in a chain, that is a handful of edges, not 200
+    M = trim(chain(200))
+    q = "q190"
+    shortest_word_lengths(M)
+    sizes = []
+    settle = analysis.settle
+
+    def counting(rules):
+        rules = list(rules)
+        sizes.append(len(rules))
+        return settle(rules)
+
+    monkeypatch.setattr(analysis, "settle", counting)
+    table = mock_shift_table(M, q)
+    acc = accessible(M, q)
+    calls = sum(len(r.calls) for p in acc for r in M.rules_of(p))
+    assert calls == 11
+    assert sum(sizes) <= 1 + calls
+    assert set(table.dist) == acc
 
 
 # -- companion transducer --------------------------------------------------

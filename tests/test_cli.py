@@ -118,14 +118,12 @@ def test_check_domain_difference(capsys):
     assert domain_defined(M, t) != domain_defined(N, t)
 
 
-def test_check_exact_mode_hits_cap(tmp_path, capsys):
-    # the witness f(g) prints a^(2^60) against b^(2^60); --exact must expand
-    # both to re-verify it, which the cap forbids
+def test_check_stress_doubling_witness(tmp_path, capsys):
+    # the witness f(g) prints a^(2^60) against b^(2^60): re-verified by
+    # fingerprint, never expanded
     other = tmp_path / "b.ltw"
     other.write_text(FIXTURES.joinpath("stress_doubling.ltw").read_text()
                      .replace('slp A0 = "a"', 'slp A0 = "b"'))
-    assert main(["check", STRESS, str(other), "--exact"]) == 3
-    assert "exceeds cap" in capsys.readouterr().err
     assert main(["check", STRESS, str(other)]) == 1
     assert capsys.readouterr().out == "not equivalent: output\nwitness: f(g)\n"
 
@@ -402,6 +400,9 @@ def test_removed_check_flags_are_usage_errors(capsys):
     assert main(["check", EX5A, EX5B, "--depth", "6"]) == 2
     assert main(["run", EX5A, "--tree", "g", "--seed", "1"]) == 2
     assert main(["oracle", EX5A, EX5B, "--exact"]) == 2
+    assert main(["check", EX5A, EX5B, "--exact"]) == 2
+    assert main(["normalize", EX5A, "--exact"]) == 2
+    assert main(["analyze", EX5A, "--exact"]) == 2
 
 
 def test_seed_changes_fingerprint_configuration(capsys):

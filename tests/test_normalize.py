@@ -1,4 +1,4 @@
-"""Normalization pipeline tests: goldens, report entries, replays,
+"""Normalization pipeline tests: goldens, report entries,
 per-stage semantics preservation, and the handle/period laws every
 elimination must satisfy."""
 
@@ -9,8 +9,7 @@ from ltw.core import EmptyTransducer, mirror, trim
 from ltw.equivalence import decide_equiv
 from ltw.ltwfile import parse_ltw, print_ltw
 from ltw.analysis import PairSpace, _fresh, quasi_periodicity, same_ordered
-from ltw.normalize import (_strip_hat, eliminate_quasi_periodic_states,
-                           erase_order, make_state_earliest,
+from ltw.normalize import (_strip_hat, erase_order, make_state_earliest,
                            partial_normal_form, processing_order,
                            reorder_periodic_runs)
 
@@ -72,22 +71,6 @@ def test_reordered_inputs_reach_one_normal_form(fixtures):
     B = partial_normal_form(_load(fixtures, "ex5b")).result
     assert print_ltw(A) == print_ltw(B)
     assert same_ordered(PairSpace(A, B))
-
-
-# -- replay -------------------------------------------------------------------
-
-def test_elimination_replay_reproduces_result(fixtures):
-    M = _load(fixtures, "ex3")
-    rep = partial_normal_form(M)
-    rep2 = partial_normal_form(M, order_override=rep.eliminated)
-    assert print_ltw(rep2.result) == print_ltw(rep.result)
-    assert rep2.entries == rep.entries
-
-
-def test_replay_rejects_non_quasi_periodic_state(fixtures):
-    M = _load(fixtures, "ex7")
-    with pytest.raises(ValueError, match="replay"):
-        eliminate_quasi_periodic_states(M, order_override=[("q", "left")])
 
 
 # -- right-direction elimination ----------------------------------------------
