@@ -3,11 +3,12 @@
 Everything a normal form needs to know about a state's output language:
 shortest words, erasing detection, the co-reachable pair space two machines
 induce on a common domain and the span of their outputs over it, the
-companion transducer, and the verdicts on rule parts.
+companion rules, and the verdicts on rule parts.
 
-The language verdicts (singleton, periodic, quasi-periodic) all read one
-object: the span of a state's output vectors (P, H, C) = (base**len, hash, 1)
-over F_p, which is the diagonal of :func:`pair_spans` on the pair space of a
+The language verdicts (periodic and quasi-periodic; a singleton language is
+the quasi-periodic case with an empty period) all read one object: the span
+of a state's output vectors (P, H, C) = (base**len, hash, 1) over F_p,
+which is the diagonal of :func:`pair_spans` on the pair space of a
 machine with itself restarted at the state; a rule part callee(x).u reads
 the callee's span times u's matrix.  Each verdict is one linear form that
 must vanish on every basis vector, so it errs only on a fingerprint
@@ -24,8 +25,8 @@ from collections import defaultdict, deque
 from operator import mul
 
 from . import words
-from .core import (EmptyTransducer, Ltw, RankedAlphabet, Rule, Tree,
-                   accessible, outputs, settle, with_axiom_state)
+from .core import (Ltw, Rule, Tree, accessible, outputs, settle,
+                   with_axiom_state)
 from .words import Frozen, Record, WordRef, _set
 
 
@@ -120,13 +121,6 @@ def is_erasing(M: Ltw, q: str) -> bool:
     return q in erasing_states(M)
 
 
-def singleton_word(M: Ltw, q: str) -> WordRef | None:
-    """The single output of q if |L(q)| == 1, else None: distinct words have
-    distinct vectors, all with C = 1, so L(q) is a singleton exactly when
-    q's span has dimension 1."""
-    return shortest_word(M, q) if len(_state_span(M, q).vectors) == 1 else None
-
-
 # -- shifts and the companion transducer --------------------------------------
 
 class ShiftTable(Frozen):
@@ -169,7 +163,14 @@ def mock_shift_table(M: Ltw, q: str) -> ShiftTable:
 def companion_rules(M: Ltw, q: str, name: dict[str, str]) -> dict:
     """The rules of the states in `name` (those accessible from q), renamed
     by it: each rule's whole output moved to the front, stripped of the
-    state's shortest word and rotated into q's alignment."""
+    state's shortest word and rotated into q's alignment.
+
+    When q's language is quasi-periodic (on the left), these rules run from
+    the copy of q under an axiom that emits q's shortest word first are
+    equivalent to q, and every copy's language lies inside period*: each
+    output of an accessible state starts with its shortest word, and the
+    rest is a power of a rotation of the period that the mock shift turns
+    back into the period.  Nothing here checks either fact."""
     w = shortest_words(M)
     shifts = mock_shift_table(M, q)
     rules = {}
@@ -182,29 +183,6 @@ def companion_rules(M: Ltw, q: str, name: dict[str, str]) -> dict:
             calls = tuple((name[c], s) for c, s in r.calls)
             rules[(name[p], r.symbol)] = Rule(name[p], r.symbol, rwords, calls)
     return rules
-
-
-def build_Tq(M: Ltw, q: str) -> Ltw:
-    """The companion transducer of q: one state per accessible state, with
-    the rules of :func:`companion_rules`.
-
-    When q's language is quasi-periodic (on the left) the companion is
-    equivalent to q run under an axiom that emits q's shortest word first,
-    and every companion state's language lies inside period*: each output of
-    an accessible state starts with its shortest word, and the rest is a
-    power of a rotation of the period that the mock shift turns back into
-    the period.  Nothing here checks either fact.
-    """
-    acc = accessible(M, q)
-    w = shortest_words(M)
-    if any(p not in w for p in acc):
-        raise EmptyTransducer(f"state {q} reaches states with empty domains; trim first")
-    name = {p: p + "__T" for p in M.states if p in acc}
-    rules = companion_rules(M, q, name)
-    used = {f for _, f in rules}
-    alphabet = RankedAlphabet({f: a for f, a in M.alphabet.items() if f in used})
-    return Ltw(alphabet=alphabet, states=tuple(name.values()),
-               axiom=(w[q], name[q], M.pool.empty), rules=rules, pool=M.pool)
 
 
 # -- periodicity and quasi-periodicity ----------------------------------------
@@ -232,7 +210,8 @@ def _basis_words(M: Ltw, q: str) -> list[WordRef]:
 def _fits(vectors, u: WordRef, rho: WordRef, direction: str) -> bool:
     """A language whose span has the basis `vectors`, triples (P, H, C), lies
     inside u.rho* ("left") or rho*.u ("right"), for a shortest word u of it
-    and a primitive nonempty rho.
+    and a primitive nonempty rho.  A rho = sigma^k answers for its primitive
+    root sigma, since rho^omega = sigma^omega.
 
     Left: a word w, no shorter than u, lies in u.rho* iff w.rho^omega =
     u.rho^omega, because x.rho^omega = rho^omega forces x into rho* for a
@@ -254,24 +233,31 @@ def _fits(vectors, u: WordRef, rho: WordRef, direction: str) -> bool:
     return True
 
 
-def is_periodic_state(M: Ltw, q: str) -> WordRef | None:
-    """The primitive period p with L(q) a subset of p*, or None.
+def periodic_word(M: Ltw, q: str) -> WordRef | None:
+    """The shortest nonempty output w of q when L(q) lies inside sigma* for
+    w's primitive root sigma, the empty word when q has no nonempty output,
+    else None.
 
-    The period is empty when q has no nonempty output.  Otherwise the only
-    candidate is the primitive root of the shortest nonempty output, and
-    L(q) must fit inside it with an empty handle (:func:`_fits`).
-    """
+    :func:`_fits` reads w in place of sigma: for w = sigma^k, w^omega =
+    sigma^omega, so the verdict is the same and |w| is never factored."""
     c = M._analysis
     key = ("periodic", q)
     if key not in c:
-        wp = shortest_nonempty_word(M, q)
-        if wp is None:                    # erasing, or vacuously: empty domain
+        w = shortest_nonempty_word(M, q)
+        if w is None:                     # erasing, or vacuously: empty domain
             c[key] = M.pool.empty
         else:
-            pi = words.primitive_root(wp)
             vectors = [(P, H, C) for P, H, _, _, C in _state_span(M, q).vectors]
-            c[key] = pi if _fits(vectors, M.pool.empty, pi, "left") else None
+            c[key] = w if _fits(vectors, M.pool.empty, w, "left") else None
     return c[key]
+
+
+def is_periodic_state(M: Ltw, q: str) -> WordRef | None:
+    """The primitive period p with L(q) a subset of p*, or None: the
+    primitive root of :func:`periodic_word` (empty when q has no nonempty
+    output)."""
+    w = periodic_word(M, q)
+    return None if w is None else words.primitive_root(w)
 
 
 class QuasiPeriodicity(Frozen):

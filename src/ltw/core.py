@@ -375,21 +375,3 @@ def with_axiom_state(M: Ltw, q: str) -> Ltw:
     return M.with_(states=states, rules=rules,
                    axiom=(M.pool.empty, q, M.pool.empty))
 
-
-def same_structure(M1: Ltw, M2: Ltw) -> bool:
-    """Structural equality modulo word-node ids (words compared as words)."""
-    if M1.alphabet != M2.alphabet or set(M1.states) != set(M2.states):
-        return False
-    u0, q, u1 = M1.axiom
-    v0, p, v1 = M2.axiom
-    if q != p or not words.equals(u0, v0) or not words.equals(u1, v1):
-        return False
-    if set(M1.rules) != set(M2.rules):
-        return False
-    for key, r1 in M1.rules.items():
-        r2 = M2.rules[key]
-        if r1.calls != r2.calls:
-            return False
-        if any(not words.equals(a, b) for a, b in zip(r1.words, r2.words)):
-            return False
-    return True

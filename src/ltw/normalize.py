@@ -13,8 +13,9 @@ Four language-preserving stages, each exposed on its own:
 4. reorder_periodic_runs -- maximal groups of adjacent calls with equal
    primitive periods and nothing written between them sort by input slot.
 
-Stage order matters: 1 removes the singleton and periodic non-earliest
-states that would otherwise break 2's and 3's invariants, and after 3 every
+Stage order matters: 1 removes the non-earliest quasi-periodic states
+(singleton languages are the case with an empty period) that would
+otherwise break 2's and 3's invariants, and after 3 every
 member of a reorderable run has an empty shortest word, so 4 cannot create
 new work for the earlier stages.
 """
@@ -26,7 +27,7 @@ from time import perf_counter
 
 from . import words
 from .analysis import (QuasiPeriodicity, _fresh, companion_rules, erasing_states,
-                       is_periodic_state, part_quasi_periodicity,
+                       part_quasi_periodicity, periodic_word,
                        quasi_periodicity, shortest_word_lengths,
                        shortest_words)
 from .core import Ltw, Rule, accessible, mirror, trim, validate
@@ -68,8 +69,8 @@ def make_state_earliest(M: Ltw, q: str, verdict: QuasiPeriodicity) -> Ltw:
     Copies follow the companion-transducer construction (whole output at the
     rule front, handle stripped, rotated into q's alignment), which is
     equivalent to q whenever the verdict holds (see
-    :func:`~ltw.analysis.build_Tq`); calls to q itself are redirected to the
-    root copy with the handle written just before them.  Original
+    :func:`~ltw.analysis.companion_rules`); calls to q itself are redirected
+    to the root copy with the handle written just before them.  Original
     states stay put -- whatever is still reachable keeps its meaning, the
     rest falls to the next trim.
     """
@@ -362,8 +363,12 @@ def reorder_periodic_runs(M: Ltw) -> tuple[Ltw, list[str]]:
     """Sort maximal same-period runs of adjacent calls by input slot.
 
     Two calls belong to one run when nothing is written between them and
-    their languages share one primitive period; all its words then commute,
-    so any fixed order preserves the output."""
+    both erase, or both are periodic (:func:`~ltw.analysis.periodic_word`)
+    with shortest nonempty words that commute, i.e. share one primitive root
+    (Lyndon-Schuetzenberger); all their words then commute, so any fixed
+    order preserves the output.  Only calls with such a neighbour are
+    tested, and no word length is factored."""
+    pool = M.pool
     entries: list[str] = []
     rules = {}
     for q in M.states:
@@ -374,12 +379,14 @@ def reorder_periodic_runs(M: Ltw) -> tuple[Ltw, list[str]]:
             i = 0
             while i < n:
                 j = i
-                pi = is_periodic_state(M, cl[i][0])
-                while (pi is not None and j + 1 < n
+                wi = (periodic_word(M, cl[i][0])
+                      if i + 1 < n and r.words[i + 1].length == 0 else None)
+                while (wi is not None and j + 1 < n
                        and r.words[j + 1].length == 0):
-                    pj = is_periodic_state(M, cl[j + 1][0])
-                    if (pj is None or pi.length != pj.length
-                            or not words.equals(pi, pj)):
+                    wj = periodic_word(M, cl[j + 1][0])
+                    if (wj is None or (wi.length == 0) != (wj.length == 0)
+                            or not words.equals(pool.concat(wi, wj),
+                                                pool.concat(wj, wi))):
                         break
                     j += 1
                 if j > i:

@@ -13,7 +13,7 @@ from collections import defaultdict
 from itertools import product
 
 from . import words
-from .core import Ltw, Tree
+from .core import Ltw, RankedAlphabet, Rule, Tree
 
 
 class EnumerationBudget(words.Frozen):
@@ -60,18 +60,20 @@ def enumerate_trees(M: Ltw, q: str | None = None,
     """Domain trees of state q (default: the axiom state), depth-major,
     symbols in declaration order, child combinations grouped by the first
     slot holding a deepest subtree.  Stops at whichever budget bound is
-    reached first; every intermediate pool is capped by the tree budget,
-    which drops only combinations beyond the budget anyway."""
+    reached first.  Every intermediate pool is capped by the tree budget,
+    which drops only combinations beyond the budget anyway, and q's by what
+    is left of it: a level of q that reaches that cap ends the enumeration,
+    so no pool of its depth is read again."""
     q = q if q is not None else M.axiom[1]
     cap = budget.max_trees
     by_state: dict[str, list[list[Tree]]] = {s: [[]] for s in M.states}
     out: list[Tree] = []
     for depth in range(1, budget.max_depth + 1):
         for s in M.states:
+            limit = cap - len(out) if s == q else cap
             exact: list[Tree] = []
-            upto = by_state[s]
             for r in M.rules_of(s):
-                if len(exact) >= cap:
+                if len(exact) >= limit:
                     break
                 if r.arity == 0:
                     if depth == 1:
@@ -87,47 +89,25 @@ def enumerate_trees(M: Ltw, q: str | None = None,
                     shallow.append(sh)
                     deepest.append(levels[depth - 1])
                     full.append(sh + levels[depth - 1])
-                room = cap - len(exact)
                 for combo in _exact_depth_combos(shallow, deepest, full,
-                                                 r.arity, room):
+                                                 r.arity, limit - len(exact)):
                     exact.append(Tree(r.symbol, tuple(combo)))
-            upto.append(exact)
-        for t in by_state[q][depth]:
-            if len(out) >= cap:
-                return out
-            out.append(t)
+            by_state[s].append(exact)
+        out += by_state[q][depth]
+        if len(out) >= cap:
+            break
     return out
 
 
-def enumerate_all_trees(alphabet_items, budget: EnumerationBudget) -> list[Tree]:
-    """All trees over the alphabet (not just domain trees), depth-major."""
-    cap = budget.max_trees
-    levels: list[list[Tree]] = [[]]
-    out: list[Tree] = []
-    for depth in range(1, budget.max_depth + 1):
-        exact: list[Tree] = []
-        for sym, ar in alphabet_items:
-            if len(out) + len(exact) >= cap:
-                break
-            if ar == 0:
-                if depth == 1:
-                    exact.append(Tree(sym))
-                continue
-            if depth == 1:
-                continue
-            sh = [t for lvl in levels[1:depth - 1] for t in lvl]
-            deepest = levels[depth - 1]
-            full = sh + deepest
-            room = cap - len(out) - len(exact)
-            for combo in _exact_depth_combos([sh] * ar, [deepest] * ar,
-                                             [full] * ar, ar, room):
-                exact.append(Tree(sym, tuple(combo)))
-        levels.append(exact)
-        for t in exact:
-            if len(out) >= cap:
-                return out
-            out.append(t)
-    return out
+def every_tree_machine(alphabet_items) -> Ltw:
+    """One state q whose rule for each (symbol, arity) calls every child in
+    order and writes nothing: its domain is every tree over the alphabet."""
+    pool = words.SlpPool()
+    e = pool.empty
+    return Ltw(RankedAlphabet(dict(alphabet_items)), ("q",), (e, "q", e),
+               {("q", f): Rule("q", f, (e,) * (a + 1),
+                               tuple(("q", i) for i in range(1, a + 1)))
+                for f, a in alphabet_items}, pool)
 
 
 def _rule(M: Ltw, q: str, node: Tree):
@@ -207,7 +187,8 @@ def evaluate_explicit(M: Ltw, t: Tree, cap: int = 100000,
 
 def brute_equiv(M1: Ltw, M2: Ltw,
                 budget: EnumerationBudget = EnumerationBudget()) -> BruteVerdict:
-    """Compare definedness and explicit outputs over all budgeted trees."""
+    """Compare definedness and explicit outputs on every budgeted tree over
+    the merged alphabet."""
     merged = list(M1.alphabet.items())
     seen = {s for s, _ in merged}
     for s, a in M2.alphabet.items():
@@ -215,7 +196,7 @@ def brute_equiv(M1: Ltw, M2: Ltw,
             merged.append((s, a))
         elif M1.alphabet.arity(s) != a:
             raise ValueError(f"alphabets disagree on the arity of {s}")
-    trees = enumerate_all_trees(merged, budget)
+    trees = enumerate_trees(every_tree_machine(merged), budget=budget)
     hit = "trees" if len(trees) >= budget.max_trees else None
     memo1: dict = defaultdict(dict)
     memo2: dict = defaultdict(dict)
@@ -230,54 +211,3 @@ def brute_equiv(M1: Ltw, M2: Ltw,
             return BruteVerdict(False, t, "output", checked, hit)
     return BruteVerdict(True, None, None, checked, hit)
 
-
-def string_primitive_root(s: str) -> str:
-    n = len(s)
-    if n == 0:
-        return s
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and s[i] != s[k]:
-            k = fail[k - 1]
-        if s[i] == s[k]:
-            k += 1
-        fail[i] = k
-    p = n - fail[n - 1]
-    return s[:p] if n % p == 0 else s
-
-
-class BruteQp(words.Record):
-    __slots__ = ("handle", "period")
-
-    def __init__(self, handle: str, period: str):
-        self.handle, self.period = handle, period
-
-
-def brute_quasi_periodic(outputs: list[str], direction: str = "left") -> BruteQp | None:
-    """Necessary-condition evidence that a finite set of outputs is
-    quasi-periodic: unique shortest word as handle, period from the
-    second-shortest, membership of every word in handle . period*."""
-    if not outputs:
-        return None
-    if direction == "right":
-        flipped = brute_quasi_periodic([s[::-1] for s in outputs], "left")
-        if flipped is None:
-            return None
-        return BruteQp(flipped.handle[::-1], flipped.period[::-1])
-    seen = sorted(set(outputs), key=len)
-    handle = seen[0]
-    if len(seen) > 1 and len(seen[1]) == len(handle):
-        return None
-    if len(seen) == 1:
-        return BruteQp(handle, "")
-    period = string_primitive_root(seen[1][len(handle):])
-    for s in seen:
-        if not s.startswith(handle):
-            return None
-        rest = s[len(handle):]
-        if len(rest) % len(period):
-            return None
-        if rest != period * (len(rest) // len(period)):
-            return None
-    return BruteQp(handle, period)

@@ -4,7 +4,7 @@ Every word the transducer machinery touches -- rule outputs, shortest words,
 handles, periods -- lives in an append-only :class:`SlpPool` and is addressed
 by a :class:`WordRef`.  Lengths are exact Python integers, so words like
 a**(2**60) are first-class values; structural operations (strip, rotate,
-reverse, power) add O(depth) or O(log k) nodes and never expand.
+reverse) add O(depth) nodes and never expand.
 
 Equality compares Karp-Rabin fingerprints over a random 128-bit prime drawn
 from the configured seed (per-comparison error at most len/2**127, i.e. below
@@ -272,10 +272,6 @@ def set_equality_seed(seed: int) -> None:
     _config["seed"] = seed
 
 
-def equality_seed() -> int:
-    return _config["seed"]
-
-
 def fingerprinter() -> Fingerprinter:
     """The configured seed's fingerprinter; see `_fingerprinter_for`."""
     return _fingerprinter_for(_config["seed"])
@@ -393,30 +389,6 @@ def reverse(w: WordRef) -> WordRef:
     return WordRef(pool, memo[w.node])
 
 
-def power(p: WordRef, k: int) -> WordRef:
-    """p repeated k times, in O(log k) nodes."""
-    if k < 0:
-        raise OutOfRange("negative power")
-    pool = p.pool
-    out, sq = pool.empty, p
-    while k:
-        if k & 1:
-            out = pool.concat(out, sq)
-        k >>= 1
-        if k:
-            sq = pool.concat(sq, sq)
-    return out
-
-
-def is_power_of(w: WordRef, p: WordRef) -> bool:
-    """True iff w == p**k for some k >= 0."""
-    if w.length == 0:
-        return True
-    if p.length == 0 or w.length % p.length:
-        return False
-    return equals(w, power(p, w.length // p.length))
-
-
 # -- primitive roots ---------------------------------------------------------
 
 def smallest_period(s: str) -> int:
@@ -433,7 +405,15 @@ def smallest_period(s: str) -> int:
     return n - fail[n - 1] if n else 0
 
 
+# Pollard rho steps per factorization, about 0.5 s on a 105-bit length:
+# enough to split prime factors below about 2**32; past it, CapExceeded
+RHO_STEPS = 1 << 16
+
+
 def _factorize(n: int, effort: int = 200000) -> dict[int, int]:
+    """Trial division by `effort` odd numbers, then Pollard's rho with
+    RHO_STEPS steps in all."""
+    whole = n
     fac: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -449,32 +429,27 @@ def _factorize(n: int, effort: int = 200000) -> dict[int, int]:
         steps += 1
     if n == 1:
         return fac
-
-    def rho(m):
+    left = RHO_STEPS
+    pending = [n]
+    while pending:
+        m = pending.pop()
         if _probably_prime(m):
-            return m
+            fac[m] = fac.get(m, 0) + 1
+            continue
         rng = random.Random(m)
-        while True:
+        d = m
+        while d == m:                     # the walk failed: start another
             c = rng.randrange(1, m)
             x = y = rng.randrange(2, m)
             d = 1
             while d == 1:
+                if not left:
+                    raise CapExceeded(whole, RHO_STEPS)
+                left -= 1
                 x = (x * x + c) % m
                 y = (y * y + c) % m
                 y = (y * y + c) % m
                 d = _gcd(abs(x - y), m)
-            if d != m:
-                return d
-
-    pending = [n]
-    while pending:
-        m = pending.pop()
-        if m == 1:
-            continue
-        if _probably_prime(m):
-            fac[m] = fac.get(m, 0) + 1
-            continue
-        d = rho(m)
         pending.append(d)
         pending.append(m // d)
     return fac
@@ -504,7 +479,8 @@ def primitive_root(w: WordRef, cap: int = DEFAULT_EXPAND_CAP) -> WordRef:
     of the length, each checked by one compressed overlap comparison
     (w equals its own d-shift iff d is a period); this covers the huge
     structured words that occur in practice and raises CapExceeded when the
-    length cannot be factored into a reasonable divisor list.
+    length has more than 4096 divisors or a cofactor that Pollard's rho
+    cannot split within RHO_STEPS steps.
     """
     n = w.length
     if n == 0:

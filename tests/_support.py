@@ -1,6 +1,8 @@
 """Shared corpus builders: deterministic random machines, mutations, the
 word-equality differential, and the elimination law harness used by both the
-unit suites and the acceptance gate."""
+unit suites and the acceptance gate; and the helpers only tests need: word
+powers, structural machine equality, the companion machine, the tree
+enumerator over a whole alphabet and brute-force quasi-periodicity."""
 
 from __future__ import annotations
 
@@ -8,11 +10,12 @@ import itertools
 import random
 from collections import defaultdict, deque
 
-from ltw import Ltw, Rule, Tree, parse_ltw
+from ltw import Ltw, RankedAlphabet, Rule, Tree, parse_ltw
 from ltw import words as W
-from ltw.core import accessible, mirror, trim
-from ltw.analysis import (_summary, mock_shift_table, quasi_periodicity,
-                          shortest_words)
+from ltw.core import EmptyTransducer, accessible, mirror, trim
+from ltw.analysis import (_summary, companion_rules, mock_shift_table,
+                          quasi_periodicity, shortest_words)
+from ltw.oracle import _exact_depth_combos
 from ltw.normalize import (eliminate_quasi_periodic_states, erase_order,
                            make_rule_parts_earliest, make_state_earliest,
                            partial_normal_form, reorder_periodic_runs)
@@ -149,6 +152,26 @@ def periodic_run_machine(rng: random.Random) -> tuple[Ltw, Ltw]:
     return parse_ltw(text(True)), parse_ltw(text(False))
 
 
+def oracle_corpus() -> list[tuple[Ltw, Ltw]]:
+    """The pairs of acceptance criterion 7: random machines with one
+    mutation, random machines with their partial normal forms, and periodic
+    runs with their calls swapped."""
+    rng = random.Random(20260816)
+    pairs = []
+    for _ in range(80):
+        M = random_layered(rng, 3)
+        pairs.append((M, mutate(M, rng)))
+    for _ in range(60):
+        M = random_layered(rng, rng.randrange(3, 7))
+        try:
+            pairs.append((M, partial_normal_form(trim(M)).result))
+        except EmptyTransducer:
+            pairs.append((M, M))
+    for _ in range(60):
+        pairs.append(periodic_run_machine(rng))
+    return pairs
+
+
 def mutate(M: Ltw, rng: random.Random) -> Ltw:
     """One structural edit: tweak a word, swap two calls, or drop a rule.
     The result may or may not stay equivalent."""
@@ -202,7 +225,7 @@ def random_word_ref(pool, rng: random.Random, depth: int = 4):
         return W.rotate_left(a, rng.randrange(2 * a.length))
     if op == 4:
         return W.reverse(a)
-    return W.power(a, rng.randrange(4))
+    return power(a, rng.randrange(4))
 
 
 def stage_pipeline(M: Ltw):
@@ -337,3 +360,173 @@ def reference_pair_spans(ps) -> dict:
                     queued.add(user)
                     queue.append(user)
     return {pair: (vectors, trees) for pair, (vectors, trees, _) in span.items()}
+
+
+# -- words ------------------------------------------------------------------
+
+def power(p: WordRef, k: int) -> WordRef:
+    """p repeated k times, in O(log k) nodes."""
+    if k < 0:
+        raise W.OutOfRange("negative power")
+    pool = p.pool
+    out, sq = pool.empty, p
+    while k:
+        if k & 1:
+            out = pool.concat(out, sq)
+        k >>= 1
+        if k:
+            sq = pool.concat(sq, sq)
+    return out
+
+
+def is_power_of(w: WordRef, p: WordRef) -> bool:
+    """True iff w == p**k for some k >= 0."""
+    if w.length == 0:
+        return True
+    if p.length == 0 or w.length % p.length:
+        return False
+    return W.equals(w, power(p, w.length // p.length))
+
+
+def pow_family_text(b: int) -> str:
+    """q h = a^N built by squaring, q g = "", q f(x1) = q(x1), for N the
+    product of the least primes from 2**b and from 2**(b+1): q's shortest
+    output is empty, and N has two prime factors out of reach of trial
+    division."""
+    def next_prime(n):
+        while not W._probably_prime(n):
+            n += 1
+        return n
+
+    n = next_prime(2 ** b) * next_prime(2 ** (b + 1))
+    bits = n.bit_length()
+    lines = ["input f:1 g:0 h:0", 'slp A0 = "a"']
+    lines += [f"slp A{i} = A{i - 1} A{i - 1}" for i in range(1, bits)]
+    lines.append("slp W = " + " ".join(f"A{i}" for i in range(bits) if n >> i & 1))
+    lines += ["axiom = q(x)", "rule q h = $W", 'rule q g = ""',
+              "rule q f(x1) = q(x1)"]
+    return "\n".join(lines) + "\n"
+
+
+# -- machines ---------------------------------------------------------------
+
+def same_structure(M1: Ltw, M2: Ltw) -> bool:
+    """Structural equality modulo word-node ids (words compared as words)."""
+    if M1.alphabet != M2.alphabet or set(M1.states) != set(M2.states):
+        return False
+    u0, q, u1 = M1.axiom
+    v0, p, v1 = M2.axiom
+    if q != p or not W.equals(u0, v0) or not W.equals(u1, v1):
+        return False
+    if set(M1.rules) != set(M2.rules):
+        return False
+    for key, r1 in M1.rules.items():
+        r2 = M2.rules[key]
+        if r1.calls != r2.calls:
+            return False
+        if any(not W.equals(a, b) for a, b in zip(r1.words, r2.words)):
+            return False
+    return True
+
+
+def build_Tq(M: Ltw, q: str) -> Ltw:
+    """The companion transducer of q: one state per accessible state, with
+    the rules of :func:`ltw.analysis.companion_rules`, under an axiom that
+    emits q's shortest word first."""
+    acc = accessible(M, q)
+    w = shortest_words(M)
+    if any(p not in w for p in acc):
+        raise EmptyTransducer(f"state {q} reaches states with empty domains; trim first")
+    name = {p: p + "__T" for p in M.states if p in acc}
+    rules = companion_rules(M, q, name)
+    used = {f for _, f in rules}
+    alphabet = RankedAlphabet({f: a for f, a in M.alphabet.items() if f in used})
+    return Ltw(alphabet=alphabet, states=tuple(name.values()),
+               axiom=(w[q], name[q], M.pool.empty), rules=rules, pool=M.pool)
+
+
+# -- brute force ------------------------------------------------------------
+
+# the reference for brute_equiv's enumeration, which lists the domain of
+# ltw.oracle.every_tree_machine with ltw.oracle.enumerate_trees
+def enumerate_all_trees(alphabet_items, budget: EnumerationBudget) -> list[Tree]:
+    """All trees over the alphabet (not just domain trees), depth-major."""
+    cap = budget.max_trees
+    levels: list[list[Tree]] = [[]]
+    out: list[Tree] = []
+    for depth in range(1, budget.max_depth + 1):
+        exact: list[Tree] = []
+        for sym, ar in alphabet_items:
+            if len(out) + len(exact) >= cap:
+                break
+            if ar == 0:
+                if depth == 1:
+                    exact.append(Tree(sym))
+                continue
+            if depth == 1:
+                continue
+            sh = [t for lvl in levels[1:depth - 1] for t in lvl]
+            deepest = levels[depth - 1]
+            full = sh + deepest
+            room = cap - len(out) - len(exact)
+            for combo in _exact_depth_combos([sh] * ar, [deepest] * ar,
+                                             [full] * ar, ar, room):
+                exact.append(Tree(sym, tuple(combo)))
+        levels.append(exact)
+        for t in exact:
+            if len(out) >= cap:
+                return out
+            out.append(t)
+    return out
+
+
+def string_primitive_root(s: str) -> str:
+    n = len(s)
+    if n == 0:
+        return s
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and s[i] != s[k]:
+            k = fail[k - 1]
+        if s[i] == s[k]:
+            k += 1
+        fail[i] = k
+    p = n - fail[n - 1]
+    return s[:p] if n % p == 0 else s
+
+
+class BruteQp(W.Record):
+    __slots__ = ("handle", "period")
+
+    def __init__(self, handle: str, period: str):
+        self.handle, self.period = handle, period
+
+
+def brute_quasi_periodic(outputs: list[str], direction: str = "left") -> BruteQp | None:
+    """Necessary-condition evidence that a finite set of outputs is
+    quasi-periodic: unique shortest word as handle, period from the
+    second-shortest, membership of every word in handle . period*."""
+    if not outputs:
+        return None
+    if direction == "right":
+        flipped = brute_quasi_periodic([s[::-1] for s in outputs], "left")
+        if flipped is None:
+            return None
+        return BruteQp(flipped.handle[::-1], flipped.period[::-1])
+    seen = sorted(set(outputs), key=len)
+    handle = seen[0]
+    if len(seen) > 1 and len(seen[1]) == len(handle):
+        return None
+    if len(seen) == 1:
+        return BruteQp(handle, "")
+    period = string_primitive_root(seen[1][len(handle):])
+    for s in seen:
+        if not s.startswith(handle):
+            return None
+        rest = s[len(handle):]
+        if len(rest) % len(period):
+            return None
+        if rest != period * (len(rest) // len(period)):
+            return None
+    return BruteQp(handle, period)

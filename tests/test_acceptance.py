@@ -5,6 +5,7 @@ one line to the real stdout -- `ACCEPTANCE <n> <name>: PASS|FAIL` -- so the
 gate's outcome stays visible under pytest's capture.
 """
 
+import hashlib
 import random
 import sys
 import time
@@ -14,18 +15,18 @@ from contextlib import contextmanager
 import pytest
 
 from ltw import oracle, words
-from ltw.core import (domain_defined, evaluate, mirror, same_structure, trim,
-                      with_axiom_state, EmptyTransducer)
+from ltw.core import domain_defined, evaluate, mirror, trim, with_axiom_state
 from ltw.ltwfile import parse_ltw, parse_tree, print_ltw
-from ltw.analysis import (PairSpace, build_Tq, mock_shift_table,
+from ltw.analysis import (PairSpace, mock_shift_table,
                           rule_part_quasi_periodicity, same_ordered)
 from ltw.normalize import erase_order, partial_normal_form
 from ltw.equivalence import decide_equiv
 from ltw.cli import main
 
-from _support import (chain, check_elimination_laws, equality_differential,
-                      mutate, periodic_run_machine, random_layered,
-                      random_word_ref, replay_with_laws, stage_pipeline)
+from _support import (build_Tq, chain, check_elimination_laws,
+                      equality_differential, oracle_corpus,
+                      periodic_run_machine, random_layered, random_word_ref,
+                      replay_with_laws, same_structure, stage_pipeline)
 
 from conftest import ACCEPTANCE_LINES, FIXTURES, GOLDEN
 
@@ -157,23 +158,12 @@ def _verify_witness(M1, M2, t):
 def test_criterion_7_oracle_agreement():
     with criterion(7, "oracle agreement on generated corpus"):
         t0 = time.perf_counter()
-        rng = random.Random(20260816)
-        pairs = []
-        for _ in range(80):
-            M = random_layered(rng, 3)
-            pairs.append((M, mutate(M, rng)))
-        for _ in range(60):
-            M = random_layered(rng, rng.randrange(3, 7))
-            try:
-                pairs.append((M, partial_normal_form(trim(M)).result))
-            except EmptyTransducer:
-                pairs.append((M, M))
-        for _ in range(60):
-            pairs.append(periodic_run_machine(rng))
+        pairs = oracle_corpus()
         assert len(pairs) >= 200
 
         budget = oracle.EnumerationBudget(max_depth=5, max_trees=20000)
         agreements = 0
+        fields = []
         for M1, M2 in pairs:
             v = decide_equiv(M1, M2)
             bv = oracle.brute_equiv(M1, M2, budget)
@@ -183,7 +173,13 @@ def test_criterion_7_oracle_agreement():
                 assert _verify_witness(M1, M2, v.witness)
             if not bv.equivalent:
                 assert _verify_witness(M1, M2, bv.witness)
+            fields.append((bv.equivalent, str(bv.witness), bv.reason,
+                           bv.trees_checked, bv.budget_hit))
         assert agreements == len(pairs)
+        # every oracle field as brute_equiv gives it on the trees of the
+        # reference enumerator, _support.enumerate_all_trees
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == \
+            "4967b6db97e2205ea4a90c912a805c6fcd7acfb7c73f3f87a5065a0e951856cb"
         assert time.perf_counter() - t0 < 600
 
 

@@ -5,20 +5,17 @@ import pytest
 
 from ltw import analysis, expand, load_ltw, mirror, parse_ltw, trim
 from ltw import words as W
-from ltw.analysis import (PairSpace, build_Tq, domains_equal,
-                          erasing_states, hat_state_machine, is_erasing,
-                          is_periodic_state, mock_shift_table,
-                          part_quasi_periodicity,
+from ltw.analysis import (PairSpace, domains_equal, erasing_states,
+                          hat_state_machine, is_erasing, is_periodic_state,
+                          mock_shift_table, part_quasi_periodicity,
                           quasi_periodicity, rule_part_quasi_periodicity,
                           same_ordered, shortest_domain_tree,
                           shortest_nonempty_word, shortest_word,
-                          shortest_word_lengths, shortest_words,
-                          singleton_word)
-from ltw.core import accessible, evaluate, same_structure, with_axiom_state
-from ltw.oracle import (EnumerationBudget, brute_quasi_periodic,
-                        enumerate_trees, evaluate_explicit)
+                          shortest_word_lengths, shortest_words)
+from ltw.core import accessible, evaluate, with_axiom_state
+from ltw.oracle import EnumerationBudget, enumerate_trees, evaluate_explicit
 
-from _support import chain
+from _support import brute_quasi_periodic, build_Tq, chain, same_structure
 from conftest import FIXTURES
 
 
@@ -68,10 +65,11 @@ def test_shortest_word_agrees_with_enumeration():
             else:
                 assert plus is None
             assert is_erasing(M, q) == (outs == {""})
-            single = singleton_word(M, q)
-            assert (single is not None) == (len(outs) == 1)
-            if single is not None:
-                assert {expand(single)} == outs
+            v = quasi_periodicity(M, q)
+            single = v is not None and v.period.length == 0
+            assert single == (len(outs) == 1)
+            if single:
+                assert {expand(v.handle)} == outs
 
 
 def test_shortest_nonempty_ex5a():
@@ -88,10 +86,13 @@ def test_erasing_states():
 
 
 def test_singleton_word():
+    # a singleton language is the quasi-periodic case with an empty period
     M = parse_ltw('input g:0 h:0\naxiom = q(x)\nrule q g = "xy"\n'
                   'rule q h = "xy"\n')
-    assert expand(singleton_word(M, "q")) == "xy"
-    assert singleton_word(ex("ex3"), "q") is None
+    for d in ("left", "right"):
+        v = quasi_periodicity(M, "q", d)
+        assert expand(v.handle) == "xy" and v.period.length == 0
+    assert quasi_periodicity(ex("ex3"), "q").period.length == 3
 
 
 # -- shifts ---------------------------------------------------------------

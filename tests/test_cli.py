@@ -11,7 +11,9 @@ import pytest
 from ltw import analysis, words
 from ltw.cli import main
 from ltw.core import domain_defined, evaluate
-from ltw.ltwfile import parse_ltw, parse_tree
+from ltw.ltwfile import parse_ltw, parse_tree, print_ltw
+
+from _support import pow_family_text
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -283,6 +285,32 @@ rule q g = "{word}"
     assert "quasi-periodic(left): handle_len=50 period=a" in out
 
 
+@pytest.mark.parametrize("b", [52, 64])
+def test_pow_family_normalizes_without_factoring(b, tmp_path, capsys, monkeypatch):
+    # no call of q has a neighbour, so stage 4 tests no periodicity; and a
+    # periodicity test reads the shortest nonempty word, never its root
+    def refuse(n, *args):
+        raise AssertionError(f"factorized {n}")
+
+    monkeypatch.setattr(words, "_factorize", refuse)
+    path = tmp_path / "pow.ltw"
+    path.write_text(pow_family_text(b))
+    assert main(["normalize", str(path)]) == 0
+    assert capsys.readouterr().out == print_ltw(parse_ltw(path.read_text()))
+
+
+@pytest.mark.parametrize("b", [52, 64])
+def test_analyze_exits_3_on_a_length_rho_cannot_split(b, tmp_path, capsys):
+    # q's period is the primitive root of a^N, and N's two prime factors
+    # lie past the rho step cap
+    path = tmp_path / "pow.ltw"
+    path.write_text(pow_family_text(b))
+    assert main(["analyze", str(path)]) == 3
+    cap = capsys.readouterr()
+    assert cap.out.startswith("state q\n")
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+
 def test_analyze_unknown_state(capsys):
     assert main(["analyze", EX3, "--state", "nope"]) == 2
     assert "no state named nope" in capsys.readouterr().err
@@ -408,7 +436,7 @@ def test_removed_check_flags_are_usage_errors(capsys):
 def test_seed_changes_fingerprint_configuration(capsys):
     # the flag must reach the word pool configuration layer
     assert main(["check", EX5A, EX5B, "--seed", "7"]) == 0
-    assert words.equality_seed() == 7
+    assert words._config["seed"] == 7
 
 
 # -- one parser and one prime per process -----------------------------------
@@ -428,7 +456,7 @@ def test_main_reentrant_after_another_seed(tmp_path, capsys):
     assert main(["check", "--seed", "7", a, b]) == 1
     capsys.readouterr()
     assert main(["check", a, b]) == 1
-    assert words.equality_seed() == 0
+    assert words._config["seed"] == 0
     assert words.fingerprinter().prime == words.Fingerprinter(0).prime
     cap = capsys.readouterr()
     assert (cap.out, cap.err) == (fresh.stdout, fresh.stderr)
@@ -443,4 +471,4 @@ def test_usage_error_between_calls_changes_nothing(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", a, b]) == 1
     assert capsys.readouterr() == first
-    assert words.equality_seed() == 0
+    assert words._config["seed"] == 0

@@ -9,11 +9,12 @@ from ltw import (EmptyTransducer, Ltw, Rule, Tree, UndefinedInput, evaluate,
                  validate)
 from ltw import words as W
 from ltw.analysis import QuasiPeriodicity, mock_shift_table
-from ltw.core import (accessible, domain_defined, productive_states,
-                      same_structure, settle, with_axiom_state)
-from ltw.oracle import EnumerationBudget, evaluate_explicit
+from ltw.core import (accessible, domain_defined, productive_states, settle,
+                      with_axiom_state)
+from ltw.oracle import (EnumerationBudget, enumerate_trees, evaluate_explicit,
+                        every_tree_machine)
 
-from _support import random_layered
+from _support import random_layered, same_structure
 
 from conftest import FIXTURES
 
@@ -87,12 +88,11 @@ def test_evaluate_undefined_path():
 
 def test_domain_defined_matches_evaluate():
     rng = random.Random(3)
-    from ltw.oracle import EnumerationBudget, enumerate_all_trees
     for _ in range(10):
         M = random_layered(rng, 3)
-        for tree in enumerate_all_trees(list(M.alphabet.items()),
-                                        EnumerationBudget(max_depth=3,
-                                                          max_trees=200)):
+        every = every_tree_machine(list(M.alphabet.items()))
+        for tree in enumerate_trees(every, budget=EnumerationBudget(
+                max_depth=3, max_trees=200)):
             try:
                 evaluate(M, tree)
                 ran = True

@@ -3,10 +3,9 @@ import random
 import pytest
 
 from ltw import ParseError, expand, load_ltw, parse_ltw, parse_tree, print_ltw
-from ltw.core import same_structure
 from ltw.ltwfile import print_tree
 
-from _support import random_layered_text
+from _support import random_layered_text, same_structure
 
 from conftest import FIXTURES
 

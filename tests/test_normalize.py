@@ -174,18 +174,23 @@ def test_make_state_earliest_rewrites_only_the_target(fixtures):
 
 def test_reorder_reads_spans_once_per_machine(monkeypatch):
     # periodicity of every callee comes from one span computation for the
-    # whole machine, however long the chain
+    # whole machine, however long the chain: each q<i> calls q<i+1> on both
+    # children in reverse slot order, and every language lies in (abc)*
     from ltw import analysis
-    from _support import chain
     calls = []
     real = analysis.pair_spans
     monkeypatch.setattr(analysis, "pair_spans",
                         lambda ps: calls.append(ps) or real(ps))
     counts = {}
     for k in (40, 160):
+        lines = ["input b:2 g:0", "axiom = q1(x)"]
+        lines += [f"rule q{i} b(x1,x2) = q{i + 1}(x2) q{i + 1}(x1)"
+                  for i in range(1, k)]
+        lines += [f'rule q{k} b(x1,x2) = "abc" q{k}(x2) q{k}(x1)',
+                  f'rule q{k} g = ""']
         calls.clear()
-        M, entries = reorder_periodic_runs(trim(chain(k)))
-        assert entries == []
+        M, entries = reorder_periodic_runs(trim(parse_ltw("\n".join(lines))))
+        assert len(entries) == k
         counts[k] = len(calls)
     assert counts == {40: 1, 160: 1}
 

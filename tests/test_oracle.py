@@ -5,12 +5,11 @@ import pytest
 
 from ltw import Tree, evaluate, expand, load_ltw, parse_ltw, parse_tree
 from ltw import words as W
-from ltw.oracle import (BruteQp, EnumerationBudget, brute_equiv,
-                        brute_quasi_periodic, enumerate_all_trees,
-                        enumerate_trees, evaluate_explicit,
-                        string_primitive_root)
+from ltw.oracle import (EnumerationBudget, brute_equiv, enumerate_trees,
+                        evaluate_explicit, every_tree_machine)
 
-from _support import mutate, random_layered
+from _support import (brute_quasi_periodic, enumerate_all_trees, mutate,
+                      random_layered, string_primitive_root)
 
 from conftest import FIXTURES
 
@@ -29,9 +28,13 @@ def test_enumerate_ex3_domain():
     assert texts == ["f(f(g))", "f(f(f(g)))", "f(f(f(f(g))))"]
 
 
+def all_trees(alphabet_items, budget):
+    """Every tree over the alphabet, as brute_equiv enumerates them."""
+    return enumerate_trees(every_tree_machine(alphabet_items), budget=budget)
+
+
 def test_enumerate_depth_major_unary():
-    trees = enumerate_all_trees([("u", 1), ("n", 0)],
-                                EnumerationBudget(max_depth=4))
+    trees = all_trees([("u", 1), ("n", 0)], EnumerationBudget(max_depth=4))
     assert [str(t) for t in trees] == ["n", "u(n)", "u(u(n))", "u(u(u(n)))"]
 
 
@@ -39,7 +42,7 @@ def test_enumerate_binary_counts():
     # level sizes for one binary and one nullary symbol follow the
     # "all children shallower, at least one of maximal depth" recurrence
     budget = EnumerationBudget(max_depth=4, max_trees=10 ** 6)
-    trees = enumerate_all_trees([("b", 2), ("n", 0)], budget)
+    trees = all_trees([("b", 2), ("n", 0)], budget)
     by_depth = {}
     for t in trees:
         by_depth[t.depth] = by_depth.get(t.depth, 0) + 1
@@ -53,12 +56,40 @@ def test_enumerate_binary_counts():
 
 
 def test_enumerate_budget_prefix_stable():
-    big = enumerate_all_trees([("b", 2), ("n", 0)],
-                              EnumerationBudget(max_depth=5, max_trees=500))
-    small = enumerate_all_trees([("b", 2), ("n", 0)],
-                                EnumerationBudget(max_depth=5, max_trees=40))
+    big = all_trees([("b", 2), ("n", 0)],
+                    EnumerationBudget(max_depth=5, max_trees=500))
+    small = all_trees([("b", 2), ("n", 0)],
+                      EnumerationBudget(max_depth=5, max_trees=40))
     assert [str(t) for t in small] == [str(t) for t in big[:40]]
     assert len(small) == 40
+
+
+def _same_trees(a, b) -> bool:
+    """Equal tree lists, read in time linear in their arity: each list holds
+    the children of its trees before the trees, so two lists are equal when
+    each pair of trees has one symbol and children at the same positions."""
+    pa = {id(t): i for i, t in enumerate(a)}
+    pb = {id(t): i for i, t in enumerate(b)}
+    return len(a) == len(b) and all(
+        x.symbol == y.symbol and [pa[id(c)] for c in x.children]
+        == [pb[id(c)] for c in y.children] for x, y in zip(a, b))
+
+
+def test_one_state_machine_enumerates_like_the_reference():
+    # random alphabets, nullary symbols sometimes missing, and budgets from
+    # one tree to the oracle's default
+    rng = random.Random(31)
+    for case in range(540):
+        items = [(f"s{i}", rng.choice([0, 0, 1, 2, 3]))
+                 for i in range(rng.randrange(1, 6))]
+        budget = EnumerationBudget(max_depth=case % 6 + 1,
+                                   max_trees=(1, 2, 5, 17, 100, 20000)[case // 6 % 6])
+        assert _same_trees(all_trees(items, budget),
+                           enumerate_all_trees(items, budget)), (items, budget)
+    trees = all_trees([("b", 2), ("n", 0)], EnumerationBudget(max_depth=3))
+    assert [str(t) for t in trees] == \
+        ["n", "b(n,n)", "b(b(n,n),n)", "b(b(n,n),b(n,n))", "b(n,b(n,n))"]
+    assert not _same_trees(trees, trees[:2] + [trees[3], trees[2], trees[4]])
 
 
 def test_enumerate_trees_respects_domain():
@@ -153,7 +184,7 @@ def test_shared_memo_agrees_with_fresh_runs():
     for _ in range(30):
         M = random_layered(rng, 4)
         N = mutate(M, rng)
-        trees = enumerate_all_trees(list(M.alphabet.items()), budget)
+        trees = all_trees(list(M.alphabet.items()), budget)
         for cap in (4, 100000):
             for A in (M, N):
                 memo = defaultdict(dict)

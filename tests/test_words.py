@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from ltw import words as W
 from ltw.words import (CapExceeded, PoolMismatch, SlpPool, WordRef, equals,
-                       expand, power, primitive_root, reverse, rotate_left,
+                       expand, primitive_root, reverse, rotate_left,
                        smallest_period, strip_prefix, strip_suffix,
                        valid_symbol)
 
-from _support import equality_differential
+from ltw.ltwfile import parse_ltw
+
+from _support import (equality_differential, is_power_of, power,
+                      pow_family_text, string_primitive_root)
 
 
 @pytest.fixture
@@ -73,7 +76,7 @@ def test_doubling_to_2_pow_60(pool):
         w = pool.concat(w, w)
     assert w.length == 2 ** 60
     assert equals(w, power(pool.literal("a"), 2 ** 60))
-    assert W.is_power_of(w, pool.literal("a"))
+    assert is_power_of(w, pool.literal("a"))
     with pytest.raises(CapExceeded) as ei:
         expand(w)
     assert ei.value.length == 2 ** 60
@@ -198,12 +201,11 @@ def test_smallest_period_is_string_period(s):
 @given(st.text(alphabet="ab", min_size=1, max_size=8),
        st.integers(min_value=1, max_value=4))
 def test_primitive_root_of_powers(s, k):
-    from ltw.oracle import string_primitive_root
     pool = SlpPool()
     w = power(lit(pool, s), k)
     got = expand(primitive_root(w))
     assert got == string_primitive_root(s * k)
-    assert W.is_power_of(w, primitive_root(w))
+    assert is_power_of(w, primitive_root(w))
 
 
 def test_primitive_root_above_expansion_cap(pool):
@@ -218,6 +220,22 @@ def test_primitive_root_above_expansion_cap(pool):
     assert r.length == w.length and equals(r, w)
 
 
+def test_pollard_rho_stops_at_its_step_cap(monkeypatch):
+    # each rho step takes one gcd; factors near 2**20 split well inside the
+    # cap, factors near 2**52 do not, and the root search then gives up
+    steps = []
+    gcd = W._gcd
+    monkeypatch.setattr(W, "_gcd", lambda a, m: steps.append(1) or gcd(a, m))
+    small = parse_ltw(pow_family_text(20)).rule("q", "h").words[0]
+    assert expand(primitive_root(small)) == "a"
+    assert 0 < len(steps) < W.RHO_STEPS // 8
+    steps.clear()
+    big = parse_ltw(pow_family_text(52)).rule("q", "h").words[0]
+    with pytest.raises(CapExceeded):
+        primitive_root(big)
+    assert len(steps) == W.RHO_STEPS
+
+
 def test_is_power_of_negative(pool):
-    assert not W.is_power_of(pool.literal("aba"), pool.literal("ab"))
-    assert W.is_power_of(pool.empty, pool.literal("ab"))
+    assert not is_power_of(pool.literal("aba"), pool.literal("ab"))
+    assert is_power_of(pool.empty, pool.literal("ab"))
