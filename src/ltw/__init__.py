@@ -16,8 +16,8 @@ from .analysis import (QuasiPeriodicity, domains_equal, is_erasing,
                        part_quasi_periodicity, quasi_periodicity,
                        rule_part_quasi_periodicity, same_ordered,
                        shortest_word, shortest_word_lengths)
-from .core import (EmptyTransducer, Ltw, RankedAlphabet, Rule, Tree,
-                   UndefinedInput, evaluate, mirror, trim, validate)
+from .core import (EmptyTransducer, Ltw, Rule, Tree, UndefinedInput, evaluate,
+                   mirror, trim, validate)
 from .equivalence import EquivVerdict, decide_equiv, decide_same_ordered_equiv
 from .ltwfile import ParseError, load_ltw, parse_ltw, parse_tree, print_ltw, print_tree
 from .normalize import (NormalizationReport, eliminate_quasi_periodic_states,
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded", "EmptyTransducer", "EnumerationBudget", "EquivVerdict",
-    "Ltw", "NormalizationReport", "ParseError", "QuasiPeriodicity",
-    "RankedAlphabet", "Rule", "SlpPool", "Tree", "UndefinedInput", "WordRef",
+    "Ltw", "NormalizationReport", "ParseError", "QuasiPeriodicity", "Rule",
+    "SlpPool", "Tree", "UndefinedInput", "WordRef",
     "brute_equiv", "decide_equiv", "decide_same_ordered_equiv",
     "domains_equal", "eliminate_quasi_periodic_states", "equals",
     "erase_order", "evaluate", "expand", "is_erasing", "is_periodic_state",

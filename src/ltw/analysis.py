@@ -27,7 +27,7 @@ from operator import mul
 from . import words
 from .core import (Ltw, Rule, Tree, accessible, outputs, settle,
                    with_axiom_state)
-from .words import Frozen, Record, WordRef, _set
+from .words import Frozen, WordRef, _set
 
 
 def _assemble(M: Ltw, r: Rule, subs) -> WordRef:
@@ -37,15 +37,6 @@ def _assemble(M: Ltw, r: Rule, subs) -> WordRef:
         refs.append(sub)
         refs.append(r.words[i + 1])
     return M.pool.concat_all(refs)
-
-
-def _fresh(existing, base: str) -> str:
-    """`base`, or `base` with the least counter from 2 on not in `existing`."""
-    name, k = base, 2
-    while name in existing:
-        name = f"{base}{k}"
-        k += 1
-    return name
 
 
 # -- shortest words -----------------------------------------------------------
@@ -123,24 +114,11 @@ def is_erasing(M: Ltw, q: str) -> bool:
 
 # -- shifts and the companion transducer --------------------------------------
 
-class ShiftTable(Frozen):
-    """Least length produced strictly after a call to each accessible state,
-    over all outputs of the root (shortest completions elsewhere)."""
-
-    __slots__ = ("root", "dist")
-
-    def __init__(self, root: str, dist: dict[str, int]):
-        _set(self, "root", root)
-        _set(self, "dist", dist)
-
-    def shift(self, q: str) -> int:
-        return self.dist[q]
-
-
-def mock_shift_table(M: Ltw, q: str) -> ShiftTable:
-    """One settle from q over the calls in the rules of q's accessible
-    states (no other edge can fire): the edge from a caller into a callee
-    weighs the shortest completion of everything to the right of that call."""
+def mock_shift_table(M: Ltw, q: str) -> dict[str, int]:
+    """Each accessible state's least length written after a call to it in
+    an output of q: one settle from q over the calls in the rules of q's
+    accessible states (no other edge can fire), where the edge from a caller
+    into a callee weighs the shortest completion of what follows the call."""
     c = M._analysis
     key = ("shift", q)
     if key not in c:
@@ -155,8 +133,7 @@ def mock_shift_table(M: Ltw, q: str) -> ShiftTable:
                     callee = r.calls[i][0]
                     edges.append((callee, None, [p], suf))
                     suf += m[callee] + r.words[i].length
-        dist = {p: value for p, (value, _, _) in settle(edges).items()}
-        c[key] = ShiftTable(q, dist)
+        c[key] = {p: value for p, (value, _, _) in settle(edges).items()}
     return c[key]
 
 
@@ -178,7 +155,7 @@ def companion_rules(M: Ltw, q: str, name: dict[str, str]) -> dict:
         for r in M.rules_of(p):
             out = _assemble(M, r, [w[callee] for callee, _ in r.calls])
             stripped = words.strip_prefix(out, w[p].length)
-            front = words.rotate_left(stripped, shifts.shift(p))
+            front = words.rotate_left(stripped, shifts[p])
             rwords = (front,) + (M.pool.empty,) * len(r.calls)
             calls = tuple((name[c], s) for c, s in r.calls)
             rules[(name[p], r.symbol)] = Rule(name[p], r.symbol, rwords, calls)
@@ -313,34 +290,12 @@ def _verdict(u: WordRef, ws, vectors, direction: str) -> QuasiPeriodicity | None
 
 # -- rule parts ---------------------------------------------------------------
 
-def hat_state_machine(M: Ltw, callee: str, u: WordRef) -> tuple[Ltw, str]:
-    """Extend M with a state whose language is L(callee).u.
-
-    Its rules are the callee's with u appended to the final word; inside
-    them, any call to the callee that is followed by a word equal to u is
-    itself an occurrence of the part and is redirected to the new state.
-    """
-    name = _fresh(set(M.states), callee + "__hat")
-    pool = M.pool
-    new_rules = dict(M.rules)
-    for r in M.rules_of(callee):
-        rwords = list(r.words[:-1]) + [pool.concat(r.words[-1], u)]
-        calls = list(r.calls)
-        for i, (c, slot) in enumerate(calls):
-            if c == callee and words.equals(rwords[i + 1], u):
-                calls[i] = (name, slot)
-                rwords[i + 1] = pool.empty
-        new_rules[(name, r.symbol)] = Rule(name, r.symbol, tuple(rwords), tuple(calls))
-    return M.with_(states=M.states + (name,), rules=new_rules), name
-
-
 def part_quasi_periodicity(M: Ltw, callee: str, u: WordRef):
     """Quasi-periodicity (left) of the part language L(callee).u.
 
     Appending u maps a word's vector (P, H, C) to (P P_u, H P_u + H_u C, C),
-    so the verdict reads the callee's basis times u.  Returns (certificate,
-    M plus a hat state of language L(callee).u for a rewrite to start from,
-    its name), or three Nones when the part is not quasi-periodic.
+    so the verdict reads the callee's basis times u.  Returns the
+    certificate, or None when the part is not quasi-periodic.
     """
     w = shortest_word(M, callee)
     p = words.fingerprinter().prime
@@ -348,10 +303,7 @@ def part_quasi_periodicity(M: Ltw, callee: str, u: WordRef):
     vectors = [(P * pu % p, (H * pu + hu * C) % p, C)
                for P, H, _, _, C in _state_span(M, callee).vectors]
     ws = [M.pool.concat(b, u) for b in _basis_words(M, callee)]
-    v = None if w is None else _verdict(M.pool.concat(w, u), ws, vectors, "left")
-    if v is None:
-        return None, None, None
-    return (v, *hat_state_machine(M, callee, u))
+    return None if w is None else _verdict(M.pool.concat(w, u), ws, vectors, "left")
 
 
 def rule_part_quasi_periodicity(M: Ltw, state: str, symbol: str, pos: int):
@@ -604,21 +556,13 @@ def shortest_domain_tree(M: Ltw, q: str) -> Tree | None:
     return c["sdt"].get(q)
 
 
-class DomainCheck(Record):
-    __slots__ = ("equal", "witness", "pair", "detail")
-
-    def __init__(self, equal: bool, witness: Tree | None = None,
-                 pair: tuple[str, str] | None = None, detail: str = ""):
-        self.equal, self.witness = equal, witness
-        self.pair, self.detail = pair, detail
-
-
-def domains_equal(ps: PairSpace) -> DomainCheck:
-    """Domain equality of the two machines (assumed trimmed).
+def domains_equal(ps: PairSpace) -> tuple[Tree, str] | None:
+    """Domain equality of the two machines (assumed trimmed): None, or an
+    input tree in one domain only and what differs there.
 
     At every co-reachable pair the two states must offer the same symbols at
     the same arities, and every slot pair under a common symbol must own a
-    common tree.  Any violation yields a verified one-sided input tree.
+    common tree.  The caller verifies the tree.
     """
     M1, M2 = ps.M1, ps.M2
     for pair in ps.co:
@@ -635,8 +579,8 @@ def domains_equal(ps: PairSpace) -> DomainCheck:
             r = M.rule(st, f)
             by = {s: shortest_domain_tree(M, callee) for callee, s in r.calls}
             sub = Tree(f, tuple(by[m] for m in range(1, r.arity + 1)))
-            return DomainCheck(False, ps.context(pair, sub), pair,
-                               f"symbol {f} offered on one side only (or at a different arity)")
+            return (ps.context(pair, sub),
+                    f"symbol {f} offered on one side only (or at a different arity)")
         for f, kids in ps.expansions(pair):
             bad = next((i for i, k in enumerate(kids) if k not in ps.productive), None)
             if bad is None:
@@ -651,9 +595,8 @@ def domains_equal(ps: PairSpace) -> DomainCheck:
                 else:
                     children.append(shortest_domain_tree(M1, by1[m]))
             sub = Tree(f, tuple(children))
-            return DomainCheck(False, ps.context(pair, sub), pair,
-                               f"slot {bad + 1} of {f} has no common tree")
-    return DomainCheck(True)
+            return ps.context(pair, sub), f"slot {bad + 1} of {f} has no common tree"
+    return None
 
 
 def same_ordered(ps: PairSpace) -> bool:

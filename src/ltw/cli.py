@@ -19,19 +19,18 @@ from .analysis import (_state_span, is_erasing, mock_shift_table,
                        shortest_word, shortest_word_lengths)
 from .core import EmptyTransducer, Ltw, UndefinedInput, evaluate, trim
 from .equivalence import decide_equiv
-from .ltwfile import ParseError, load_ltw, parse_tree, print_ltw, print_tree
+from .ltwfile import (INLINE_MAX, ParseError, load_ltw, parse_tree, print_ltw,
+                      print_tree)
 from .normalize import partial_normal_form
 from .oracle import EnumerationBudget, brute_equiv
 from .words import CapExceeded
 
 OK, NEGATIVE, USAGE, CAP = 0, 1, 2, 3
 
-_INLINE = 40
-
 
 def _fmt(field: str, w) -> str:
     """word fields print their symbols when short, their length otherwise"""
-    if w.length <= _INLINE:
+    if w.length <= INLINE_MAX:
         return f"{field}={words.expand(w)}"
     return f"{field}_len={w.length}"
 
@@ -123,23 +122,21 @@ def cmd_analyze(args) -> int:
     targets = [args.state] if args.state else list(M.states)
     directions = [args.direction] if args.direction else ["left", "right"]
     m = shortest_word_lengths(M)
-    for q in targets:
-        print(f"state {q}")
-        print(f"shortest: len={m[q]} {_fmt('word', shortest_word(M, q))}")
-        print(f"erasing: {'yes' if is_erasing(M, q) else 'no'}")
-        for line in _qp_lines(M, q, directions):
-            print(line)
+    for q in targets:         # a block prints whole or, on exit 3, not at all
+        block = [f"state {q}",
+                 f"shortest: len={m[q]} {_fmt('word', shortest_word(M, q))}",
+                 f"erasing: {'yes' if is_erasing(M, q) else 'no'}",
+                 *_qp_lines(M, q, directions)]
         table = mock_shift_table(M, q)
-        cells = " ".join(f"{p}={table.dist[p]}" for p in M.states
-                         if p in table.dist)
-        print(f"shifts: {cells}")
+        cells = " ".join(f"{p}={table[p]}" for p in M.states if p in table)
+        print(*block, f"shifts: {cells}", sep="\n")
     for q in targets:
         for sym in M.rule_symbols(q):
             r = M.rule(q, sym)
             for i, (callee, _) in enumerate(r.calls):
                 if m[callee] == 0 and r.words[i + 1].length == 0:
                     continue
-                v = rule_part_quasi_periodicity(M, q, sym, i)[0]
+                v = rule_part_quasi_periodicity(M, q, sym, i)
                 if v is not None:
                     print(f"part {q} {sym} pos={i + 1} callee={callee}: "
                           f"quasi-periodic(left): "

@@ -1,7 +1,8 @@
 """Deterministic linear tree-to-word transducers.
 
-A transducer holds a ranked input alphabet, an ordered tuple of states, an
-axiom ``u0 q(x) u1`` and at most one rule per (state, symbol).  A rule
+A transducer holds a ranked input alphabet (a dict from symbol to arity, in
+declaration order), an ordered tuple of states, an axiom ``u0 q(x) u1`` and
+at most one rule per (state, symbol).  A rule
 
     q, f(x1,..,xn) -> w0 q1(x_s(1)) w1 ... qn(x_s(n)) wn
 
@@ -33,41 +34,6 @@ class UndefinedInput(Exception):
 
 class EmptyTransducer(Exception):
     """The axiom state has an empty domain."""
-
-
-class RankedAlphabet:
-    """Input symbols with fixed arities, in declaration order."""
-
-    def __init__(self, arities: dict[str, int] | None = None):
-        self._arities: dict[str, int] = {}
-        for name, ar in (arities or {}).items():
-            self.add(name, ar)
-
-    def add(self, name: str, arity: int) -> None:
-        if arity < 0:
-            raise ValueError(f"negative arity for {name}")
-        old = self._arities.get(name)
-        if old is not None and old != arity:
-            raise ValueError(f"symbol {name} redeclared with arity {arity} != {old}")
-        self._arities.setdefault(name, arity)
-
-    def arity(self, name: str) -> int:
-        return self._arities[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self._arities
-
-    def __iter__(self):
-        return iter(self._arities)
-
-    def items(self):
-        return self._arities.items()
-
-    def __eq__(self, other):
-        return isinstance(other, RankedAlphabet) and self._arities == other._arities
-
-    def __repr__(self):
-        return "RankedAlphabet(%s)" % ", ".join(f"{s}:{a}" for s, a in self._arities.items())
 
 
 class Tree(Frozen):
@@ -156,7 +122,7 @@ class Ltw(Frozen):
     __eq__ = object.__eq__                # equal only to itself
     __hash__ = object.__hash__
 
-    def __init__(self, alphabet: RankedAlphabet, states: tuple[str, ...],
+    def __init__(self, alphabet: dict[str, int], states: tuple[str, ...],
                  axiom: tuple[WordRef, str, WordRef],
                  rules: dict[tuple[str, str], Rule], pool: SlpPool):
         _set(self, "alphabet", alphabet)
@@ -191,8 +157,7 @@ def validate(M: Ltw) -> None:
     states = set(M.states)
     if len(states) != len(M.states):
         raise ValueError("duplicate state names")
-    arities = dict(M.alphabet.items())
-    if 0 not in arities.values():
+    if 0 not in M.alphabet.values():
         raise ValueError("alphabet has no nullary symbol, so no finite trees exist")
     u0, q, u1 = M.axiom
     if q not in states:
@@ -200,7 +165,7 @@ def validate(M: Ltw) -> None:
     for (state, symbol), r in M.rules.items():
         if state not in states:
             raise ValueError(f"rule for undeclared state {state}")
-        n = arities.get(symbol)
+        n = M.alphabet.get(symbol)
         if n is None:
             raise ValueError(f"rule for undeclared symbol {symbol}")
         if r.state != state or r.symbol != symbol:
@@ -265,8 +230,8 @@ def outputs(M: Ltw, runs, memo: dict) -> list[WordRef]:
     return [memo[(q, id(t))][1] for q, t in runs]
 
 
-def domain_defined(M: Ltw, t: Tree, state: str | None = None) -> bool:
-    stack = [(state if state is not None else M.axiom[1], t)]
+def domain_defined(M: Ltw, t: Tree) -> bool:
+    stack = [(M.axiom[1], t)]
     while stack:
         q, node = stack.pop()
         r = M.rules.get((q, node.symbol))

@@ -83,12 +83,12 @@ def decide_same_ordered_equiv(M1: Ltw, M2: Ltw) -> EquivVerdict:
     order on either side, so the machines need not be same-ordered.  Only
     :func:`decide_equiv` calls this, after trimming both machines."""
     ps = PairSpace(M1, M2)
-    dc = domains_equal(ps)
-    if not dc.equal:
-        t = dc.witness
+    diff = domains_equal(ps)
+    if diff is not None:
+        t, detail = diff
         if domain_defined(M1, t) == domain_defined(M2, t):
             raise RuntimeError("domain witness failed verification")
-        return EquivVerdict(False, reason="domain", witness=t, detail=dc.detail)
+        return EquivVerdict(False, reason="domain", witness=t, detail=detail)
     method, t = morphism_equivalence(ps)
     if t is not None:
         if words.equals(evaluate(M1, t), evaluate(M2, t)):

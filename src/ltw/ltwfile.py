@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from . import words
-from .core import Ltw, RankedAlphabet, Rule, Tree
+from .core import Ltw, Rule, Tree
 from .words import SlpPool, WordRef
 
 INLINE_MAX = 40
@@ -149,9 +149,15 @@ class _Line:
                 return out
 
 
-def parse_ltw(text: str, pool: SlpPool | None = None) -> Ltw:
-    pool = pool or SlpPool()
-    alphabet = RankedAlphabet()
+def parse_ltw(text: str) -> Ltw:
+    pool = SlpPool()
+    alphabet: dict[str, int] = {}            # in declaration order
+
+    def declare(symbol: str, arity: int):
+        old = alphabet.setdefault(symbol, arity)
+        if old != arity:
+            line.error(f"symbol {symbol} redeclared with arity {arity} != {old}")
+
     slps: dict[str, WordRef] = {}
     axiom = None
     rules: dict[tuple[str, str], Rule] = {}
@@ -167,11 +173,7 @@ def parse_ltw(text: str, pool: SlpPool | None = None) -> Ltw:
             while not line.at_end():
                 sym = line.name()
                 line.take(":")
-                ar = line.number()
-                try:
-                    alphabet.add(sym, ar)
-                except ValueError as e:
-                    line.error(str(e))
+                declare(sym, line.number())
         elif head == "slp":
             name = line.name()
             if name in slps:
@@ -222,10 +224,7 @@ def parse_ltw(text: str, pool: SlpPool | None = None) -> Ltw:
             called = sorted(slot for _, slot in calls)
             if called != list(range(1, len(calls) + 1)):
                 line.error(f"call slots {called} are not a permutation of the children")
-            try:
-                alphabet.add(symbol, len(calls))
-            except ValueError as e:
-                line.error(str(e))
+            declare(symbol, len(calls))
             rules[(state, symbol)] = Rule(state, symbol, tuple(rwords), tuple(calls))
         else:
             line.error(f"unknown declaration {head!r}")
@@ -234,7 +233,7 @@ def parse_ltw(text: str, pool: SlpPool | None = None) -> Ltw:
         raise ParseError("missing axiom")
     # the lines above guarantee all that core.validate checks but this one,
     # which is only known at the end of the input: it points there
-    if 0 not in dict(alphabet.items()).values():
+    if 0 not in alphabet.values():
         line.error("alphabet has no nullary symbol, so no finite trees exist")
     return Ltw(alphabet=alphabet, states=tuple(states), axiom=axiom,
                rules=rules, pool=pool)
@@ -321,15 +320,15 @@ def print_ltw(M: Ltw) -> str:
 
 # -- tree literals -----------------------------------------------------------
 
-def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
+def parse_tree(text: str, alphabet: dict[str, int] | None = None) -> Tree:
     line = _Line(text.strip(), 1)
 
     def finish(sym: str, children: list) -> Tree:
         if alphabet is not None:
             if sym not in alphabet:
                 line.error(f"unknown input symbol {sym}")
-            if alphabet.arity(sym) != len(children):
-                line.error(f"symbol {sym} expects {alphabet.arity(sym)} children, got {len(children)}")
+            if alphabet[sym] != len(children):
+                line.error(f"symbol {sym} expects {alphabet[sym]} children, got {len(children)}")
         return Tree(sym, tuple(children))
 
     open_nodes: list[tuple[str, list]] = []   # symbol and children so far

@@ -26,7 +26,7 @@ import re
 from time import perf_counter
 
 from . import words
-from .analysis import (QuasiPeriodicity, _fresh, companion_rules, erasing_states,
+from .analysis import (QuasiPeriodicity, companion_rules, erasing_states,
                        part_quasi_periodicity, periodic_word,
                        quasi_periodicity, shortest_word_lengths,
                        shortest_words)
@@ -50,6 +50,15 @@ class NormalizationReport(words.Record):
         return out
 
 
+def _fresh(existing, base: str) -> str:
+    """`base`, or `base` with the least counter from 2 on not in `existing`."""
+    name, k = base, 2
+    while name in existing:
+        name = f"{base}{k}"
+        k += 1
+    return name
+
+
 _HAT = re.compile(r"__hat\d*$")
 
 
@@ -59,6 +68,28 @@ def _strip_hat(name: str) -> str:
         if stripped == name or not stripped:
             return name
         name = stripped
+
+
+def hat_state_machine(M: Ltw, callee: str, u: words.WordRef) -> tuple[Ltw, str]:
+    """Extend M with a state whose language is L(callee).u, for a rule-part
+    rewrite to start from; its earliest copies drop the `__hat` suffix.
+
+    Its rules are the callee's with u appended to the final word; inside
+    them, any call to the callee that is followed by a word equal to u is
+    itself an occurrence of the part and is redirected to the new state.
+    """
+    name = _fresh(set(M.states), callee + "__hat")
+    pool = M.pool
+    new_rules = dict(M.rules)
+    for r in M.rules_of(callee):
+        rwords = list(r.words[:-1]) + [pool.concat(r.words[-1], u)]
+        calls = list(r.calls)
+        for i, (c, slot) in enumerate(calls):
+            if c == callee and words.equals(rwords[i + 1], u):
+                calls[i] = (name, slot)
+                rwords[i + 1] = pool.empty
+        new_rules[(name, r.symbol)] = Rule(name, r.symbol, tuple(rwords), tuple(calls))
+    return M.with_(states=M.states + (name,), rules=new_rules), name
 
 
 # -- stage 1: quasi-periodic states -------------------------------------------
@@ -334,10 +365,11 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                     rules[key] = Rule(q, sym, tuple(wl), tuple(cl))
                     M = M.with_(rules=rules)
                 else:
-                    v, M2, hat = part_quasi_periodicity(M, callee, u)
+                    v = part_quasi_periodicity(M, callee, u)
                     if v is None:
                         registry[ukey] = None
                         continue
+                    M2, hat = hat_state_machine(M, callee, u)
                     wl, cl = list(r.words), list(r.calls)
                     wl[i + 1] = M.pool.empty
                     cl[i] = (hat, slot)

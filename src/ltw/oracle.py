@@ -13,7 +13,7 @@ from collections import defaultdict
 from itertools import product
 
 from . import words
-from .core import Ltw, RankedAlphabet, Rule, Tree
+from .core import Ltw, Rule, Tree
 
 
 class EnumerationBudget(words.Frozen):
@@ -99,15 +99,15 @@ def enumerate_trees(M: Ltw, q: str | None = None,
     return out
 
 
-def every_tree_machine(alphabet_items) -> Ltw:
-    """One state q whose rule for each (symbol, arity) calls every child in
-    order and writes nothing: its domain is every tree over the alphabet."""
+def every_tree_machine(alphabet: dict[str, int]) -> Ltw:
+    """One state q whose rule for each symbol calls every child in order
+    and writes nothing: its domain is every tree over the alphabet."""
     pool = words.SlpPool()
     e = pool.empty
-    return Ltw(RankedAlphabet(dict(alphabet_items)), ("q",), (e, "q", e),
+    return Ltw(alphabet, ("q",), (e, "q", e),
                {("q", f): Rule("q", f, (e,) * (a + 1),
                                tuple(("q", i) for i in range(1, a + 1)))
-                for f, a in alphabet_items}, pool)
+                for f, a in alphabet.items()}, pool)
 
 
 def _rule(M: Ltw, q: str, node: Tree):
@@ -189,12 +189,9 @@ def brute_equiv(M1: Ltw, M2: Ltw,
                 budget: EnumerationBudget = EnumerationBudget()) -> BruteVerdict:
     """Compare definedness and explicit outputs on every budgeted tree over
     the merged alphabet."""
-    merged = list(M1.alphabet.items())
-    seen = {s for s, _ in merged}
+    merged = dict(M1.alphabet)
     for s, a in M2.alphabet.items():
-        if s not in seen:
-            merged.append((s, a))
-        elif M1.alphabet.arity(s) != a:
+        if merged.setdefault(s, a) != a:
             raise ValueError(f"alphabets disagree on the arity of {s}")
     trees = enumerate_trees(every_tree_machine(merged), budget=budget)
     hit = "trees" if len(trees) >= budget.max_trees else None

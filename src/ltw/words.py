@@ -31,6 +31,14 @@ class CapExceeded(Exception):
         self.cap = cap
 
 
+class _FactoringGaveUp(CapExceeded):
+    """Factoring a word's length stopped at a limit on its work."""
+
+    def __init__(self, length, cap, unit):
+        super().__init__(length, cap)
+        self.args = (f"factoring length {length} gave up at the limit of {cap} {unit}",)
+
+
 class OutOfRange(ValueError):
     pass
 
@@ -126,6 +134,7 @@ class SlpPool:
         self._len = [0]
         self._chars: dict[str, int] = {}
         self._fp: dict[object, list] = {}
+        self._reversed: dict[int, int] = {}   # node -> its reversal, both ways
         self.empty = WordRef(self, 0)
 
     def __len__(self):
@@ -364,9 +373,11 @@ def rotate_left(w: WordRef, n: int) -> WordRef:
 
 
 def reverse(w: WordRef) -> WordRef:
+    """The word read backwards.  The pool keeps every reversal both ways, so
+    reversing a word back, or a shared part again, adds no node."""
     pool = w.pool
     kind, left, right = pool._kind, pool._left, pool._right
-    memo: dict[int, int] = {}
+    memo = pool._reversed
     stack = [w.node]
     while stack:
         n = stack[-1]
@@ -380,8 +391,9 @@ def reverse(w: WordRef) -> WordRef:
             continue
         a, b = left[n], right[n]
         if a in memo and b in memo:
-            memo[n] = pool._push(_CAT, memo[b], memo[a], "",
-                                 pool._len[a] + pool._len[b])
+            r = memo[n] = pool._push(_CAT, memo[b], memo[a], "",
+                                     pool._len[a] + pool._len[b])
+            memo[r] = n
             stack.pop()
         else:
             stack.append(a)
@@ -405,13 +417,16 @@ def smallest_period(s: str) -> int:
     return n - fail[n - 1] if n else 0
 
 
-# Pollard rho steps per factorization, about 0.5 s on a 105-bit length:
-# enough to split prime factors below about 2**32; past it, CapExceeded
+# Factoring a length: trial division by TRIAL_ODDS odd numbers, then at most
+# RHO_STEPS Pollard rho steps (about 0.5 s at 105 bits; they split prime
+# factors below about 2**32); past them, or past MAX_DIVISORS, CapExceeded.
+TRIAL_ODDS = 200000
 RHO_STEPS = 1 << 16
+MAX_DIVISORS = 4096
 
 
-def _factorize(n: int, effort: int = 200000) -> dict[int, int]:
-    """Trial division by `effort` odd numbers, then Pollard's rho with
+def _factorize(n: int) -> dict[int, int]:
+    """Trial division by TRIAL_ODDS odd numbers, then Pollard's rho with
     RHO_STEPS steps in all."""
     whole = n
     fac: dict[int, int] = {}
@@ -421,7 +436,7 @@ def _factorize(n: int, effort: int = 200000) -> dict[int, int]:
             n //= p
     d = 7
     steps = 0
-    while d * d <= n and steps < effort:
+    while d * d <= n and steps < TRIAL_ODDS:
         while n % d == 0:
             fac[d] = fac.get(d, 0) + 1
             n //= d
@@ -444,7 +459,7 @@ def _factorize(n: int, effort: int = 200000) -> dict[int, int]:
             d = 1
             while d == 1:
                 if not left:
-                    raise CapExceeded(whole, RHO_STEPS)
+                    raise _FactoringGaveUp(whole, RHO_STEPS, "Pollard rho steps")
                 left -= 1
                 x = (x * x + c) % m
                 y = (y * y + c) % m
@@ -461,32 +476,31 @@ def _gcd(a, b):
     return a
 
 
-def _divisors(n: int, limit: int = 4096) -> list[int]:
+def _divisors(n: int) -> list[int]:
     fac = _factorize(n)
     divs = [1]
     for p, e in fac.items():
         divs = [d * p ** i for d in divs for i in range(e + 1)]
-        if len(divs) > limit:
-            raise CapExceeded(n, limit)
+        if len(divs) > MAX_DIVISORS:
+            raise _FactoringGaveUp(n, MAX_DIVISORS, "divisors")
     return sorted(divs)
 
 
-def primitive_root(w: WordRef, cap: int = DEFAULT_EXPAND_CAP) -> WordRef:
+def primitive_root(w: WordRef) -> WordRef:
     """The primitive word p with w == p**k (w itself if not a proper power).
 
-    Under the cap the word is expanded and the failure function gives the
-    answer exactly.  Above the cap, candidate root lengths are the divisors
-    of the length, each checked by one compressed overlap comparison
-    (w equals its own d-shift iff d is a period); this covers the huge
-    structured words that occur in practice and raises CapExceeded when the
-    length has more than 4096 divisors or a cofactor that Pollard's rho
-    cannot split within RHO_STEPS steps.
+    Up to DEFAULT_EXPAND_CAP symbols the word is expanded and the failure
+    function gives the answer exactly.  Above, candidate root lengths are
+    the divisors of the length, each checked by one compressed overlap
+    comparison (w equals its own d-shift iff d is a period); this covers the
+    huge structured words that occur in practice and raises CapExceeded when
+    factoring the length gives up (see MAX_DIVISORS and RHO_STEPS).
     """
     n = w.length
     if n == 0:
         return w
-    if n <= cap:
-        s = expand(w, cap)
+    if n <= DEFAULT_EXPAND_CAP:
+        s = expand(w)
         p = smallest_period(s)
         if n % p == 0:
             return prefix(w, p)

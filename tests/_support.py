@@ -10,7 +10,7 @@ import itertools
 import random
 from collections import defaultdict, deque
 
-from ltw import Ltw, RankedAlphabet, Rule, Tree, parse_ltw
+from ltw import Ltw, Rule, Tree, parse_ltw
 from ltw import words as W
 from ltw.core import EmptyTransducer, accessible, mirror, trim
 from ltw.analysis import (_summary, companion_rules, mock_shift_table,
@@ -259,7 +259,7 @@ def check_elimination_laws(M: Ltw, s: str, d: str) -> None:
         assert W.equals(vp.handle, sw[p])
         if v.period.length and vp.period.length:
             assert vp.period.length == v.period.length
-            k = st.shift(p) % v.period.length
+            k = st[p] % v.period.length
             assert W.equals(W.rotate_left(vp.period, k), v.period)
 
 
@@ -440,7 +440,7 @@ def build_Tq(M: Ltw, q: str) -> Ltw:
     name = {p: p + "__T" for p in M.states if p in acc}
     rules = companion_rules(M, q, name)
     used = {f for _, f in rules}
-    alphabet = RankedAlphabet({f: a for f, a in M.alphabet.items() if f in used})
+    alphabet = {f: a for f, a in M.alphabet.items() if f in used}
     return Ltw(alphabet=alphabet, states=tuple(name.values()),
                axiom=(w[q], name[q], M.pool.empty), rules=rules, pool=M.pool)
 

@@ -19,7 +19,7 @@ from ltw.core import domain_defined, evaluate, mirror, trim, with_axiom_state
 from ltw.ltwfile import parse_ltw, parse_tree, print_ltw
 from ltw.analysis import (PairSpace, mock_shift_table,
                           rule_part_quasi_periodicity, same_ordered)
-from ltw.normalize import erase_order, partial_normal_form
+from ltw.normalize import erase_order, hat_state_machine, partial_normal_form
 from ltw.equivalence import decide_equiv
 from ltw.cli import main
 
@@ -60,10 +60,12 @@ def test_criterion_2_part_analysis_and_companion(capsys):
     with criterion(2, "part handle and companion machine"):
         t0 = time.perf_counter()
         M = trim(load("ex6"))
-        v, M2, hat = rule_part_quasi_periodicity(M, "p", "h", 0)
+        v = rule_part_quasi_periodicity(M, "p", "h", 0)
         assert v is not None
         assert words.expand(v.handle) == "bc"
         assert words.expand(v.period) == "abc"
+        r = M.rule("p", "h")
+        M2, hat = hat_state_machine(M, r.calls[0][0], r.words[1])
         T = build_Tq(trim(with_axiom_state(M2, hat)), hat)
         expected = parse_ltw('input f:1 g:0\n'
                              'axiom = "bc" q__hat__T(x)\n'
@@ -211,7 +213,7 @@ def test_criterion_8_invariant_suites():
         for j in range(2, 10):
             tj = mock_shift_table(C, f"q{j}")
             for k in range(j + 1, 11):
-                assert t1.dist[f"q{k}"] == t1.dist[f"q{j}"] + tj.dist[f"q{k}"]
+                assert t1[f"q{k}"] == t1[f"q{j}"] + tj[f"q{k}"]
 
         # handle and period laws over every elimination in the corpus
         eliminations = 0

@@ -225,7 +225,7 @@ rule q f(x1) = "a" q(x1)
     cap = capsys.readouterr()
     assert cap.err == "empty-domain\n"
     empty = parse_ltw(cap.out)
-    assert empty.alphabet.arity("f") == 1 and empty.alphabet.arity("g") == 0
+    assert empty.alphabet == {"f": 1, "g": 0}
     assert not domain_defined(empty, parse_tree("g", empty.alphabet))
 
 
@@ -302,13 +302,31 @@ def test_pow_family_normalizes_without_factoring(b, tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("b", [52, 64])
 def test_analyze_exits_3_on_a_length_rho_cannot_split(b, tmp_path, capsys):
     # q's period is the primitive root of a^N, and N's two prime factors
-    # lie past the rho step cap
+    # lie past the rho step cap; q's block is not printed, not even in part
     path = tmp_path / "pow.ltw"
     path.write_text(pow_family_text(b))
     assert main(["analyze", str(path)]) == 3
     cap = capsys.readouterr()
-    assert cap.out.startswith("state q\n")
-    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert cap.out == ""
+    n = parse_ltw(path.read_text()).rule("q", "h").words[0].length
+    assert cap.err == (f"error: factoring length {n} gave up at the limit "
+                       f"of {words.RHO_STEPS} Pollard rho steps\n")
+
+
+def test_analyze_builds_no_hat_state(tmp_path, capsys, monkeypatch):
+    # part verdicts read the callee's span; the hat state a rewrite starts
+    # from is only built by normalize, and only for a quasi-periodic part
+    from ltw import normalize
+    from _support import comb_text
+    hats = []
+    real = normalize.hat_state_machine
+    monkeypatch.setattr(normalize, "hat_state_machine",
+                        lambda *a: hats.append(a) or real(*a))
+    path = tmp_path / "comb.ltw"
+    path.write_text(comb_text(25))
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.count("\npart ") == 50
+    assert hats == []
 
 
 def test_analyze_unknown_state(capsys):

@@ -8,8 +8,8 @@ from ltw import words, oracle
 from ltw.core import EmptyTransducer, mirror, trim
 from ltw.equivalence import decide_equiv
 from ltw.ltwfile import parse_ltw, print_ltw
-from ltw.analysis import PairSpace, _fresh, quasi_periodicity, same_ordered
-from ltw.normalize import (_strip_hat, erase_order, make_state_earliest,
+from ltw.analysis import PairSpace, quasi_periodicity, same_ordered
+from ltw.normalize import (_fresh, _strip_hat, erase_order, make_state_earliest,
                            partial_normal_form, processing_order,
                            reorder_periodic_runs)
 
@@ -199,13 +199,13 @@ def test_comb_normal_form_reads_spans_in_linear_total(monkeypatch):
     # a verdict restarts the span fixpoint at the state it asks about, and a
     # part reads its callee's span, so the pair nodes summed over every
     # fixpoint grow linearly; no part is rewritten, so no hat state is built
-    from ltw import analysis
+    from ltw import analysis, normalize
     from _support import comb
     pairs, hats = [], []
-    real_spans, real_hat = analysis.pair_spans, analysis.hat_state_machine
+    real_spans, real_hat = analysis.pair_spans, normalize.hat_state_machine
     monkeypatch.setattr(analysis, "pair_spans",
                         lambda ps, *a: pairs.append(len(ps.co)) or real_spans(ps, *a))
-    monkeypatch.setattr(analysis, "hat_state_machine",
+    monkeypatch.setattr(normalize, "hat_state_machine",
                         lambda *a: hats.append(a) or real_hat(*a))
     for n in (25, 50, 100):
         pairs.clear()
@@ -214,6 +214,35 @@ def test_comb_normal_form_reads_spans_in_linear_total(monkeypatch):
         assert not any(e.startswith("earliest-part") for e in rep.entries)
         assert hats == []
         assert sum(pairs) <= 8 * n
+
+
+def test_right_eliminations_grow_the_pool_linearly():
+    # a right elimination mirrors the machine, rewrites it and mirrors it
+    # back; the pool keeps every reversal both ways, so mirroring back
+    # returns the words' own nodes instead of copying each word twice
+    from _support import comb
+    for n in (25, 50):
+        M = mirror(comb(n))
+        before = len(M.pool)
+        rep = partial_normal_form(M)
+        assert {d for _, d in rep.eliminated} == {"right"}
+        assert len(M.pool) - before <= 40 * n
+
+
+def test_a_shared_word_stays_one_declaration_after_a_right_elimination():
+    # $L is shared by three rules of s, and q is quasi-periodic on the right
+    text = ('input h:1 k:1 f:1 g:0\n'
+            f'slp L = "{"xy" * 25}"\n'
+            'axiom = s(x)\n'
+            'rule s h(x1) = $L q(x1)\nrule s k(x1) = q(x1) $L\nrule s g = $L\n'
+            'rule q f(x1) = "ab" q(x1)\nrule q g = "c"\n')
+    rep = partial_normal_form(parse_ltw(text))
+    assert rep.eliminated == [("q", "right")]
+    out = print_ltw(rep.result)
+    bodies = [line.split(" = ", 1)[1] for line in out.splitlines()
+              if line.startswith("slp ")]
+    assert len(bodies) == len(set(bodies)) == 2     # L, and "c" L
+    assert decide_equiv(parse_ltw(text), parse_ltw(out)).equivalent
 
 
 def test_part_rewrite_that_strands_its_own_rule():

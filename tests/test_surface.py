@@ -1,15 +1,19 @@
-"""No test-only surface in src/ltw.
+"""No test-only surface and no dead knobs in src/ltw.
 
 Every module-level function and class of the package is exported in
 ``ltw.__all__`` or used, outside its own body, by the package or by the
 benchmark under ``bench/``.  Helpers that only tests need live in
 ``tests/_support.py``.  The benchmark's tracer names the functions it wraps
 as strings, so a string constant equal to a name counts as a use of it; an
-import alone does not."""
+import alone does not.
+
+Every defaulted parameter of a module-level function is passed by some call
+in the package, the benchmark or the tests; one that none passes is a
+constant."""
 
 import ast
 import pathlib
-from collections import Counter
+from collections import Counter, defaultdict
 
 import ltw
 
@@ -68,3 +72,55 @@ def test_the_guard_sees_a_helper_only_tests_call(tmp_path):
         "from ltw.m import recursive\nWRAP = [('ltw.m', 'traced')]\n")
     assert unused_definitions(src, bench, frozenset({"used"})) == [
         ("m", "recursive"), ("m", "Lonely")]
+
+
+def unpassed_defaults(src=SRC, others=(BENCH, ROOT / "tests")):
+    """(module, function, parameter) of every defaulted parameter of a
+    module-level function under `src` that no call under `src` or `others`
+    passes, by position or by keyword.  Calls are matched by the called
+    name alone; one with *args or **kwargs passes every parameter."""
+    defaulted, positional = [], defaultdict(list)
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef):
+                a = stmt.args
+                names = [p.arg for p in a.posonlyargs + a.args]
+                positional[stmt.name].append(names)
+                defaulted += [(path.stem, stmt.name, p) for p in
+                              names[len(names) - len(a.defaults):]]
+                defaulted += [(path.stem, stmt.name, p.arg) for p, d in
+                              zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    passed = set()
+    for path in [p for d in (src, *others) for p in sorted(d.glob("*.py"))]:
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if any(isinstance(x, ast.Starred) for x in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                passed.add((name, "*"))
+            passed.update((name, p) for names in positional.get(name, ())
+                          for p in names[:len(call.args)])
+            passed.update((name, k.arg) for k in call.keywords)
+    return [(mod, name, p) for mod, name, p in defaulted
+            if not {(name, "*"), (name, p)} & passed]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    assert unpassed_defaults() == []
+
+
+def test_the_guard_sees_a_parameter_no_call_passes(tmp_path):
+    src, other = tmp_path / "ltw", tmp_path / "tests"
+    src.mkdir()
+    other.mkdir()
+    (src / "m.py").write_text(
+        "def f(a, b=1, c=2, *, d=3):\n    return a\n\n"
+        "def g(a, b=1):\n    return a\n\n"
+        "def h(a=0):\n    return a\n\n"
+        "class K:\n    def method(self, e=4):\n        return e\n\n"
+        "f(0, 1)\n")
+    (other / "test_m.py").write_text(
+        "from m import f, g, h\n\nf(0, d=5)\ng(*[0, 1])\nm.h()\n")
+    assert unpassed_defaults(src, (other,)) == [("m", "f", "c"), ("m", "h", "a")]

@@ -178,6 +178,19 @@ def test_reverse_involution(s):
     assert expand(reverse(reverse(w))) == expand(w)
 
 
+def test_reverse_is_remembered_both_ways(pool):
+    # the pool keeps each reversal, so a word reversed twice is the word's
+    # own node and no reversal is built a second time
+    w = pool.concat(pool.literal("abc"), pool.literal("de"))
+    r = reverse(w)
+    size = len(pool)
+    assert reverse(r) == w and reverse(w) == r
+    assert len(pool) == size
+    shared = pool.concat(w, pool.literal("a"))
+    assert expand(reverse(shared)) == "aedcba"
+    assert len(pool) == size + 2          # w "a", then its reversal
+
+
 @settings(max_examples=200)
 @given(texts, st.integers(min_value=0, max_value=5))
 def test_power_matches_repetition(s, k):
@@ -234,6 +247,15 @@ def test_pollard_rho_stops_at_its_step_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         primitive_root(big)
     assert len(steps) == W.RHO_STEPS
+
+
+def test_a_length_with_too_many_divisors_gives_up_on_factoring(pool):
+    # the product of the first 13 primes has 2**13 divisors
+    n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41
+    with pytest.raises(CapExceeded) as e:
+        primitive_root(power(pool.literal("a"), n))
+    assert str(e.value) == (f"factoring length {n} gave up at the limit of "
+                            f"{W.MAX_DIVISORS} divisors")
 
 
 def test_is_power_of_negative(pool):
