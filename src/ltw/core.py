@@ -38,28 +38,12 @@ class EmptyTransducer(Exception):
 
 class Tree(Frozen):
     __slots__ = ("symbol", "children")
+    __eq__ = object.__eq__                # equal only to itself: compare
+    __hash__ = object.__hash__            # str(t) for structure
 
     def __init__(self, symbol: str, children: tuple[Tree, ...] = ()):
         _set(self, "symbol", symbol)
         _set(self, "children", children)
-
-    def _preorder(self) -> tuple:
-        """(symbol, arity) of every node in preorder: this determines the
-        tree, so equality and hashing compare it without recursion."""
-        out, stack = [], [self]
-        while stack:
-            t = stack.pop()
-            out.append((t.symbol, len(t.children)))
-            stack.extend(reversed(t.children))
-        return tuple(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return self is other or self._preorder() == other._preorder()
-
-    def __hash__(self):
-        return hash(self._preorder())
 
     def __str__(self):
         out: list[str] = []
@@ -79,22 +63,8 @@ class Tree(Frozen):
                     todo.append(c)
         return "".join(out)
 
-    @property
-    def size(self) -> int:
-        n, stack = 0, [self]
-        while stack:
-            n += 1
-            stack.extend(stack.pop().children)
-        return n
-
-    @property
-    def depth(self) -> int:
-        deepest, stack = 0, [(self, 1)]
-        while stack:
-            t, d = stack.pop()
-            deepest = max(deepest, d)
-            stack.extend((c, d + 1) for c in t.children)
-        return deepest
+    def __repr__(self):
+        return f"Tree({str(self)!r})"
 
 
 class Rule(Frozen):
@@ -231,13 +201,12 @@ def outputs(M: Ltw, runs, memo: dict) -> list[WordRef]:
 
 
 def domain_defined(M: Ltw, t: Tree) -> bool:
-    stack = [(M.axiom[1], t)]
-    while stack:
-        q, node = stack.pop()
-        r = M.rules.get((q, node.symbol))
-        if r is None or len(node.children) != r.arity:
-            return False
-        stack.extend((callee, node.children[slot - 1]) for callee, slot in r.calls)
+    """Whether t is in M's domain: :func:`evaluate` runs it without an
+    UndefinedInput, each shared subtree once per state."""
+    try:
+        evaluate(M, t)
+    except UndefinedInput:
+        return False
     return True
 
 

@@ -16,14 +16,15 @@ from . import words
 from .core import Ltw, Rule, Tree
 
 
-class EnumerationBudget(words.Frozen):
-    __slots__ = ("max_depth", "max_trees", "max_word_len")
+MAX_WORD_LEN = 100000                     # brute_equiv's cap on one output
 
-    def __init__(self, max_depth: int = 5, max_trees: int = 20000,
-                 max_word_len: int = 100000):
+
+class EnumerationBudget(words.Frozen):
+    __slots__ = ("max_depth", "max_trees")
+
+    def __init__(self, max_depth: int = 5, max_trees: int = 20000):
         words._set(self, "max_depth", max_depth)
         words._set(self, "max_trees", max_trees)
-        words._set(self, "max_word_len", max_word_len)
 
 
 class BruteVerdict(words.Record):
@@ -116,7 +117,7 @@ def _rule(M: Ltw, q: str, node: Tree):
     return r if r is not None and r.arity == len(node.children) else None
 
 
-def evaluate_explicit(M: Ltw, t: Tree, cap: int = 100000,
+def evaluate_explicit(M: Ltw, t: Tree, cap: int = MAX_WORD_LEN,
                       _memo=None) -> str | None:
     """Output as a plain string, None when undefined, CapExceeded when the
     output would exceed `cap` symbols.
@@ -200,8 +201,8 @@ def brute_equiv(M1: Ltw, M2: Ltw,
     checked = 0
     for t in trees:
         checked += 1
-        o1 = evaluate_explicit(M1, t, budget.max_word_len, memo1)
-        o2 = evaluate_explicit(M2, t, budget.max_word_len, memo2)
+        o1 = evaluate_explicit(M1, t, MAX_WORD_LEN, memo1)
+        o2 = evaluate_explicit(M2, t, MAX_WORD_LEN, memo2)
         if (o1 is None) != (o2 is None):
             return BruteVerdict(False, t, "definedness", checked, hit)
         if o1 is not None and o1 != o2:

@@ -32,11 +32,12 @@ class CapExceeded(Exception):
 
 
 class _FactoringGaveUp(CapExceeded):
-    """Factoring a word's length stopped at a limit on its work."""
+    """Factoring a word's length ran out of Pollard rho steps."""
 
-    def __init__(self, length, cap, unit):
-        super().__init__(length, cap)
-        self.args = (f"factoring length {length} gave up at the limit of {cap} {unit}",)
+    def __init__(self, length):
+        super().__init__(length, RHO_STEPS)
+        self.args = (f"factoring length {length} gave up at the limit of "
+                     f"{RHO_STEPS} Pollard rho steps",)
 
 
 class OutOfRange(ValueError):
@@ -419,10 +420,9 @@ def smallest_period(s: str) -> int:
 
 # Factoring a length: trial division by TRIAL_ODDS odd numbers, then at most
 # RHO_STEPS Pollard rho steps (about 0.5 s at 105 bits; they split prime
-# factors below about 2**32); past them, or past MAX_DIVISORS, CapExceeded.
+# factors below about 2**32); past them, CapExceeded.
 TRIAL_ODDS = 200000
 RHO_STEPS = 1 << 16
-MAX_DIVISORS = 4096
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -459,7 +459,7 @@ def _factorize(n: int) -> dict[int, int]:
             d = 1
             while d == 1:
                 if not left:
-                    raise _FactoringGaveUp(whole, RHO_STEPS, "Pollard rho steps")
+                    raise _FactoringGaveUp(whole)
                 left -= 1
                 x = (x * x + c) % m
                 y = (y * y + c) % m
@@ -476,25 +476,17 @@ def _gcd(a, b):
     return a
 
 
-def _divisors(n: int) -> list[int]:
-    fac = _factorize(n)
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-        if len(divs) > MAX_DIVISORS:
-            raise _FactoringGaveUp(n, MAX_DIVISORS, "divisors")
-    return sorted(divs)
-
-
 def primitive_root(w: WordRef) -> WordRef:
     """The primitive word p with w == p**k (w itself if not a proper power).
 
     Up to DEFAULT_EXPAND_CAP symbols the word is expanded and the failure
-    function gives the answer exactly.  Above, candidate root lengths are
-    the divisors of the length, each checked by one compressed overlap
-    comparison (w equals its own d-shift iff d is a period); this covers the
-    huge structured words that occur in practice and raises CapExceeded when
-    factoring the length gives up (see MAX_DIVISORS and RHO_STEPS).
+    function gives the answer exactly.  Above, the root length r starts at
+    the length n and loses each prime factor p of n while w still has period
+    r/p, checked by one compressed overlap comparison (w equals its own
+    d-shift iff d is a period).  The periods of w that divide n are the
+    multiples of the root's length that divide n, so this finds the root in
+    at most log2(n) + (number of primes of n) comparisons; it raises
+    CapExceeded when factoring the length gives up (see RHO_STEPS).
     """
     n = w.length
     if n == 0:
@@ -505,11 +497,8 @@ def primitive_root(w: WordRef) -> WordRef:
         if n % p == 0:
             return prefix(w, p)
         return w
-    for d in _divisors(n):
-        if d == n:
-            return w
-        if n % d:
-            continue
-        if equals(strip_suffix(w, d), strip_prefix(w, d)):
-            return prefix(w, d)
-    return w
+    r = n
+    for p in _factorize(n):
+        while r % p == 0 and equals(strip_suffix(w, r // p), strip_prefix(w, r // p)):
+            r //= p
+    return w if r == n else prefix(w, r)

@@ -1,8 +1,9 @@
 """Shared corpus builders: deterministic random machines, mutations, the
 word-equality differential, and the elimination law harness used by both the
 unit suites and the acceptance gate; and the helpers only tests need: word
-powers, structural machine equality, the companion machine, the tree
-enumerator over a whole alphabet and brute-force quasi-periodicity."""
+powers, structural machine equality, the companion machine, tree size and
+depth, the tree enumerator over a whole alphabet and brute-force
+quasi-periodicity."""
 
 from __future__ import annotations
 
@@ -446,6 +447,39 @@ def build_Tq(M: Ltw, q: str) -> Ltw:
 
 
 # -- brute force ------------------------------------------------------------
+
+class RuleBudget(dict):
+    """A rule table whose lookups fail once the budget `left[0]` is spent;
+    tables built with one list share it."""
+
+    def __init__(self, rules, left: list[int]):
+        super().__init__(rules)
+        self.left = left
+
+    def get(self, key, default=None):
+        self.left[0] -= 1
+        assert self.left[0] >= 0, "rule lookup budget exceeded"
+        return super().get(key, default)
+
+
+def tree_size(t: Tree) -> int:
+    """Nodes of t unfolded, counted without recursion."""
+    n, stack = 0, [t]
+    while stack:
+        n += 1
+        stack.extend(stack.pop().children)
+    return n
+
+
+def tree_depth(t: Tree) -> int:
+    """Levels of t (a leaf has depth 1), found without recursion."""
+    deepest, stack = 0, [(t, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((c, d + 1) for c in node.children)
+    return deepest
+
 
 # the reference for brute_equiv's enumeration, which lists the domain of
 # ltw.oracle.every_tree_machine with ltw.oracle.enumerate_trees

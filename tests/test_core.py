@@ -11,10 +11,11 @@ from ltw import words as W
 from ltw.analysis import QuasiPeriodicity
 from ltw.core import (accessible, domain_defined, productive_states, settle,
                       with_axiom_state)
+from ltw.equivalence import EquivVerdict
 from ltw.oracle import (EnumerationBudget, enumerate_trees, evaluate_explicit,
                         every_tree_machine)
 
-from _support import random_layered, same_structure
+from _support import random_layered, same_structure, tree_depth, tree_size
 
 from conftest import FIXTURES
 
@@ -35,9 +36,9 @@ def t(s, M=None):
 def test_tree_shape():
     tr = parse_tree("f(g(h,h),h)")
     assert str(tr) == "f(g(h,h),h)"
-    assert tr.size == 5
-    assert tr.depth == 3
-    assert parse_tree("g").depth == 1
+    assert tree_size(tr) == 5
+    assert tree_depth(tr) == 3
+    assert tree_depth(parse_tree("g")) == 1
 
 
 def test_deep_trees_need_no_recursion():
@@ -48,7 +49,8 @@ def test_deep_trees_need_no_recursion():
                   'rule q g = "c"\n')
     text = "f(" * 4999 + "g" + ")" * 4999
     tr = parse_tree(text, M.alphabet)
-    assert str(tr) == text and tr.size == 5000 and tr.depth == 5000
+    assert str(tr) == text and tree_size(tr) == 5000 and tree_depth(tr) == 5000
+    assert repr(tr) == f"Tree({text!r})"
     assert expand(evaluate(M, tr)) == "a" * 4999 + "c"
     assert domain_defined(M, tr)
     bad = parse_tree("f(" * 3000 + "b(g,h)" + ")" * 3000)
@@ -57,10 +59,11 @@ def test_deep_trees_need_no_recursion():
         evaluate(M, bad)
     assert ei.value.symbol == "h" and ei.value.path == (1,) * 3000 + (2,)
     deep = parse_tree("f(" * 3000 + "g" + ")" * 3000)
-    twin = parse_tree("f(" * 3000 + "g" + ")" * 3000)
-    assert deep == twin and hash(deep) == hash(twin)
-    assert deep != parse_tree("f(" * 3000 + "h" + ")" * 3000)
-    assert len({deep, twin}) == 1
+    assert str(deep) == str(parse_tree("f(" * 3000 + "g" + ")" * 3000))
+    v = EquivVerdict(False, reason="domain", witness=parse_tree(
+        "f(" * 5000 + "g" + ")" * 5000))
+    assert repr(v).startswith("EquivVerdict(equivalent=False, reason='domain', "
+                              "witness=Tree('f(f(")
     assert evaluate_explicit(M, deep) == "a" * 3000 + "c"
     assert evaluate_explicit(M, bad) is None
 
@@ -93,12 +96,8 @@ def test_domain_defined_matches_evaluate():
         every = every_tree_machine(M.alphabet)
         for tree in enumerate_trees(every, budget=EnumerationBudget(
                 max_depth=3, max_trees=200)):
-            try:
-                evaluate(M, tree)
-                ran = True
-            except UndefinedInput:
-                ran = False
-            assert domain_defined(M, tree) == ran
+            assert domain_defined(M, tree) == (
+                evaluate_explicit(M, tree) is not None)
 
 
 def test_evaluate_respects_permutation():
@@ -258,7 +257,10 @@ def test_value_equality_hashing_and_repr():
     assert twin == r and hash(twin) == hash(r) and twin != (r.state, r.symbol)
     assert EnumerationBudget(max_trees=3) == EnumerationBudget(5, 3)
     assert repr(EnumerationBudget()) == (
-        "EnumerationBudget(max_depth=5, max_trees=20000, max_word_len=100000)")
+        "EnumerationBudget(max_depth=5, max_trees=20000)")
+    g = Tree("g")
+    assert g == g and g != Tree("g") and len({g, Tree("g")}) == 2
+    assert repr(Tree("f", (g, g))) == "Tree('f(g,g)')"
     assert M != M.with_() and M == M and len({M, M.with_()}) == 2
 
 

@@ -12,8 +12,8 @@ from ltw.normalize import partial_normal_form
 from ltw.equivalence import (decide_equiv, decide_same_ordered_equiv,
                              morphism_equivalence, pair_spans)
 
-from _support import (chain, mutate, periodic_run_machine, random_cyclic_text,
-                      random_layered, reference_pair_spans)
+from _support import (RuleBudget, chain, mutate, periodic_run_machine,
+                      random_cyclic_text, random_layered, reference_pair_spans)
 
 
 def _load(fixtures, name):
@@ -339,10 +339,10 @@ def test_each_product_is_evaluated_once(monkeypatch, fixtures):
     assert t is not None and len(seen) < full
 
 
-def _doubling(depth: int, letter: str) -> Ltw:
-    lines = ["input b:2 n:0", "axiom = q0(x)"]
+def _doubling(depth: int, letter: str, *leaves: str) -> Ltw:
+    lines = ["input b:2 n:0 c:0", "axiom = q0(x)"]
     lines += [f"rule q{i} b(x1,x2) = q{i + 1}(x1) q{i + 1}(x2)" for i in range(depth)]
-    lines.append(f'rule q{depth} n = "{letter}"')
+    lines += [f'rule q{depth} {leaf} = "{letter}"' for leaf in ("n", *leaves)]
     return parse_ltw("\n".join(lines) + "\n")
 
 
@@ -364,3 +364,20 @@ def test_shared_witness_verified_at_its_shared_size(monkeypatch):
     t = v.witness
     assert not words.equals(evaluate(A, t), evaluate(B, t))
     assert evaluate(A, t).length == 2 ** 30
+
+
+def test_domain_witness_verified_at_its_shared_size(monkeypatch):
+    # only B maps c at its deepest state; the witness is a full binary tree
+    # of depth 40 from 41 shared subtrees, so its re-verification, like the
+    # whole decision, stays within 2000 lookups of one shared rule budget
+    left = [2000]
+    real = Ltw.__init__
+
+    def budgeted(self, alphabet, states, axiom, rules, pool):
+        real(self, alphabet, states, axiom, RuleBudget(rules, left), pool)
+
+    monkeypatch.setattr(Ltw, "__init__", budgeted)
+    A, B = _doubling(40, "a"), _doubling(40, "a", "c")
+    v = decide_equiv(A, B)
+    assert not v.equivalent and v.reason == "domain"
+    assert not domain_defined(A, v.witness) and domain_defined(B, v.witness)

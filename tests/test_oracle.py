@@ -8,8 +8,8 @@ from ltw import words as W
 from ltw.oracle import (EnumerationBudget, brute_equiv, enumerate_trees,
                         evaluate_explicit, every_tree_machine)
 
-from _support import (brute_quasi_periodic, enumerate_all_trees, mutate,
-                      random_layered, string_primitive_root)
+from _support import (RuleBudget, brute_quasi_periodic, enumerate_all_trees,
+                      mutate, random_layered, string_primitive_root, tree_depth)
 
 from conftest import FIXTURES
 
@@ -45,7 +45,8 @@ def test_enumerate_binary_counts():
     trees = all_trees([("b", 2), ("n", 0)], budget)
     by_depth = {}
     for t in trees:
-        by_depth[t.depth] = by_depth.get(t.depth, 0) + 1
+        d = tree_depth(t)
+        by_depth[d] = by_depth.get(d, 0) + 1
     assert by_depth[1] == 1
     assert by_depth[2] == 1            # b(n,n)
     assert by_depth[3] == 2 * 2 - 1    # pairs over {n, b(n,n)} minus shallow
@@ -140,19 +141,6 @@ def test_evaluate_explicit_cap_covers_the_prefix_before_undefined():
             assert _outcome(M, t, cap, shared) == want
 
 
-class _RuleBudget(dict):
-    """A rule table whose lookups fail past a budget."""
-
-    def __init__(self, rules, budget):
-        super().__init__(rules)
-        self.left = budget
-
-    def get(self, key, default=None):
-        self.left -= 1
-        assert self.left >= 0, "rule lookup budget exceeded"
-        return super().get(key, default)
-
-
 def test_evaluate_explicit_runs_shared_subtrees_once():
     # full binary trees of depth 40 built from 41 shared subtrees: silent
     # ones (every leaf prints nothing), and one whose last leaf is
@@ -160,7 +148,7 @@ def test_evaluate_explicit_runs_shared_subtrees_once():
     M = parse_ltw('input f:2 g:0 e:0 h:0\naxiom = q(x)\n'
                   'rule q f(x1,x2) = q(x1) q(x2)\n'
                   'rule q g = "ab"\nrule q e = ""\n')
-    M = M.with_(rules=_RuleBudget(M.rules, 500))
+    M = M.with_(rules=RuleBudget(M.rules, [500]))
     silent, bad, full = Tree("e"), Tree("h"), [Tree("g")]
     for _ in range(40):
         silent, bad = Tree("f", (silent, silent)), Tree("f", (silent, bad))

@@ -7,9 +7,12 @@ benchmark under ``bench/``.  Helpers that only tests need live in
 as strings, so a string constant equal to a name counts as a use of it; an
 import alone does not.
 
-Every defaulted parameter of a module-level function is passed by some call
-in the package, the benchmark or the tests; one that none passes is a
-constant."""
+Every method and property of a class in the package, dunders aside, is
+read outside its own body by the package or by the benchmark.
+
+Every defaulted parameter of a module-level function or of a class
+constructor is passed by some call in the package, the benchmark or the
+tests; one that none passes is a constant."""
 
 import ast
 import pathlib
@@ -74,21 +77,72 @@ def test_the_guard_sees_a_helper_only_tests_call(tmp_path):
         ("m", "recursive"), ("m", "Lonely")]
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def unused_members(src=SRC, bench=BENCH):
+    """(module, class, member) of every method or property, dunders aside,
+    of a module-level class under `src` whose name nothing under `src` or
+    `bench` reads outside the member's own body."""
+    members, counts = [], Counter()
+    for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(stmt, ast.ClassDef):
+                _uses(stmt, None, counts)
+                continue
+            for sub in stmt.body:
+                owner = None
+                if isinstance(sub, ast.FunctionDef) and not _dunder(sub.name):
+                    owner = sub.name
+                    if path.parent == src:
+                        members.append((path.stem, stmt.name, owner))
+                _uses(sub, owner, counts)
+    return [m for m in members if not counts[m[2]]]
+
+
+def test_every_member_is_used():
+    assert unused_members() == []
+
+
+def test_the_guard_sees_a_member_nothing_reads(tmp_path):
+    src, bench = tmp_path / "ltw", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "m.py").write_text(
+        "class T:\n"
+        "    def __eq__(self, other):\n        return self.read()\n\n"
+        "    def read(self):\n        return 1\n\n"
+        "    @property\n    def size(self):\n        return self.size\n\n"
+        "    def traced(self):\n        pass\n\n"
+        "    def _hidden(self):\n        pass\n")
+    (bench / "tracer.py").write_text("WRAP = [('ltw.m', 'traced')]\n")
+    assert unused_members(src, bench) == [("m", "T", "size"), ("m", "T", "_hidden")]
+
+
 def unpassed_defaults(src=SRC, others=(BENCH, ROOT / "tests")):
     """(module, function, parameter) of every defaulted parameter of a
-    module-level function under `src` that no call under `src` or `others`
-    passes, by position or by keyword.  Calls are matched by the called
-    name alone; one with *args or **kwargs passes every parameter."""
+    module-level function under `src`, or of the `__init__` of a
+    module-level class there (named by its class), that no call under `src`
+    or `others` passes, by position or by keyword.  Calls are matched by the
+    called name alone; one with *args or **kwargs passes every parameter."""
     defaulted, positional = [], defaultdict(list)
     for path in sorted(src.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, ast.FunctionDef):
-                a = stmt.args
-                names = [p.arg for p in a.posonlyargs + a.args]
-                positional[stmt.name].append(names)
-                defaulted += [(path.stem, stmt.name, p) for p in
+                found = [(stmt.name, stmt, 0)]
+            elif isinstance(stmt, ast.ClassDef):    # called without self
+                found = [(stmt.name, f, 1) for f in stmt.body if isinstance(
+                    f, ast.FunctionDef) and f.name == "__init__"]
+            else:
+                continue
+            for name, f, skip in found:
+                a = f.args
+                names = [p.arg for p in a.posonlyargs + a.args][skip:]
+                positional[name].append(names)
+                defaulted += [(path.stem, name, p) for p in
                               names[len(names) - len(a.defaults):]]
-                defaulted += [(path.stem, stmt.name, p.arg) for p, d in
+                defaulted += [(path.stem, name, p.arg) for p, d in
                               zip(a.kwonlyargs, a.kw_defaults) if d is not None]
     passed = set()
     for path in [p for d in (src, *others) for p in sorted(d.glob("*.py"))]:
@@ -124,3 +178,16 @@ def test_the_guard_sees_a_parameter_no_call_passes(tmp_path):
     (other / "test_m.py").write_text(
         "from m import f, g, h\n\nf(0, d=5)\ng(*[0, 1])\nm.h()\n")
     assert unpassed_defaults(src, (other,)) == [("m", "f", "c"), ("m", "h", "a")]
+
+
+def test_the_guard_sees_a_constructor_parameter_no_call_passes(tmp_path):
+    src, other = tmp_path / "ltw", tmp_path / "tests"
+    src.mkdir()
+    other.mkdir()
+    (src / "m.py").write_text(
+        "class B:\n    def __init__(self, a, b=1, c=2):\n        self.a = a\n\n"
+        "    def __eq__(self, other=None):\n        return False\n\n"
+        "class C(B):\n    pass\n\n"
+        "class D:\n    def __init__(self, *, e=5):\n        pass\n")
+    (other / "test_m.py").write_text("import m\n\nm.B(0, 1)\nD(e=6)\n")
+    assert unpassed_defaults(src, (other,)) == [("m", "B", "c")]

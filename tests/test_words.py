@@ -249,13 +249,20 @@ def test_pollard_rho_stops_at_its_step_cap(monkeypatch):
     assert len(steps) == W.RHO_STEPS
 
 
-def test_a_length_with_too_many_divisors_gives_up_on_factoring(pool):
-    # the product of the first 13 primes has 2**13 divisors
+def test_a_length_with_many_divisors_finds_its_root(pool, monkeypatch):
+    # the product of the first 13 primes has 2**13 divisors; the root search
+    # divides out one prime at a time, one period test per step or refusal
     n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41
-    with pytest.raises(CapExceeded) as e:
-        primitive_root(power(pool.literal("a"), n))
-    assert str(e.value) == (f"factoring length {n} gave up at the limit of "
-                            f"{W.MAX_DIVISORS} divisors")
+    tests = []
+    real = W.equals
+    monkeypatch.setattr(W, "equals", lambda a, b: tests.append(1) or real(a, b))
+    assert expand(primitive_root(power(pool.literal("a"), n))) == "a"
+    assert len(tests) <= n.bit_length() + 13
+    tests.clear()
+    w = power(pool.concat(power(pool.literal("a"), n // 6), pool.literal("b")), 6)
+    r = primitive_root(w)
+    assert r.length == n // 6 + 1 and real(power(r, 6), w)
+    assert len(tests) <= w.length.bit_length() + 13
 
 
 def test_is_power_of_negative(pool):
