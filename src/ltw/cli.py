@@ -35,6 +35,18 @@ def _fmt(field: str, w) -> str:
     return f"{field}_len={w.length}"
 
 
+def _write_latin1(text: str) -> None:
+    """Machine text and words go to stdout as latin-1, the encoding of .ltw
+    files, when stdout is a byte stream; an in-process capture takes text."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        buffer.write(text.encode("latin-1"))
+        buffer.flush()
+
+
 def _qp_lines(M: Ltw, q: str, directions) -> list[str]:
     for d in directions:
         v = quasi_periodicity(M, q, d)
@@ -76,7 +88,7 @@ def cmd_normalize(args) -> int:
         with open(args.output, "w", encoding="latin-1") as f:
             f.write(text)
     else:
-        sys.stdout.write(text)
+        _write_latin1(text)
     report_text = "".join(line + "\n" for line in lines)
     if args.report:
         with open(args.report, "w", encoding="latin-1") as f:
@@ -101,7 +113,7 @@ def cmd_run(args) -> int:
         print(f"output too long: len={out.length} exceeds max-len {args.max_len}",
               file=sys.stderr)
         return CAP
-    print(words.expand(out, cap=args.max_len))
+    _write_latin1(words.expand(out, cap=args.max_len) + "\n")
     return OK
 
 

@@ -47,8 +47,36 @@ class ParseError(Exception):
         self.col = col
 
 
+def _column(text: str, toks: list[str], i: int) -> int:
+    """Where toks[i] starts in `text`, for toks the _TOKEN strings of text."""
+    pos = 0
+    for tok in toks[:i]:
+        pos = _BLANKS.match(text, pos).end() + len(tok)
+    return _BLANKS.match(text, pos).end()
+
+
+def _fail(text, no, toks, i, msg, after=False) -> ParseError:
+    """An error at the start of toks[i], or just after it if `after`."""
+    at = _column(text, toks, i) + (len(toks[i]) if after else 0)
+    return ParseError(msg, no, at + 1)
+
+
+def _unterminated(text, no, toks, i) -> ParseError:
+    """Why the quote toks[i] opens no well-formed literal, where it fails."""
+    at = re.compile(_DQ if toks[i] == '"' else _SQ).match(
+        text, _column(text, toks, i)).end()
+    bad = text[at:at + 2]
+    if not bad:
+        msg = "unterminated string literal"
+    elif bad[0] == '"':
+        msg = "'\"' must be escaped inside a literal"
+    else:
+        msg = "dangling backslash" if len(bad) == 1 else f"unsupported escape {bad}"
+    return ParseError(msg, no, at + 1)
+
+
 class _Line:
-    """A cursor over the _TOKEN strings of one line.
+    """A cursor over the _TOKEN strings of one line, for tree literals.
 
     An error points at the start of the next token once the parser has
     looked at it, else just after the last token taken; its column is only
@@ -60,17 +88,9 @@ class _Line:
         self.i = 0
         self.looked = True
 
-    def _start(self, i: int) -> int:
-        pos = 0
-        for tok in self.toks[:i]:
-            pos = _BLANKS.match(self.text, pos).end() + len(tok)
-        return _BLANKS.match(self.text, pos).end()
-
-    def error(self, msg, at: int | None = None):
-        if at is None:
-            i = self.i - (not self.looked)
-            at = self._start(i) + (0 if self.looked else len(self.toks[i]))
-        raise ParseError(msg, self.no, at + 1)
+    def error(self, msg):
+        i = self.i - (not self.looked)
+        raise _fail(self.text, self.no, self.toks, i, msg, after=not self.looked)
 
     def _pop(self, ok: bool = True, what: str = "") -> str:
         """Take the next token if `ok`, else fail expecting `what`."""
@@ -94,154 +114,226 @@ class _Line:
         return True
 
     def take(self, ch: str):
-        tok = self.toks[self.i]
-        if tok != ch and tok.startswith(ch):  # `x` cut off a name like x1
-            self.toks[self.i:self.i + 1] = [ch] + _TOKEN.findall(tok[len(ch):])
         self._pop(self.toks[self.i] == ch, repr(ch))
 
     def name(self) -> str:
         return self._pop(self.toks[self.i][:1] in _NAME_START, "a name")
 
-    def number(self) -> int:
-        return int(self._pop(self.toks[self.i][:1].isdecimal(), "a number"))
 
-    def slot(self) -> int:
-        """A variable: `x` and its number, as in x1 or x 1."""
-        tok = self.toks[self.i]
-        if tok[:1] == "x" and tok[1:].isdecimal():
-            return int(self._pop()[1:])
-        self.take("x")
-        return self.number()
+def _take_x(toks, i) -> bool:
+    """Whether toks[i] is `x`, once a name like x1 is cut after its x."""
+    tok = toks[i]
+    if tok != "x" and tok[:1] == "x":
+        toks[i:i + 1] = ["x"] + _TOKEN.findall(tok[1:])
+    return toks[i] == "x"
 
-    def word(self, pool: SlpPool, slps: dict[str, WordRef],
-             bare_refs: bool) -> WordRef:
-        """Juxtaposed literals and $-references (bare too if `bare_refs`)."""
-        out = pool.empty
-        while True:
-            tok = self.toks[self.i]
-            quote = tok[:1] in ('"', "'")
-            if quote and len(tok) > 1:
-                body = self._pop()[1:-1]
-                try:
-                    out = pool.concat(out, pool.literal(
-                        _ESCAPE.sub(r"\1", body) if "\\" in body else body))
-                except ValueError as e:       # not an output symbol
-                    self.error(str(e))
-            elif quote:                       # no closing quote: say why
-                at = re.compile(_DQ if tok == '"' else _SQ).match(
-                    self.text, self._start(self.i)).end()
-                bad = self.text[at:at + 2]
-                if not bad:
-                    self.error("unterminated string literal", at)
-                if bad[0] == '"':
-                    self.error("'\"' must be escaped inside a literal", at)
-                self.error("dangling backslash" if len(bad) == 1
-                           else f"unsupported escape {bad}", at)
-            elif tok == "$" or (bare_refs and tok[:1] in _NAME_START):
-                if tok == "$":
-                    self._pop()
-                name = self.name()
-                if name not in slps:
-                    self.error(f"unknown slp name {name}")
-                out = pool.concat(out, slps[name])
-            else:
-                self.looked = True
-                return out
+
+def _spaced_slot(text, no, toks, i) -> tuple[int, int]:
+    """The variable at toks[i] when it is not one name like x1, as in x 1,
+    and the index after it."""
+    if not _take_x(toks, i):
+        raise _fail(text, no, toks, i, "expected 'x'")
+    if not toks[i + 1][:1].isdecimal():
+        raise _fail(text, no, toks, i + 1, "expected a number")
+    return int(toks[i + 1]), i + 2
 
 
 def parse_ltw(text: str) -> Ltw:
+    """Read each line's _TOKEN strings by index, one pass per line.
+
+    A right-hand side is words with calls between them: none in an slp
+    line (whose words may name slps bare), one in the axiom.  Within one
+    text each distinct literal of at most INLINE_MAX symbols is one pool
+    node; such words always print inline, so sharing them shows nowhere."""
     pool = SlpPool()
+    empty, concat, literal = pool.empty, pool.concat, pool.literal
+    lits: dict[str, WordRef] = {}            # literal body -> its word
     alphabet: dict[str, int] = {}            # in declaration order
-
-    def declare(symbol: str, arity: int):
-        old = alphabet.setdefault(symbol, arity)
-        if old != arity:
-            line.error(f"symbol {symbol} redeclared with arity {arity} != {old}")
-
     slps: dict[str, WordRef] = {}
     axiom = None
     rules: dict[tuple[str, str], Rule] = {}
     states: dict[str, None] = {}              # in order of first mention
+    findall = _TOKEN.findall
 
     for no, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped:
             continue
-        line = _Line(stripped, no)
-        head = line.name()
+        last = no, stripped
+        toks = findall(stripped)
+        toks.append("")                       # "" marks the end
+        head = toks[0]
         if head == "input":
-            while not line.at_end():
-                sym = line.name()
-                line.take(":")
-                declare(sym, line.number())
-        elif head == "slp":
-            name = line.name()
-            if name in slps:
-                line.error(f"slp {name} redefined")
-            line.take("=")
-            slps[name] = line.word(pool, slps, bare_refs=True)
-            if not line.at_end():
-                line.error("trailing input after slp definition")
+            i = 1
+            while toks[i]:
+                sym = toks[i]
+                if sym[:1] not in _NAME_START:
+                    raise _fail(stripped, no, toks, i, "expected a name")
+                if toks[i + 1] != ":":
+                    raise _fail(stripped, no, toks, i + 1, "expected ':'")
+                i += 2
+                if not toks[i][:1].isdecimal():
+                    raise _fail(stripped, no, toks, i, "expected a number")
+                arity = int(toks[i])
+                old = alphabet.setdefault(sym, arity)
+                if old != arity:
+                    raise _fail(stripped, no, toks, i, f"symbol {sym} redeclared "
+                                f"with arity {arity} != {old}", after=True)
+                i += 1
+            continue
+        if head == "rule":
+            state = toks[1]
+            if state[:1] not in _NAME_START:
+                raise _fail(stripped, no, toks, 1, "expected a name")
+            symbol = toks[2]
+            if symbol[:1] not in _NAME_START:
+                raise _fail(stripped, no, toks, 2, "expected a name")
+            states[state] = None
+            slots: list[int] = []
+            i = 3
+            if toks[3] == "(":
+                i = 4
+                while toks[i] != ")":
+                    if slots:
+                        if toks[i] != ",":
+                            raise _fail(stripped, no, toks, i, "expected ','")
+                        i += 1
+                    tok = toks[i]
+                    if tok[:1] == "x" and tok[1:].isdecimal():
+                        slot, i = int(tok[1:]), i + 1
+                    else:
+                        slot, i = _spaced_slot(stripped, no, toks, i)
+                    slots.append(slot)
+                i += 1
         elif head == "axiom":
             if axiom is not None:
-                line.error("axiom redefined")
-            line.take("=")
-            u0 = line.word(pool, slps, bare_refs=False)
-            state = line.name()
-            for ch in "(x)":
-                line.take(ch)
-            u1 = line.word(pool, slps, bare_refs=False)
-            if not line.at_end():
-                line.error("trailing input after axiom")
-            states[state] = None
-            axiom = (u0, state, u1)
-        elif head == "rule":
-            state = line.name()
-            symbol = line.name()
-            slots: list[int] = []
-            if line.skip("("):
-                while not line.skip(")"):
-                    if slots:
-                        line.take(",")
-                    slots.append(line.slot())
-            line.take("=")
-            states[state] = None
-            rwords = [line.word(pool, slps, bare_refs=False)]
-            calls: list[tuple[str, int]] = []
-            while not line.at_end():
-                callee = line.name()
-                line.take("(")
-                calls.append((callee, line.slot()))
-                line.take(")")
-                states[callee] = None
-                rwords.append(line.word(pool, slps, bare_refs=False))
-            if (state, symbol) in rules:
-                line.error(f"duplicate rule for {state},{symbol}")
-            if slots and slots != list(range(1, len(slots) + 1)):
-                line.error("head variables must be x1,..,xn in order")
-            if slots and len(slots) != len(calls):
-                line.error(f"head declares {len(slots)} children but {len(calls)} are called")
-            called = sorted(slot for _, slot in calls)
-            if called != list(range(1, len(calls) + 1)):
-                line.error(f"call slots {called} are not a permutation of the children")
-            declare(symbol, len(calls))
-            rules[(state, symbol)] = Rule(state, symbol, tuple(rwords), tuple(calls))
+                raise _fail(stripped, no, toks, 0, "axiom redefined", after=True)
+            i = 1
+        elif head == "slp":
+            name = toks[1]
+            if name[:1] not in _NAME_START:
+                raise _fail(stripped, no, toks, 1, "expected a name")
+            if name in slps:
+                raise _fail(stripped, no, toks, 1, f"slp {name} redefined", after=True)
+            i = 2
+        elif head[:1] in _NAME_START:
+            raise _fail(stripped, no, toks, 0, f"unknown declaration {head!r}",
+                        after=True)
         else:
-            line.error(f"unknown declaration {head!r}")
+            raise _fail(stripped, no, toks, 0, "expected a name")
+        if toks[i] != "=":
+            raise _fail(stripped, no, toks, i, "expected '='")
+        i += 1
+        bare = head == "slp"
+        out = empty
+        rwords: list[WordRef] = []
+        calls: list[tuple[str, int]] = []
+        while True:
+            tok = toks[i]
+            c = tok[:1]
+            if c == '"' or c == "'":
+                if len(tok) == 1:
+                    raise _unterminated(stripped, no, toks, i)
+                body = tok[1:-1]
+                w = lits.get(body)
+                if w is None:
+                    s = _ESCAPE.sub(r"\1", body) if "\\" in body else body
+                    try:
+                        w = literal(s)
+                    except ValueError as e:       # not an output symbol
+                        raise _fail(stripped, no, toks, i, str(e), after=True) from None
+                    if len(s) <= INLINE_MAX:
+                        lits[body] = w
+                i += 1
+            elif c == "$" or (bare and c in _NAME_START):
+                i += c == "$"
+                ref = toks[i]
+                if ref[:1] not in _NAME_START:
+                    raise _fail(stripped, no, toks, i, "expected a name")
+                w = slps.get(ref)
+                if w is None:
+                    raise _fail(stripped, no, toks, i, f"unknown slp name {ref}",
+                                after=True)
+                i += 1
+            else:                             # the word ends
+                rwords.append(out)
+                out = empty
+                if not tok or bare:
+                    break
+                if head == "axiom" and calls:
+                    raise _fail(stripped, no, toks, i, "trailing input after axiom")
+                if c not in _NAME_START:
+                    raise _fail(stripped, no, toks, i, "expected a name")
+                if toks[i + 1] != "(":
+                    raise _fail(stripped, no, toks, i + 1, "expected '('")
+                var = toks[i + 2]
+                if head != "rule":            # the axiom's call reads x alone
+                    if not _take_x(toks, i + 2):
+                        raise _fail(stripped, no, toks, i + 2, "expected 'x'")
+                    slot, i = 0, i + 3
+                elif var[:1] == "x" and var[1:].isdecimal():
+                    slot, i = int(var[1:]), i + 3
+                else:
+                    slot, i = _spaced_slot(stripped, no, toks, i + 2)
+                if toks[i] != ")":
+                    raise _fail(stripped, no, toks, i, "expected ')'")
+                i += 1
+                calls.append((tok, slot))
+                states[tok] = None
+                continue
+            out = w if out is empty else concat(out, w)
+
+        if head == "slp":
+            if toks[i]:
+                raise _fail(stripped, no, toks, i,
+                            "trailing input after slp definition")
+            slps[name] = rwords[0]
+        elif head == "axiom":
+            if not calls:
+                raise _fail(stripped, no, toks, i, "expected a name")
+            axiom = (rwords[0], calls[0][0], rwords[1])
+        else:
+            # every check below points at the end of the line
+            key = state, symbol
+            if key in rules:
+                raise _fail(stripped, no, toks, i, f"duplicate rule for {state},{symbol}")
+            n = len(calls)
+            if slots and slots != list(range(1, len(slots) + 1)):
+                raise _fail(stripped, no, toks, i, "head variables must be x1,..,xn in order")
+            if slots and len(slots) != n:
+                raise _fail(stripped, no, toks, i,
+                            f"head declares {len(slots)} children but {n} are called")
+            called = sorted([slot for _, slot in calls])
+            if called != list(range(1, n + 1)):
+                raise _fail(stripped, no, toks, i, f"call slots {called} "
+                            "are not a permutation of the children")
+            old = alphabet.setdefault(symbol, n)
+            if old != n:
+                raise _fail(stripped, no, toks, i,
+                            f"symbol {symbol} redeclared with arity {n} != {old}")
+            rules[key] = Rule(state, symbol, tuple(rwords), tuple(calls))
 
     if axiom is None:
         raise ParseError("missing axiom")
     # the lines above guarantee all that core.validate checks but this one,
     # which is only known at the end of the input: it points there
     if 0 not in alphabet.values():
-        line.error("alphabet has no nullary symbol, so no finite trees exist")
+        no, stripped = last
+        raise ParseError("alphabet has no nullary symbol, so no finite trees exist",
+                         no, len(stripped) + 1)
     return Ltw(alphabet=alphabet, states=tuple(states), axiom=axiom,
                rules=rules, pool=pool)
 
 
 def load_ltw(path) -> Ltw:
+    """The machine in the latin-1 file `path`; a ParseError names the file."""
     with open(path, "r", encoding="latin-1") as fh:
-        return parse_ltw(fh.read())
+        text = fh.read()
+    try:
+        return parse_ltw(text)
+    except ParseError as e:
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 # -- printing ----------------------------------------------------------------

@@ -3,15 +3,17 @@ word-equality differential, and the elimination law harness used by both the
 unit suites and the acceptance gate; and the helpers only tests need: word
 powers, structural machine equality, the companion machine, tree size and
 depth, the tree enumerator over a whole alphabet and brute-force
-quasi-periodicity."""
+quasi-periodicity; and the plain references that faster code is tested
+against: the span fixpoint and the token-cursor loader."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import defaultdict, deque
 
-from ltw import Ltw, Rule, Tree, parse_ltw
+from ltw import Ltw, ParseError, Rule, Tree, parse_ltw
 from ltw import words as W
 from ltw.core import EmptyTransducer, accessible, mirror, trim
 from ltw.analysis import (_summary, companion_rules, mock_shift_table,
@@ -444,6 +446,203 @@ def build_Tq(M: Ltw, q: str) -> Ltw:
     alphabet = {f: a for f, a in M.alphabet.items() if f in used}
     return Ltw(alphabet=alphabet, states=tuple(name.values()),
                axiom=(w[q], name[q], M.pool.empty), rules=rules, pool=M.pool)
+
+
+# -- the loader -------------------------------------------------------------
+
+_REF_DQ = r'"(?:[^"\\]|\\["\'\\])*'
+_REF_SQ = r"'(?:[^'\"\\]|\\[\"'\\])*"
+_REF_TOKEN = re.compile(rf"""[ \t]*([A-Za-z_][A-Za-z0-9_]*|\d+|{_REF_DQ}"|{_REF_SQ}'|.)""", re.S)
+_REF_BLANKS = re.compile(r"[ \t]*")
+_REF_ESCAPE = re.compile(r"\\(.)")
+_REF_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+
+class _RefLine:
+    """The token cursor of :func:`reference_parse_ltw`: one method call per
+    token.  An error points at the start of the next token once the parser
+    has looked at it, else just after the last token taken."""
+
+    def __init__(self, text: str, no: int):
+        self.text, self.no = text, no
+        self.toks = _REF_TOKEN.findall(text) + [""]    # "" marks the end
+        self.i = 0
+        self.looked = True
+
+    def _start(self, i: int) -> int:
+        pos = 0
+        for tok in self.toks[:i]:
+            pos = _REF_BLANKS.match(self.text, pos).end() + len(tok)
+        return _REF_BLANKS.match(self.text, pos).end()
+
+    def error(self, msg, at: int | None = None):
+        if at is None:
+            i = self.i - (not self.looked)
+            at = self._start(i) + (0 if self.looked else len(self.toks[i]))
+        raise ParseError(msg, self.no, at + 1)
+
+    def _pop(self, ok: bool = True, what: str = "") -> str:
+        if not ok:
+            self.looked = True
+            self.error(f"expected {what}")
+        self.looked = False
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def at_end(self) -> bool:
+        self.looked = True
+        return not self.toks[self.i]
+
+    def skip(self, ch: str) -> bool:
+        self.looked = True
+        if self.toks[self.i] != ch:
+            return False
+        self._pop()
+        return True
+
+    def take(self, ch: str):
+        tok = self.toks[self.i]
+        if tok != ch and tok.startswith(ch):  # `x` cut off a name like x1
+            self.toks[self.i:self.i + 1] = [ch] + _REF_TOKEN.findall(tok[len(ch):])
+        self._pop(self.toks[self.i] == ch, repr(ch))
+
+    def name(self) -> str:
+        return self._pop(self.toks[self.i][:1] in _REF_NAME_START, "a name")
+
+    def number(self) -> int:
+        return int(self._pop(self.toks[self.i][:1].isdecimal(), "a number"))
+
+    def slot(self) -> int:
+        tok = self.toks[self.i]
+        if tok[:1] == "x" and tok[1:].isdecimal():
+            return int(self._pop()[1:])
+        self.take("x")
+        return self.number()
+
+    def word(self, pool, slps, bare_refs: bool):
+        out = pool.empty
+        while True:
+            tok = self.toks[self.i]
+            quote = tok[:1] in ('"', "'")
+            if quote and len(tok) > 1:
+                body = self._pop()[1:-1]
+                try:
+                    out = pool.concat(out, pool.literal(
+                        _REF_ESCAPE.sub(r"\1", body) if "\\" in body else body))
+                except ValueError as e:
+                    self.error(str(e))
+            elif quote:
+                at = re.compile(_REF_DQ if tok == '"' else _REF_SQ).match(
+                    self.text, self._start(self.i)).end()
+                bad = self.text[at:at + 2]
+                if not bad:
+                    self.error("unterminated string literal", at)
+                if bad[0] == '"':
+                    self.error("'\"' must be escaped inside a literal", at)
+                self.error("dangling backslash" if len(bad) == 1
+                           else f"unsupported escape {bad}", at)
+            elif tok == "$" or (bare_refs and tok[:1] in _REF_NAME_START):
+                if tok == "$":
+                    self._pop()
+                name = self.name()
+                if name not in slps:
+                    self.error(f"unknown slp name {name}")
+                out = pool.concat(out, slps[name])
+            else:
+                self.looked = True
+                return out
+
+
+def reference_parse_ltw(text: str) -> Ltw:
+    """The .ltw loader read the plain way, a cursor call per token, as a
+    reference for :func:`ltw.parse_ltw`: the same machine or the same
+    ParseError (message, line and column) on every text, with a fresh pool
+    node for every literal."""
+    pool = W.SlpPool()
+    alphabet: dict[str, int] = {}
+
+    def declare(symbol: str, arity: int):
+        old = alphabet.setdefault(symbol, arity)
+        if old != arity:
+            line.error(f"symbol {symbol} redeclared with arity {arity} != {old}")
+
+    slps: dict[str, W.WordRef] = {}
+    axiom = None
+    rules: dict[tuple[str, str], Rule] = {}
+    states: dict[str, None] = {}
+
+    for no, raw in enumerate(text.splitlines(), 1):
+        stripped = raw.split("#", 1)[0].rstrip()
+        if not stripped:
+            continue
+        line = _RefLine(stripped, no)
+        head = line.name()
+        if head == "input":
+            while not line.at_end():
+                sym = line.name()
+                line.take(":")
+                declare(sym, line.number())
+        elif head == "slp":
+            name = line.name()
+            if name in slps:
+                line.error(f"slp {name} redefined")
+            line.take("=")
+            slps[name] = line.word(pool, slps, bare_refs=True)
+            if not line.at_end():
+                line.error("trailing input after slp definition")
+        elif head == "axiom":
+            if axiom is not None:
+                line.error("axiom redefined")
+            line.take("=")
+            u0 = line.word(pool, slps, bare_refs=False)
+            state = line.name()
+            for ch in "(x)":
+                line.take(ch)
+            u1 = line.word(pool, slps, bare_refs=False)
+            if not line.at_end():
+                line.error("trailing input after axiom")
+            states[state] = None
+            axiom = (u0, state, u1)
+        elif head == "rule":
+            state = line.name()
+            symbol = line.name()
+            slots: list[int] = []
+            if line.skip("("):
+                while not line.skip(")"):
+                    if slots:
+                        line.take(",")
+                    slots.append(line.slot())
+            line.take("=")
+            states[state] = None
+            rwords = [line.word(pool, slps, bare_refs=False)]
+            calls: list[tuple[str, int]] = []
+            while not line.at_end():
+                callee = line.name()
+                line.take("(")
+                calls.append((callee, line.slot()))
+                line.take(")")
+                states[callee] = None
+                rwords.append(line.word(pool, slps, bare_refs=False))
+            if (state, symbol) in rules:
+                line.error(f"duplicate rule for {state},{symbol}")
+            if slots and slots != list(range(1, len(slots) + 1)):
+                line.error("head variables must be x1,..,xn in order")
+            if slots and len(slots) != len(calls):
+                line.error(f"head declares {len(slots)} children but {len(calls)} are called")
+            called = sorted(slot for _, slot in calls)
+            if called != list(range(1, len(calls) + 1)):
+                line.error(f"call slots {called} are not a permutation of the children")
+            declare(symbol, len(calls))
+            rules[(state, symbol)] = Rule(state, symbol, tuple(rwords), tuple(calls))
+        else:
+            line.error(f"unknown declaration {head!r}")
+
+    if axiom is None:
+        raise ParseError("missing axiom")
+    if 0 not in alphabet.values():
+        line.error("alphabet has no nullary symbol, so no finite trees exist")
+    return Ltw(alphabet=alphabet, states=tuple(states), axiom=axiom,
+               rules=rules, pool=pool)
 
 
 # -- brute force ------------------------------------------------------------

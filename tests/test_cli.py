@@ -433,6 +433,37 @@ def test_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_parse_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.ltw"
+    bad.write_text("input g:0\naxiom = q(x\n")
+    assert main(["check", EX3, str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: expected ')' (line 2, col 12)\n"
+
+
+def _cli(*argv, encoding=None):
+    """Exit code, stdout bytes and stderr text of `python -m ltw.cli`."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    if encoding:
+        env["PYTHONIOENCODING"] = encoding
+    done = subprocess.run([sys.executable, "-m", "ltw.cli", *argv],
+                          capture_output=True, env=env)
+    return done.returncode, done.stdout, done.stderr.decode("latin-1")
+
+
+@pytest.mark.parametrize("encoding", [None, "ascii", "utf-8"])
+def test_stdout_carries_latin1_machines_and_words(tmp_path, encoding):
+    src = str(FIXTURES / "latin1.ltw")
+    rc, out, err = _cli("normalize", src, encoding=encoding)
+    assert rc == 0 and "Traceback" not in err
+    normal = tmp_path / "normal.ltw"
+    normal.write_bytes(out)
+    assert b"\xe9" in out
+    rc, out, err = _cli("check", src, str(normal), encoding=encoding)
+    assert (rc, out) == (0, b"equivalent\n"), err
+    rc, out, err = _cli("run", src, "--tree", "f(g)", encoding=encoding)
+    assert (rc, out) == (0, b"\xe9\xe0b\xa0\xff\n"), err
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
 

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from ltw import ParseError, expand, load_ltw, parse_ltw, parse_tree, print_ltw
-from ltw.ltwfile import print_tree
+from ltw.ltwfile import INLINE_MAX, print_tree
 
-from _support import random_layered_text, same_structure
+from _support import (random_cyclic_text, random_layered_text,
+                      reference_parse_ltw, same_structure)
+from test_cli_contract import ltw_texts
 
-from conftest import FIXTURES
+from conftest import FIXTURES, GOLDEN
 
 
 def roundtrip(M):
@@ -260,3 +263,82 @@ def test_non_symbol_in_a_literal_is_a_parse_error():
     with pytest.raises(ParseError) as e:
         parse_ltw(_HEAD + 'axiom = "a\tb" q(x)\n')
     assert str(e.value) == "invalid output symbol: '\\t' (line 2, col 14)"
+
+
+# -- the loader against the reference cursor --------------------------------
+
+def assert_loads_like_reference(text):
+    """Both loaders accept `text` and build the same machine, or both reject
+    it with the same message, line and column."""
+    try:
+        want = reference_parse_ltw(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            parse_ltw(text)
+        assert (str(got.value), got.value.line, got.value.col) == (str(e), e.line, e.col)
+        return
+    got = parse_ltw(text)
+    assert print_ltw(got) == print_ltw(want)
+    assert same_structure(got, want)
+
+
+# lines in the rarer forms the grammar allows, and their near misses
+RARE_LINES = [
+    "", "rule", "rule q", "rule q f", "rule q f(", "rule q f(x1", "rule q f(x1,",
+    "rule q f()", "rule q f(,) = \"\"", "rule q f(x 1) = q( x 1 )",
+    "rule q f(x1a) = q(x1)", "rule q f(y1) = q(x1)", "rule q f(x) = q(x1)",
+    "rule q f(x1) q(x1)", "rule q f(x1) = q", "rule q f(x1) = q(", "rule q f(x1) = q(x1",
+    "rule q f(x1) = q(x01)", "rule q f(x1) = \"a\" 5", "rule q f = p(x1)",
+    "rule q f(x1) = q(xa)", "rule q f(x1) = q(x)", "rule q f(x1) = 5(x1)",
+    "rule q g = 'a\\'b' \"c\\\\d\" $W", "rule q g = $W$W 'a'\"b\"",
+    "rule q g = \"\xe9\xff\"", "rule q g = \"a\x01\"", "rule q g = \"\x85\"",
+    "axiom", "axiom =", "axiom = \"a\"", "axiom = q(x1)", "axiom = q(xy)",
+    "axiom = q(x) p(x)", "axiom = q(x) \"a\" 'b' $W", "axiom = q ( x ) $W",
+    "axiom = $", "axiom = $ 5", "axiom = q(x) $", "axiom = q(x", "axiom = q(x))",
+    "slp", "slp 5", "slp W", "slp W =", "slp V = 'a' $W W", "slp V = V",
+    "slp V = $", "slp V = W (", "slp V = \"a", "slp V = 'a\\",
+    "input f", "input f:", "input f 1", "input 5:1", "input f:1 g:0 f:1",
+    "input g:0 g:1", "5 rule", "\"a\"", "$", "Rule q", "\trule q g = ''",
+    "rule q g = \"%s\"" % ("ab" * 21), "rule p g = \"%s\"" % ("ab" * 21),
+]
+_BEFORE = "input f:1 g:0\nslp W = 'ab'\n"
+_AFTER = "\naxiom = z(x)\nrule z g = \"\"\n"
+
+
+def test_the_loader_matches_the_reference_on_rare_lines():
+    for line in RARE_LINES:
+        for text in (line, _BEFORE + line, _BEFORE + line + _AFTER,
+                     _BEFORE + "axiom = q(x)\n" + line + "\n\n# end\n"):
+            assert_loads_like_reference(text)
+
+
+def test_the_loader_matches_the_reference_on_tables_and_files():
+    long = "ab" * (INLINE_MAX // 2 + 1)
+    texts = [c[1] for c in MALFORMED]
+    texts.append(_BEFORE + f'axiom = q(x) "{long}"\nrule q g = "{long}"\n'
+                 f'rule p g = "{long}" "ab"\nrule r g = "ab" \'ab\' $W\n')
+    texts += [p.read_text(encoding="latin-1")
+              for d in (FIXTURES, GOLDEN) for p in sorted(d.iterdir())]
+    rng = random.Random(7)
+    texts += [random_layered_text(rng, rng.randrange(2, 6)) for _ in range(60)]
+    texts += [random_cyclic_text(rng, rng.randrange(2, 6)) for _ in range(60)]
+    for text in texts:
+        assert_loads_like_reference(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=ltw_texts())
+def test_the_loader_matches_the_reference_on_edited_texts(text):
+    assert_loads_like_reference(text)
+
+
+def test_a_repeated_short_literal_is_one_pool_node():
+    def pool_size(n_rules, word):
+        text = "input g:0\naxiom = q0(x)\n" + "".join(
+            f'rule q{i} g = "{word}"\n' for i in range(n_rules))
+        return len(parse_ltw(text).pool)
+
+    assert pool_size(200, "ab") == pool_size(1, "ab")
+    # longer literals stay apart: each prints as its own slp declaration
+    long = "ab" * (INLINE_MAX // 2 + 1)
+    assert pool_size(2, long) > pool_size(1, long)
