@@ -272,7 +272,8 @@ def quasi_periodicity(M: Ltw, q: str, direction: str = "left") -> QuasiPeriodici
 
 def _verdict(u: WordRef, ws, vectors, direction: str) -> QuasiPeriodicity | None:
     """:func:`quasi_periodicity` of a language with shortest word u whose
-    span has the basis `vectors`, the vectors (P, H, C) of the words `ws`."""
+    span has the basis `vectors`, the vectors (P, H, C) of the words `ws`.
+    The period's length is factored only once the language is known to fit."""
     u_vec = _summary(u)
     others = [w for w, v in zip(ws, vectors) if v[:2] != u_vec]
     if not others:
@@ -284,8 +285,9 @@ def _verdict(u: WordRef, ws, vectors, direction: str) -> QuasiPeriodicity | None
         rest = words.strip_prefix(w, u.length)
     else:
         rest = words.strip_suffix(w, u.length)
-    rho = words.primitive_root(rest)
-    return QuasiPeriodicity(direction, u, rho) if _fits(vectors, u, rho, direction) else None
+    if not _fits(vectors, u, rest, direction):
+        return None
+    return QuasiPeriodicity(direction, u, words.primitive_root(rest))
 
 
 # -- rule parts ---------------------------------------------------------------

@@ -141,7 +141,7 @@ def cmd_analyze(args) -> int:
                  *_qp_lines(M, q, directions)]
         table = mock_shift_table(M, q)
         cells = " ".join(f"{p}={table[p]}" for p in M.states if p in table)
-        print(*block, f"shifts: {cells}", sep="\n")
+        _write_latin1("\n".join([*block, f"shifts: {cells}"]) + "\n")
     for q in targets:
         for sym in M.rule_symbols(q):
             r = M.rule(q, sym)
@@ -150,9 +150,9 @@ def cmd_analyze(args) -> int:
                     continue
                 v = rule_part_quasi_periodicity(M, q, sym, i)
                 if v is not None:
-                    print(f"part {q} {sym} pos={i + 1} callee={callee}: "
-                          f"quasi-periodic(left): "
-                          f"{_fmt('handle', v.handle)} {_fmt('period', v.period)}")
+                    _write_latin1(f"part {q} {sym} pos={i + 1} callee={callee}: "
+                                  f"quasi-periodic(left): {_fmt('handle', v.handle)} "
+                                  f"{_fmt('period', v.period)}\n")
     return OK
 
 

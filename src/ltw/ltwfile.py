@@ -75,51 +75,6 @@ def _unterminated(text, no, toks, i) -> ParseError:
     return ParseError(msg, no, at + 1)
 
 
-class _Line:
-    """A cursor over the _TOKEN strings of one line, for tree literals.
-
-    An error points at the start of the next token once the parser has
-    looked at it, else just after the last token taken; its column is only
-    worked out when it is raised."""
-
-    def __init__(self, text: str, no: int):
-        self.text, self.no = text, no
-        self.toks = _TOKEN.findall(text) + [""]    # "" marks the end
-        self.i = 0
-        self.looked = True
-
-    def error(self, msg):
-        i = self.i - (not self.looked)
-        raise _fail(self.text, self.no, self.toks, i, msg, after=not self.looked)
-
-    def _pop(self, ok: bool = True, what: str = "") -> str:
-        """Take the next token if `ok`, else fail expecting `what`."""
-        if not ok:
-            self.looked = True
-            self.error(f"expected {what}")
-        self.looked = False
-        self.i += 1
-        return self.toks[self.i - 1]
-
-    def at_end(self) -> bool:
-        self.looked = True
-        return not self.toks[self.i]
-
-    def skip(self, ch: str) -> bool:
-        """Take `ch` if it comes next."""
-        self.looked = True
-        if self.toks[self.i] != ch:
-            return False
-        self._pop()
-        return True
-
-    def take(self, ch: str):
-        self._pop(self.toks[self.i] == ch, repr(ch))
-
-    def name(self) -> str:
-        return self._pop(self.toks[self.i][:1] in _NAME_START, "a name")
-
-
 def _take_x(toks, i) -> bool:
     """Whether toks[i] is `x`, once a name like x1 is cut after its x."""
     tok = toks[i]
@@ -413,33 +368,55 @@ def print_ltw(M: Ltw) -> str:
 # -- tree literals -----------------------------------------------------------
 
 def parse_tree(text: str, alphabet: dict[str, int] | None = None) -> Tree:
-    line = _Line(text.strip(), 1)
+    """The tree literal `text`, read by index over its _TOKEN strings.
 
-    def finish(sym: str, children: list) -> Tree:
+    A node's arity error points just after its `)`, or at the token after
+    its name when it has no parentheses."""
+    text = text.strip()
+    toks = _TOKEN.findall(text)
+    toks.append("")                           # "" marks the end
+
+    def finish(sym: str, children: list, after: bool) -> Tree:
+        """The node; an error points at toks[i], or just after toks[i - 1]
+        if `after`."""
+        at = i - after
         if alphabet is not None:
             if sym not in alphabet:
-                line.error(f"unknown input symbol {sym}")
+                raise _fail(text, 1, toks, at, f"unknown input symbol {sym}", after)
             if alphabet[sym] != len(children):
-                line.error(f"symbol {sym} expects {alphabet[sym]} children, got {len(children)}")
+                raise _fail(text, 1, toks, at, f"symbol {sym} expects "
+                            f"{alphabet[sym]} children, got {len(children)}", after)
         return Tree(sym, tuple(children))
 
     open_nodes: list[tuple[str, list]] = []   # symbol and children so far
+    i = 0
     while True:
-        sym = line.name()
-        if line.skip("(") and not line.skip(")"):
+        sym = toks[i]
+        if sym[:1] not in _NAME_START:
+            raise _fail(text, 1, toks, i, "expected a name")
+        i += 1
+        if toks[i] != "(":
+            t = finish(sym, [], False)
+        elif toks[i + 1] != ")":
             open_nodes.append((sym, []))
+            i += 1
             continue
-        t = finish(sym, [])
+        else:
+            i += 2
+            t = finish(sym, [], True)
         while open_nodes:                     # close every finished parent
             open_nodes[-1][1].append(t)
-            if not line.skip(")"):
-                line.take(",")
+            if toks[i] != ")":
+                if toks[i] != ",":
+                    raise _fail(text, 1, toks, i, "expected ','")
+                i += 1
                 break
-            t = finish(*open_nodes.pop())
+            i += 1
+            t = finish(*open_nodes.pop(), True)
         else:
             break                             # t is the root
-    if not line.at_end():
-        line.error("trailing input after tree")
+    if toks[i]:
+        raise _fail(text, 1, toks, i, "trailing input after tree")
     return t
 
 

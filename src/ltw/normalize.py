@@ -142,107 +142,70 @@ def _make_left(M: Ltw, q: str, verdict: QuasiPeriodicity) -> Ltw:
     return M.with_(states=states, rules=fixed, axiom=axiom)
 
 
+def _postorder(roots, succ, seen: set) -> list:
+    """The nodes a depth-first walk from each unseen root in turn reaches,
+    in postorder; `succ` maps a node to its successors, and every node
+    reached is added to `seen`."""
+    out = []
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, todo = stack[-1]
+            for nxt in todo:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(succ[nxt])))
+                    break
+            else:
+                stack.pop()
+                out.append(node)
+    return out
+
+
 def processing_order(M: Ltw) -> list[str]:
     """Candidate order for elimination: callers before callees (topological
     on the strongly connected components from the axiom), and inside a
-    component the states farthest from the axiom first."""
-    adj: dict[str, list[str]] = {}
-    for p in M.states:
-        seen, out = set(), []
-        for r in M.rules_of(p):
-            for c, _ in r.calls:
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-        adj[p] = out
-    index = {p: i for i, p in enumerate(M.states)}
+    component the states farthest from the axiom first.
 
-    # iterative Tarjan
-    low, num, comp = {}, {}, {}
-    stack, on_stack, comps = [], set(), []
-    counter = 0
-    for root in M.states:
-        if root in num:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                num[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for j in range(pi, len(adj[node])):
-                nxt = adj[node][j]
-                if nxt not in num:
-                    work[-1] = (node, j + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], num[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == num[node]:
-                members = []
-                while True:
-                    s = stack.pop()
-                    on_stack.discard(s)
-                    members.append(s)
-                    comp[s] = len(comps)
-                    if s == node:
-                        break
-                comps.append(members)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    depth = {M.axiom[1]: 0}
-    frontier = [M.axiom[1]]
-    d = 0
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for c in adj[p]:
-                if c not in depth:
-                    depth[c] = d + 1
-                    nxt.append(c)
-        frontier = nxt
-        d += 1
-
-    cadj: dict[int, list[int]] = {i: [] for i in range(len(comps))}
+    The components come from two walks (Kosaraju): one over the calls, then
+    one over the reversed calls from the last state finished first, where
+    each walk is one component."""
+    adj = {p: list(dict.fromkeys(c for r in M.rules_of(p) for c, _ in r.calls))
+           for p in M.states}
+    callers: dict[str, list[str]] = {p: [] for p in M.states}
     for p in M.states:
         for c in adj[p]:
-            if comp[p] != comp[c] and comp[c] not in cadj[comp[p]]:
-                cadj[comp[p]].append(comp[c])
-    order_sccs: list[int] = []
-    seen_scc = set()
-    work = [(comp[M.axiom[1]], 0)]
-    seen_scc.add(comp[M.axiom[1]])
-    while work:
-        cid, pi = work[-1]
-        advanced = False
-        for j in range(pi, len(cadj[cid])):
-            nxt = cadj[cid][j]
-            if nxt not in seen_scc:
-                seen_scc.add(nxt)
-                work[-1] = (cid, j + 1)
-                work.append((nxt, 0))
-                advanced = True
-                break
-        if advanced:
-            continue
-        work.pop()
-        order_sccs.append(cid)
-    order_sccs.reverse()
+            callers[c].append(p)
+    comp: dict[str, str] = {}                 # state -> its component's root
+    members: dict[str, list[str]] = {}
+    seen: set[str] = set()
+    for root in reversed(_postorder(M.states, adj, set())):
+        walk = _postorder([root], callers, seen)
+        if walk:
+            members[root] = walk
+            comp.update(dict.fromkeys(walk, root))
 
+    axiom = M.axiom[1]
+    depth = {axiom: 0}
+    queue = [axiom]
+    for p in queue:
+        for c in adj[p]:
+            if c not in depth:
+                depth[c] = depth[p] + 1
+                queue.append(c)
+
+    cadj: dict[str, dict[str, None]] = {root: {} for root in members}
+    for p in M.states:
+        for c in adj[p]:
+            if comp[p] != comp[c]:
+                cadj[comp[p]][comp[c]] = None
+    index = {p: i for i, p in enumerate(M.states)}
     out: list[str] = []
-    for cid in order_sccs:
-        members = sorted(comps[cid],
-                         key=lambda p: (-depth.get(p, 0), index[p]))
-        out.extend(members)
+    for root in reversed(_postorder([comp[axiom]], cadj, set())):
+        out += sorted(members[root], key=lambda p: (-depth[p], index[p]))
     return out
 
 

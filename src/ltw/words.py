@@ -14,6 +14,7 @@ from the configured seed (per-comparison error at most len/2**127, i.e. below
 from __future__ import annotations
 
 import functools
+import math
 import random
 from operator import attrgetter
 
@@ -464,16 +465,10 @@ def _factorize(n: int) -> dict[int, int]:
                 x = (x * x + c) % m
                 y = (y * y + c) % m
                 y = (y * y + c) % m
-                d = _gcd(abs(x - y), m)
+                d = math.gcd(x - y, m)
         pending.append(d)
         pending.append(m // d)
     return fac
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def primitive_root(w: WordRef) -> WordRef:

@@ -313,6 +313,24 @@ def test_analyze_exits_3_on_a_length_rho_cannot_split(b, tmp_path, capsys):
                        f"of {words.RHO_STEPS} Pollard rho steps\n")
 
 
+def test_analyze_factors_no_length_for_a_state_that_is_not_quasi_periodic(
+        tmp_path, capsys, monkeypatch):
+    # q k = a^N z breaks q's fit to any period, so the length N, which rho
+    # cannot split, is never factored
+    def refuse(n, *args):
+        raise AssertionError(f"factorized {n}")
+
+    monkeypatch.setattr(words, "_factorize", refuse)
+    path = tmp_path / "pow.ltw"
+    path.write_text(pow_family_text(52).replace("input f:1 g:0 h:0",
+                                                "input f:1 g:0 h:0 k:0")
+                    + 'rule q k = $W "z"\n')
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out == ("state q\nshortest: len=0 word=\n"
+                                       "erasing: no\nnot quasi-periodic\n"
+                                       "shifts: q=0\n")
+
+
 def test_analyze_builds_no_hat_state(tmp_path, capsys, monkeypatch):
     # part verdicts read the callee's span; the hat state a rewrite starts
     # from is only built by normalize, and only for a quasi-periodic part
@@ -462,6 +480,9 @@ def test_stdout_carries_latin1_machines_and_words(tmp_path, encoding):
     assert (rc, out) == (0, b"equivalent\n"), err
     rc, out, err = _cli("run", src, "--tree", "f(g)", encoding=encoding)
     assert (rc, out) == (0, b"\xe9\xe0b\xa0\xff\n"), err
+    rc, out, err = _cli("analyze", src, encoding=encoding)
+    assert (rc, out) == (0, b"state q\nshortest: len=1 word=\xa0\nerasing: no\n"
+                             b"not quasi-periodic\nshifts: q=0\n"), err
 
 
 def test_no_arguments_is_usage_error(capsys):

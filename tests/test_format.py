@@ -239,6 +239,9 @@ TREE_ERRORS = [
     ("f(,)", "expected a name (line 1, col 3)"),
     ("f\ng", "trailing input after tree (line 1, col 2)"),
     ("f( g , h( g ) ) x", "trailing input after tree (line 1, col 17)"),
+    ("h(g g)", "expected ',' (line 1, col 5)"),
+    ("f(g,", "expected a name (line 1, col 5)"),
+    ("f(g , ", "expected a name (line 1, col 6)"),
 ]
 
 
@@ -257,6 +260,15 @@ def test_tree_arity_errors_point_after_the_node():
     with pytest.raises(ParseError) as e:
         parse_tree("f(h )", M.alphabet)
     assert str(e.value) == "unknown input symbol h (line 1, col 5)"
+    with pytest.raises(ParseError) as e:
+        parse_tree("f()", M.alphabet)
+    assert str(e.value) == "symbol f expects 1 children, got 0 (line 1, col 4)"
+    with pytest.raises(ParseError) as e:
+        parse_tree("f ( )  ", M.alphabet)
+    assert str(e.value) == "symbol f expects 1 children, got 0 (line 1, col 6)"
+    with pytest.raises(ParseError) as e:
+        parse_tree("f(z ,g)", M.alphabet)
+    assert str(e.value) == "unknown input symbol z (line 1, col 5)"
 
 
 def test_non_symbol_in_a_literal_is_a_parse_error():

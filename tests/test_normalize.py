@@ -2,10 +2,12 @@
 per-stage semantics preservation, and the handle/period laws every
 elimination must satisfy."""
 
+import random
+
 import pytest
 
 from ltw import words, oracle
-from ltw.core import EmptyTransducer, mirror, trim
+from ltw.core import EmptyTransducer, accessible, mirror, trim
 from ltw.equivalence import decide_equiv
 from ltw.ltwfile import parse_ltw, print_ltw
 from ltw.analysis import PairSpace, quasi_periodicity, same_ordered
@@ -13,7 +15,8 @@ from ltw.normalize import (_fresh, _strip_hat, erase_order, make_state_earliest,
                            partial_normal_form, processing_order,
                            reorder_periodic_runs)
 
-from _support import check_elimination_laws, replay_with_laws, stage_pipeline
+from _support import (check_elimination_laws, random_cyclic_text, replay_with_laws,
+                      stage_pipeline)
 
 FIX_NAMES = ("ex3", "ex5a", "ex5b", "ex6", "ex7")
 
@@ -159,6 +162,34 @@ def test_processing_order_callers_first(fixtures):
     order = processing_order(M)
     assert set(order) == set(M.states)
     assert order.index("q") < order.index("q1") < order.index("q2")
+
+
+def test_processing_order_contract():
+    # components are the sets of mutually accessible states; depth is the
+    # fewest calls from the axiom
+    rng = random.Random(16)
+    for _ in range(300):
+        M = trim(parse_ltw(random_cyclic_text(rng, rng.randrange(1, 9))))
+        order = processing_order(M)
+        assert sorted(order) == sorted(M.states)
+        pos = {p: i for i, p in enumerate(order)}
+        reach = {p: accessible(M, p) for p in M.states}
+        comp = {p: frozenset(c for c in reach[p] if p in reach[c]) for p in M.states}
+        depth, level, k = {}, {M.axiom[1]}, 0
+        while level:
+            depth.update(dict.fromkeys(level, k))
+            level = {c for p in level for r in M.rules_of(p)
+                     for c, _ in r.calls} - depth.keys()
+            k += 1
+        for members in set(comp.values()):
+            at = sorted(pos[p] for p in members)
+            assert at == list(range(at[0], at[0] + len(at)))
+            inside = [p for p in order if p in members]
+            assert inside == sorted(members, key=lambda p: (-depth[p],
+                                                            M.states.index(p)))
+        for p in M.states:
+            for c in reach[p] - comp[p]:
+                assert pos[p] < pos[c]
 
 
 def test_make_state_earliest_rewrites_only_the_target(fixtures):

@@ -1,4 +1,6 @@
+import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -237,8 +239,8 @@ def test_pollard_rho_stops_at_its_step_cap(monkeypatch):
     # each rho step takes one gcd; factors near 2**20 split well inside the
     # cap, factors near 2**52 do not, and the root search then gives up
     steps = []
-    gcd = W._gcd
-    monkeypatch.setattr(W, "_gcd", lambda a, m: steps.append(1) or gcd(a, m))
+    monkeypatch.setattr(W, "math", types.SimpleNamespace(
+        gcd=lambda a, m: steps.append(1) or math.gcd(a, m)))
     small = parse_ltw(pow_family_text(20)).rule("q", "h").words[0]
     assert expand(primitive_root(small)) == "a"
     assert 0 < len(steps) < W.RHO_STEPS // 8
