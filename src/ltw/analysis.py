@@ -20,8 +20,9 @@ All analyses are per-machine pure functions; results are cached on the
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict, deque
+from bisect import bisect_left
+from collections import deque
+from itertools import count, repeat
 from operator import mul
 
 from . import words
@@ -341,28 +342,32 @@ class PairSpace:
             pair = queue.popleft()
             self.universe.append(pair)
             exp = []
-            for f, kids in self._expansions(pair):
-                exp.append((f, kids))
+            for f, kids, r1, r2 in self._expansions(pair):
+                exp.append((f, kids, r1, r2))
                 for kid in kids:
                     if kid not in seen:
                         seen.add(kid)
                         queue.append(kid)
             self._expand[pair] = exp
         settled = settle((pair, f, kids, 0) for pair in self.universe
-                         for f, kids in self._expand[pair])
+                         for f, kids, _, _ in self._expand[pair])
         self._common: dict[tuple[str, str], Tree] = {}
         for pair, (_, f, kids) in settled.items():
             self._common[pair] = Tree(f, tuple(self._common[k] for k in kids))
         self.productive = set(settled)
         self.parent: dict[tuple[str, str], tuple | None] = {self.axiom_pair: None}
         self.co: list[tuple[str, str]] = []
+        self._rules: dict[tuple[str, str], list] = {}
         queue = deque([self.axiom_pair])
         while queue:
             pair = queue.popleft()
             self.co.append(pair)
-            for f, kids in self._expand[pair]:
+            self._rules[pair] = rules = []
+            for e in self._expand[pair]:
+                f, kids, _, _ = e
                 if not all(k in self.productive for k in kids):
                     continue
+                rules.append(e)
                 for m, kid in enumerate(kids, 1):
                     if kid not in self.parent:
                         self.parent[kid] = (pair, f, m)
@@ -380,10 +385,16 @@ class PairSpace:
             by1 = {s: c for c, s in r1.calls}
             by2 = {s: c for c, s in r2.calls}
             kids = tuple((by1[m], by2[m]) for m in range(1, r1.arity + 1))
-            yield f, kids
+            yield f, kids, r1, r2
 
     def expansions(self, pair):
-        return self._expand[pair]
+        """(symbol, child pairs in slot order) of each rule pair of `pair`."""
+        return [(f, kids) for f, kids, _, _ in self._expand[pair]]
+
+    def rule_pairs(self, pair):
+        """(symbol, child pairs, rule of M1, rule of M2) of each rule pair
+        of a co-reachable pair whose child pairs are all productive."""
+        return self._rules[pair]
 
     def common_tree(self, pair) -> Tree | None:
         return self._common.get(pair)
@@ -393,7 +404,7 @@ class PairSpace:
         cur, p = inner, pair
         while p != self.axiom_pair:
             parent, f, slot = self.parent[p]
-            kids = next(ks for g, ks in self._expand[parent] if g == f)
+            kids = next(ks for g, ks, _, _ in self._expand[parent] if g == f)
             children = tuple(cur if m == slot else self._common[kids[m - 1]]
                              for m in range(1, len(kids) + 1))
             cur = Tree(f, children)
@@ -402,8 +413,10 @@ class PairSpace:
 
 
 class _Span:
-    """A subspace of F_p^5: raw basis vectors with the trees they are the
-    images of, and its reduced echelon form for the membership test.
+    """A subspace of F_p^D: raw basis vectors, with what each is the image
+    of (a tree, or the child trees a partial output has placed) and the
+    sequence number it was kept under, and its reduced echelon form for the
+    membership test.
 
     Row k of the echelon form holds a common scale d at its pivot column
     pivots[k] and 0 at the other pivots, so building it takes no inverse.
@@ -412,19 +425,20 @@ class _Span:
     lies in the span iff d*v[j] = sum_k v[pivots[k]]*row_k[j] on every free
     column j; on the pivot columns that holds by construction."""
 
-    __slots__ = ("vectors", "trees", "pivots", "free", "cols", "d")
+    __slots__ = ("vectors", "trees", "seqs", "pivots", "free", "cols", "d")
 
-    def __init__(self):
-        self.vectors: list[tuple] = []
-        self.trees: list[Tree] = []
+    def __init__(self, dim: int):
+        self.vectors: list = []
+        self.trees: list = []
+        self.seqs: list[int] = []
         self.pivots: list[int] = []
-        self.free = [0, 1, 2, 3, 4]
-        self.cols: list[list[int]] = [[], [], [], [], []]
+        self.free = list(range(dim))
+        self.cols: list[list[int]] = [[] for _ in range(dim)]
         self.d = 1
 
-    def add(self, v: tuple, p: int) -> bool:
+    def add(self, v, p: int) -> bool:
         """Keep v if it lies outside the span; True when it was kept (the
-        caller then appends its tree)."""
+        caller then appends its tree and sequence number)."""
         d, free, cols = self.d, self.free, self.cols
         pv = [v[c] for c in self.pivots]
         for i, (j, col) in enumerate(zip(free, cols)):
@@ -453,94 +467,197 @@ def _summary(w) -> tuple[int, int]:
     return pw, h
 
 
-def _image(rule, vecs: list, p: int) -> tuple:
-    """The vector (P1, H1, P2, H2, 1) of a rule applied to one basis vector
-    per child.  Each side starts from its first word's (P, H) and folds in
-    each call's child and the word after it; C stays 1 throughout."""
-    _, _, (P1, H1), steps1, (P2, H2), steps2 = rule
-    for s, wp, wh in steps1:
-        v = vecs[s]
-        x = v[0] * wp
-        P1, H1 = P1 * x % p, (H1 * x + v[1] * wp + wh) % p
-    for s, wp, wh in steps2:
-        v = vecs[s]
-        x = v[2] * wp
-        P2, H2 = P2 * x % p, (H2 * x + v[3] * wp + wh) % p
-    return P1, H1, P2, H2, 1
+def _steps(calls1, calls2, w1: list, w2: list, p: int) -> list:
+    """The steps of a rule pair with calls `calls1`, `calls2` and words of
+    (H, P) `w1`, `w2`, one per child in side 1's call order: (slot, ops,
+    dimension of the partial output after it).
 
+    A partial output is side 1's prefix (P, H, C), then the tensor product
+    of side 2's known stretches, one (P, H, C) factor per maximal run of
+    placed children, each run holding the words around it, in the order the
+    runs last grew; before the first child it is (1, 1), each side a
+    product of no factors.  A child X
+    turns the stretch L before it and R after it, each a run or a word,
+    into the run L.X.R, which becomes the last factor:
 
-def _new_combos(sizes: list[int], old: list[int] | None):
-    """Index tuples over `sizes` in lexicographic order, leaving out those
-    read before: the ones below `old` in every place.  The new ones are the
-    disjoint blocks whose first index at or past `old` is at place t."""
-    if old is None:
-        return itertools.product(*map(range, sizes))
+        L.X.R = (X_P M00, X_P M10 + X_H M20 + X_C M21, X_C M22)
+
+    with M[a][b] = L_a R_b over (P, H, C).  An op (v's index of X_P, bases,
+    offsets, coefficients) reads, for each base, M00, M10, M20, M21 and M22
+    at base + offsets[i] times coefficients[i]; side 1 is the case of L
+    its prefix (or its first word) and R a word."""
+    pos = {s: t for t, (_, s) in enumerate(calls2)}
+    runs: list[tuple[int, int]] = []     # (first, last) side-2 call, in tensor order
     out = []
-    for t in range(len(sizes)):
-        out.extend(itertools.product(*map(range, old[:t]), range(old[t], sizes[t]),
-                                     *map(range, sizes[t + 1:])))
-    out.sort()
+    for j, (_, s) in enumerate(calls1):
+        t, m = pos[s], len(runs)
+        iL = iR = None
+        for i, (first, last) in enumerate(runs):
+            if last == t - 1:
+                iL = i
+            elif first == t + 1:
+                iR = i
+        sL = 0 if iL is None else 3 ** (m - 1 - iL)
+        sR = 0 if iR is None else 3 ** (m - 1 - iR)
+        if iL is None and iR is None:
+            (ah, ap), (bh, bp) = w2[t], w2[t + 1]
+            offsets, coefs = (0, 0, 0, 0, 0), (ap * bp % p, ah * bp % p, bp, bh, 1)
+            run = (t, t)
+        elif iR is None:
+            bh, bp = w2[t + 1]
+            offsets, coefs = (0, sL, 2 * sL, 2 * sL, 2 * sL), (bp, bp, bp, bh, 1)
+            run = (runs[iL][0], t)
+        elif iL is None:
+            ah, ap = w2[t]
+            offsets, coefs = (0, 0, 0, sR, 2 * sR), (ap, ah, 1, 1, 1)
+            run = (t, runs[iR][1])
+        else:
+            offsets = (0, sL, 2 * sL, 2 * sL + sR, 2 * sL + 2 * sR)
+            coefs = (1, 1, 1, 1, 1)
+            run = (runs[iL][0], runs[iR][1])
+        rest = [i for i in range(m) if i != iL and i != iR]
+        bases = [3 if j else 1]
+        for i in rest:
+            bases = [b + d * 3 ** (m - 1 - i) for b in bases for d in (0, 1, 2)]
+        runs = [runs[i] for i in rest] + [run]
+        bh, bp = w1[j + 1]
+        if j:
+            side1 = (0, (0,), (0, 1, 2, 2, 2), (bp, bp, bp, bh, 1))
+        else:
+            ah, ap = w1[0]
+            side1 = (0, (0,), (0, 0, 0, 0, 0), (ap * bp % p, ah * bp % p, bp, bh, 1))
+        out.append((s, (side1, (2, bases, offsets, coefs)), 3 + 3 ** len(runs)))
     return out
+
+
+def _apply(step, x, v, p: int) -> list:
+    """The partial output after `step` from a partial output x before it
+    and a basis vector v of its child: side 1's prefix times v's
+    (P1, H1, C), side 2's tensor times v's (P2, H2, C) (see :func:`_steps`)."""
+    out = []
+    for xi, bases, (o0, o1, o2, o3, o4), (k0, k1, k2, k3, k4) in step.ops:
+        xp, xh, xc = v[xi], v[xi + 1], v[4]
+        c0, c1, c2, c3, c4 = xp * k0, xp * k1, xh * k2, xc * k3, xc * k4
+        for b in bases:
+            out += (x[b + o0] * c0 % p,
+                    (x[b + o1] * c1 + x[b + o2] * c2 + x[b + o3] * c3) % p,
+                    x[b + o4] * c4 % p)
+    return out
+
+
+class _Step:
+    """One child of a rule pair: the partial outputs before it (`left`; for
+    the rule's first child, the partial output (1, 1) before any child)
+    times the basis of the child's pair span (`kid`), kept in `out`.  `out`
+    is the pair's span at the rule's last child, where `tree` = (symbol,
+    side-1 index of each slot) builds the tree; `raw` marks the first child
+    of several, whose images are kept unreduced."""
+
+    __slots__ = ("ops", "kid", "left", "out", "raw", "tree")
+
+    def __init__(self, ops, kid, left, out, raw, tree):
+        self.ops, self.kid, self.left, self.out = ops, kid, left, out
+        self.raw, self.tree = raw, tree
 
 
 def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
     """The span of the output vectors (P1, H1, P2, H2, C) of every
-    co-reachable pair's common trees, by a worklist over the pairs (see
-    :mod:`ltw.equivalence`).
+    co-reachable pair's common trees (see :mod:`ltw.equivalence`).
+
+    Each rule pair folds in its children one at a time, in side 1's call
+    order, through one partial span per child (:func:`_steps`).  A step is
+    bilinear in (partial output, child vector), so a vector kept anywhere
+    is multiplied only with the current basis of the other operand of each
+    step that reads it, from a FIFO queue of kept vectors.  Every kept
+    vector carries a sequence number, and a product is evaluated by the
+    later of its two operands, with the vectors of the other one kept
+    before it.  So each product is evaluated once, even where one span
+    feeds several places of a rule, and a rule costs
+    sum_j dim(partial_j) * dim(child_j+1)
+    products over the whole fixpoint, with dim(partial_j) <= 3 + 3**m_j for
+    m_j runs of side 2 after j children.
 
     `stop`, a test on vectors of the axiom pair, ends the fixpoint as soon
     as a vector kept there passes it; that vector is then the axiom pair's
     last basis vector, and the other spans are partial."""
-    p = words.fingerprinter().prime
-    M1, M2 = ps.M1, ps.M2
-    span = {pair: _Span() for pair in ps.co}
+    fp = words.fingerprinter()
+    p = fp.prime
+    t1, t2 = fp.table(ps.M1.pool), fp.table(ps.M2.pool)
+    span = {pair: _Span(5) for pair in ps.co}
+    # the steps reading each span: (step, whether at its partial place)
+    readers: dict[_Span, list] = {sp: [] for sp in span.values()}
+    top = span[ps.axiom_pair]
+    start = _Span(0)                    # the partial output before any child
+    start.vectors.append((1, 1))
+    start.trees.append(())
+    start.seqs.append(-1)
+    seq = count()
+    queue: deque = deque()              # (span, index) of each kept vector
 
-    def fold(r):
-        """One side of a rule: the (P, H) of its first word, then the
-        (child index, P, H) of each call and the word after it."""
-        return (_summary(r.words[0]),
-                [(s - 1, *_summary(w)) for s, w in zip(r.slots, r.words[1:])])
-
-    # per pair: (symbol, child spans, side 1 fold, side 2 fold), flattened
-    rules: dict[tuple, list] = {}
-    users: dict[tuple, dict] = defaultdict(dict)   # ordered set of callers
     for pair in ps.co:
-        rules[pair] = []
-        for f, kids in ps.expansions(pair):
-            if not all(k in ps.productive for k in kids):
-                continue
-            rules[pair].append((f, [span[k] for k in kids], *fold(M1.rule(pair[0], f)),
-                                *fold(M2.rule(pair[1], f))))
-            for k in kids:
-                users[k][pair] = None
-
-    done: dict[tuple, list[int]] = {}    # (pair, rule) -> kid spans read
-    queue, queued = deque(ps.co), set(ps.co)
-    while queue:
-        pair = queue.popleft()
-        queued.discard(pair)
         here = span[pair]
-        grew = False
-        for i, rule in enumerate(rules[pair]):
-            f, spans = rule[0], rule[1]
-            sizes = [len(s.vectors) for s in spans]
-            old = done.get((pair, i))
-            if sizes == old:
+        for f, kids, r1, r2 in ps.rule_pairs(pair):
+            if not kids:
+                (h1, p1), (h2, p2) = t1[r1.words[0].node], t2[r2.words[0].node]
+                y = (p1, h1, p2, h2, 1)
+                if here.add(y, p):
+                    here.trees.append(Tree(f, ()))
+                    here.seqs.append(next(seq))
+                    queue.append((here, len(here.seqs) - 1))
+                    if here is top and stop is not None and stop(y):
+                        return span
                 continue
-            done[(pair, i)] = sizes
-            for combo in _new_combos(sizes, old):
-                v = _image(rule, [s.vectors[j] for s, j in zip(spans, combo)], p)
-                if not here.add(v, p):
-                    continue
-                here.trees.append(Tree(f, tuple(s.trees[j] for s, j in zip(spans, combo))))
-                grew = True
-                if stop is not None and pair == ps.axiom_pair and stop(v):
+            steps = _steps(r1.calls, r2.calls, [t1[w.node] for w in r1.words],
+                           [t2[w.node] for w in r2.words], p)
+            order = [0] * len(kids)
+            for j, (slot, _, _) in enumerate(steps):
+                order[slot - 1] = j
+            left, last = start, len(steps) - 1
+            for j, (slot, ops, dim) in enumerate(steps):
+                kid = span[kids[slot - 1]]
+                if j < last:           # the first child's images stay unreduced
+                    out = _Span(0 if j == 0 else dim)
+                    readers[out] = []
+                    step = _Step(ops, kid, left, out, j == 0, None)
+                else:
+                    step = _Step(ops, kid, left, here, False, (f, order))
+                readers[kid].append((step, False))
+                if j:
+                    readers[left].append((step, True))
+                left = step.out
+
+    while queue:
+        sp, i = queue.popleft()
+        v, t, s = sp.vectors[i], sp.trees[i], sp.seqs[i]
+        for step, at_left in readers[sp]:
+            if at_left:         # a partial, times the child vectors kept before it
+                kid = step.kid
+                n = bisect_left(kid.seqs, s)
+                operands = zip(repeat(v, n), repeat(t, n), kid.vectors[:n], kid.trees[:n])
+            else:               # a child vector, times the partials kept before it
+                left = step.left
+                n = bisect_left(left.seqs, s)
+                operands = zip(left.vectors[:n], left.trees[:n], repeat(v, n), repeat(t, n))
+            out, tree = step.out, step.tree
+            for x, xt, u, ut in operands:
+                y = _apply(step, x, u, p)
+                if step.raw:
+                    out.vectors.append(y)
+                    out.trees.append(xt + (ut,))
+                elif tree is None:
+                    if not out.add(y, p):
+                        continue
+                    out.trees.append(xt + (ut,))
+                else:
+                    y = (y[0], y[1], y[3], y[4], y[2])
+                    if not out.add(y, p):
+                        continue
+                    kids = xt + (ut,)
+                    out.trees.append(Tree(tree[0], tuple([kids[k] for k in tree[1]])))
+                out.seqs.append(next(seq))
+                if out is top and stop is not None and stop(y):
                     return span
-        if grew:
-            for user in users[pair]:
-                if user not in queued:
-                    queued.add(user)
-                    queue.append(user)
+                queue.append((out, len(out.seqs) - 1))
     return span
 
 

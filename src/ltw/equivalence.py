@@ -14,15 +14,22 @@ both sides share.  A word acts as the lower-triangular matrix
 exactly once on each side, in any order, so a tree's vector is multilinear
 in the vectors of its children: the span of a pair's vectors is spanned by
 the images of the children's basis vectors.
-:func:`~ltw.analysis.pair_spans` computes every pair's span by a worklist,
-re-reading a pair's rules whenever the span of a pair they call grows, and
-evaluating only the combinations of child basis vectors not read before.
-Over the whole fixpoint a rule thus costs the product of its callees' final
-span dimensions in products, at most 5**arity: polynomial only for bounded
-arity.  Each product costs one membership test, made without inverses on
-the free columns of the span's reduced echelon form (all rows at one common
-scale).  Each basis vector is kept together with the tree it is the image
-of; the tree is built only for vectors that are kept.
+:func:`~ltw.analysis.pair_spans` computes every pair's span by folding each
+rule's children in one at a time.  The partial output after j children is
+one vector: the first side's prefix, joined with the tensor product of the
+second side's known stretches.  Each step is bilinear in (partial, child
+vector), so the partial span is reduced after each child, and a vector kept
+anywhere meets only the current basis of the other operand of each step
+that reads it, each product once.  A rule of arity k thus costs
+sum_j dim(partial_j) * dim(child_j+1) products over the whole fixpoint,
+with dim(partial_j) <= 3 + 3**m_j for m_j runs of the second side after j
+children: linear in arity when the sides call the children in the same
+order, reversed, or with one swap.  Each product costs one membership
+test, made without inverses on the free columns of the span's reduced
+echelon form (all rows at one common scale); only the images of a rule's
+first child, when more children follow, are kept untested.  Each basis
+vector is kept together with the tree it is the image of; the tree is
+built only for vectors that are kept.
 
 The machines are equivalent iff the axiom words map every basis vector of
 the axiom pair to equal summaries on both sides.  Basis vectors are only

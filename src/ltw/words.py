@@ -254,15 +254,16 @@ class Fingerprinter:
                 break
         self.base = rng.randrange(2, self.prime - 1)
 
-    def triple(self, w: WordRef) -> tuple[int, int, int]:
-        pool = w.pool
+    def table(self, pool: SlpPool) -> list[tuple[int, int]]:
+        """(hash, base**length mod p) of every node of `pool`, indexed by
+        node: the pool's cache, extended to the pool's current size."""
         cache = pool._fp.get(self)
         if cache is None:
             cache = pool._fp[self] = []
-        if len(cache) <= w.node:
+        if len(cache) < len(pool):
             p, b = self.prime, self.base
             kind, left, right, sym = pool._kind, pool._left, pool._right, pool._sym
-            for n in range(len(cache), w.node + 1):
+            for n in range(len(cache), len(pool)):
                 k = kind[n]
                 if k == _EMPTY:
                     cache.append((0, 1))
@@ -272,6 +273,12 @@ class Fingerprinter:
                     f1, p1 = cache[left[n]]
                     f2, p2 = cache[right[n]]
                     cache.append(((f1 * p2 + f2) % p, p1 * p2 % p))
+        return cache
+
+    def triple(self, w: WordRef) -> tuple[int, int, int]:
+        cache = w.pool._fp.get(self)
+        if cache is None or len(cache) <= w.node:
+            cache = self.table(w.pool)
         f, pw = cache[w.node]
         return (w.length, f, pw)
 

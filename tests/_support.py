@@ -1,4 +1,5 @@
-"""Shared corpus builders: deterministic random machines, mutations, the
+"""Shared corpus builders: deterministic random machines (wide ones too,
+whose two sides call a rule's slots in differing orders), mutations, the
 word-equality differential, and the elimination law harness used by both the
 unit suites and the acceptance gate; and the helpers only tests need: word
 powers, structural machine equality, the companion machine, tree size and
@@ -153,6 +154,63 @@ def periodic_run_machine(rng: random.Random) -> tuple[Ltw, Ltw]:
         ]) + "\n"
 
     return parse_ltw(text(True)), parse_ltw(text(False))
+
+
+WIDE_ORDERS = ("same", "reversed", "swap", "interleaved", "shuffled")
+
+
+def slot_order(k: int, kind: str, rng: random.Random) -> list[int]:
+    """Slots 1..k in the order `kind` names: as they are, reversed, with one
+    adjacent pair swapped, interleaved as 2, 4, 6, ..., 1, 3, 5, ..., or
+    shuffled."""
+    order = list(range(1, k + 1))
+    if kind == "reversed":
+        order.reverse()
+    elif kind == "swap":
+        i = rng.randrange(k - 1)
+        order[i], order[i + 1] = order[i + 1], order[i]
+    elif kind == "interleaved":
+        order = order[1::2] + order[0::2]
+    elif kind == "shuffled":
+        rng.shuffle(order)
+    return order
+
+
+def wide_pair(rng: random.Random) -> tuple[Ltw, Ltw]:
+    """Two acyclic machines over n0:0 n1:0 u:1 w:k, 3 <= k <= 6, that differ
+    only in the order their w-rules call the slots: each side reads each
+    w-rule in an order of WIDE_ORDERS drawn for it alone.  A w-rule calls
+    later states only, and every state has a nullary rule, so differences
+    show on shallow trees; a third of the pairs write one letter only, and
+    those are equivalent."""
+    k, n = rng.randrange(3, 7), rng.randrange(2, 5)
+    letters = "a" if rng.random() < 1 / 3 else "ab"
+
+    def word() -> str:
+        return _quote("".join(rng.choice(letters) for _ in range(rng.randrange(3))))
+
+    head = [f"input n0:0 n1:0 u:1 w:{k}", f"axiom = {word()} q0(x) {word()}"]
+    sides: tuple[list[str], list[str]] = ([], [])
+    for i in range(n):
+        shared = [f"rule q{i} n0 = {word()}"]
+        if rng.random() < 0.5:
+            shared.append(f"rule q{i} n1 = {word()}")
+        later = range(i + 1, n)
+        if later and rng.random() < 0.5:
+            shared.append(f"rule q{i} u(x1) = {word()} q{rng.choice(later)}(x1) {word()}")
+        for side in sides:
+            side.extend(shared)
+        if not later:
+            continue
+        callee = {s: rng.choice(later) for s in range(1, k + 1)}
+        ws = [word() for _ in range(k + 1)]
+        xs = ",".join(f"x{s}" for s in range(1, k + 1))
+        for side in sides:
+            order = slot_order(k, rng.choice(WIDE_ORDERS), rng)
+            body = " ".join([ws[0]] + [f"q{callee[s]}(x{s}) {w}" for s, w in zip(order, ws[1:])])
+            side.append(f"rule q{i} w({xs}) = {body}")
+    A, B = ("\n".join(head + side) + "\n" for side in sides)
+    return parse_ltw(A), parse_ltw(B)
 
 
 def oracle_corpus() -> list[tuple[Ltw, Ltw]]:

@@ -3,17 +3,18 @@ the span fixpoint behind every verdict."""
 
 import random
 
-from ltw import analysis, words
+from ltw import analysis, oracle, words
 from ltw.core import (EmptyTransducer, Ltw, trim, domain_defined, evaluate,
                       with_axiom_state)
 from ltw.ltwfile import parse_ltw, print_tree
-from ltw.analysis import PairSpace, same_ordered
+from ltw.analysis import PairSpace, domains_equal, same_ordered
 from ltw.normalize import partial_normal_form
 from ltw.equivalence import (decide_equiv, decide_same_ordered_equiv,
                              morphism_equivalence, pair_spans)
 
 from _support import (RuleBudget, chain, mutate, periodic_run_machine,
-                      random_cyclic_text, random_layered, reference_pair_spans)
+                      random_cyclic_text, random_layered, reference_pair_spans,
+                      wide_pair)
 
 
 def _load(fixtures, name):
@@ -283,9 +284,40 @@ def _span_cases(fixtures):
     return cases
 
 
+def _rank(vectors) -> int:
+    """The rank of `vectors` over F_p, by plain row reduction."""
+    p = words.fingerprinter().prime
+    rows = []
+    for v in vectors:
+        r = list(v)
+        for c, row in rows:
+            r = [(a - r[c] * b) % p for a, b in zip(r, row)]
+        c = next((i for i, a in enumerate(r) if a), None)
+        if c is not None:
+            inv = pow(r[c], -1, p)
+            rows.append((c, [a * inv % p for a in r]))
+    return len(rows)
+
+
+def _assert_same_subspaces(spans, ref):
+    # both bases independent, of one size, and each inside the other's span
+    assert set(spans) == set(ref)
+    for pair, (vectors, _) in ref.items():
+        got = spans[pair].vectors
+        assert _rank(got) == len(got) == len(vectors) == _rank(got + vectors)
+
+
+def _reference_failure(ps, ref):
+    """The first tree of the reference basis at the axiom pair on which the
+    two machines disagree, or None."""
+    return next((u for u in ref[ps.axiom_pair][1]
+                 if not words.equals(evaluate(ps.M1, u), evaluate(ps.M2, u))), None)
+
+
 def test_pair_spans_match_the_reference(fixtures):
-    # same basis vectors and trees, in the same order, for every pair; the
-    # early-stopped witness is the first failing tree of the full span
+    # the same subspace for every pair, basis against basis; the early stop
+    # finds a witness exactly when the reference basis holds one, and the
+    # witness is re-run on both machines
     witnesses = 0
     for A, B in _span_cases(fixtures):
         try:
@@ -293,39 +325,71 @@ def test_pair_spans_match_the_reference(fixtures):
         except EmptyTransducer:
             continue
         ps = PairSpace(A, B)
-        spans, ref = pair_spans(ps), reference_pair_spans(ps)
-        assert set(spans) == set(ref)
-        for pair, (vectors, trees) in ref.items():
-            assert spans[pair].vectors == vectors
-            assert list(map(str, spans[pair].trees)) == list(map(str, trees))
+        ref = reference_pair_spans(ps)
+        _assert_same_subspaces(pair_spans(ps), ref)
         _, t = morphism_equivalence(ps)
-        first = next((u for u in ref[ps.axiom_pair][1]
-                      if not words.equals(evaluate(A, u), evaluate(B, u))), None)
-        assert str(t) == str(first)
-        witnesses += t is not None
+        assert (t is None) == (_reference_failure(ps, ref) is None)
+        if t is not None:
+            assert not words.equals(evaluate(A, t), evaluate(B, t))
+            witnesses += 1
     assert witnesses >= 40
+
+
+def test_wide_machines_match_the_reference_and_the_oracle():
+    # rules of arity 3-6 whose sides read the slots in orders of their own:
+    # the only machines here that fold children into several runs of side 2
+    rng = random.Random(17)
+    budget = oracle.EnumerationBudget(max_depth=5, max_trees=20000)
+    pairs = []
+    for _ in range(100):
+        A, B = wide_pair(rng)
+        pairs += [(A, B), (A, mutate(A, rng)), (A, mutate(B, rng))]
+    verdicts, brute = [], 0
+    for A, B in pairs:
+        v = decide_equiv(A, B)
+        verdicts.append(v.equivalent)
+        if v.reason == "domain":
+            assert domain_defined(A, v.witness) != domain_defined(B, v.witness)
+        elif v.reason == "output":
+            assert not words.equals(evaluate(A, v.witness), evaluate(B, v.witness))
+        T1, T2 = trim(A), trim(B)
+        ps = PairSpace(T1, T2)
+        if domains_equal(ps) is None:
+            ref = reference_pair_spans(ps)
+            _assert_same_subspaces(pair_spans(ps), ref)
+            assert v.equivalent == (_reference_failure(ps, ref) is None)
+        else:
+            assert v.reason == "domain"
+        if A.alphabet["w"] <= 4 and len(A.states) <= 3 and brute < 60:
+            assert oracle.brute_equiv(A, B, budget).equivalent == v.equivalent
+            brute += 1
+    assert len(pairs) >= 300 and brute == 60
+    assert 60 <= sum(verdicts) <= len(pairs) - 60
 
 
 def _count_products(monkeypatch):
     seen = []
-    real = analysis._image
+    real = analysis._apply
 
-    def image(rule, vecs, p):
-        seen.append((id(rule), tuple(vecs)))
-        return real(rule, vecs, p)
+    def apply(step, x, v, p):
+        seen.append((step, tuple(x), v))
+        return real(step, x, v, p)
 
-    monkeypatch.setattr(analysis, "_image", image)
+    monkeypatch.setattr(analysis, "_apply", apply)
     return seen
 
 
 def test_each_product_is_evaluated_once(monkeypatch, fixtures):
-    # every (pair, rule, combination of child basis vectors) at most once;
-    # on a pair that is not equivalent the early stop evaluates fewer
+    # every (step, partial or pair vector, child vector) at most once; on a
+    # pair that is not equivalent the early stop evaluates fewer
     A = parse_ltw(PROBE)
     B = parse_ltw(PROBE.replace('rule c8 n = "d"', 'rule c8 n = "e"'))
     seen = _count_products(monkeypatch)
-    for M1, M2 in ((A, B), (A, A), (parse_ltw(DEEP), parse_ltw(DEEP)),
-                   (_load(fixtures, "ex5a"), _load(fixtures, "ex5b"))):
+    rng = random.Random(3)
+    cases = [(A, B), (A, A), (parse_ltw(DEEP), parse_ltw(DEEP)),
+             (_load(fixtures, "ex5a"), _load(fixtures, "ex5b"))]
+    cases += [wide_pair(rng) for _ in range(20)]
+    for M1, M2 in cases:
         ps = PairSpace(trim(M1), trim(M2))
         seen.clear()
         pair_spans(ps)
@@ -337,6 +401,54 @@ def test_each_product_is_evaluated_once(monkeypatch, fixtures):
     seen.clear()
     _, t = morphism_equivalence(ps)
     assert t is not None and len(seen) < full
+
+
+def _wide_family(k: int, order=None) -> Ltw:
+    """q f(x1..xk) = q(x1) "c" ... q(xk) "c" with q a = "a" and q b = "bb",
+    the calls made in `order` (default 1..k)."""
+    xs = ",".join(f"x{s}" for s in range(1, k + 1))
+    body = " ".join(f'q(x{s}) "c"' for s in order or range(1, k + 1))
+    return parse_ltw(f"input f:{k} a:0 b:0\naxiom = q(x)\n"
+                     f'rule q f({xs}) = {body}\nrule q a = "a"\nrule q b = "bb"\n')
+
+
+def test_products_grow_linearly_in_arity(monkeypatch):
+    # the whole fixpoint of the k-ary family against itself in the same
+    # order, reversed, and with one adjacent swap: a constant number of
+    # products per child; side 1 interleaved as 2,4,..,k,1,3,..,k-1 against
+    # side 2 in order meets the README's bound with m_j = min(j, k + 1 - j)
+    seen = _count_products(monkeypatch)
+
+    def products(side1, side2):
+        seen.clear()
+        spans = pair_spans(PairSpace(side1, side2))
+        return len(seen), len(spans[("q", "q")].vectors)
+
+    for kind in ("same", "reversed", "swap"):
+        counts = []
+        for k in range(4, 13):
+            order = list(range(1, k + 1))
+            if kind == "reversed":
+                order.reverse()
+            elif kind == "swap":
+                order[1], order[2] = order[2], order[1]
+            counts.append(products(_wide_family(k), _wide_family(k, order))[0])
+        steps = {b - a for a, b in zip(counts, counts[1:])}
+        assert len(steps) == 1 and steps.pop() <= 25, (kind, counts)
+    for k in (4, 6, 8):
+        interleaved = list(range(2, k + 1, 2)) + list(range(1, k + 1, 2))
+        n, c = products(_wide_family(k, interleaved), _wide_family(k))
+        bound = c + c * c + sum(c * (3 + 3 ** min(j, k + 1 - j)) for j in range(2, k))
+        assert n <= bound, (k, n, bound)
+
+
+def test_wide16_fixture_is_decided_both_ways(fixtures):
+    text = (fixtures / "wide16.ltw").read_text()
+    assert decide_equiv(parse_ltw(text), parse_ltw(text)).equivalent
+    other = parse_ltw(text.replace('rule q b = "bb"', 'rule q b = "ba"'))
+    v = decide_equiv(parse_ltw(text), other)
+    assert not v.equivalent and v.reason == "output"
+    assert not words.equals(evaluate(parse_ltw(text), v.witness), evaluate(other, v.witness))
 
 
 def _doubling(depth: int, letter: str, *leaves: str) -> Ltw:
