@@ -26,8 +26,8 @@ from itertools import count, repeat
 from operator import mul
 
 from . import words
-from .core import (Ltw, Rule, Tree, accessible, outputs, settle,
-                   with_axiom_state)
+from .core import (Ltw, Rule, Tree, accessible, outputs, productive_rules,
+                   settle, with_axiom_state)
 from .words import Frozen, WordRef, _set
 
 
@@ -321,94 +321,79 @@ def rule_part_quasi_periodicity(M: Ltw, state: str, symbol: str, pos: int):
 # -- pair space ---------------------------------------------------------------
 
 class PairSpace:
-    """Co-reachable state pairs of two transducers.
+    """Co-reachable state pairs of two transducers, trimmed or not.
 
-    A pair is co-reachable when some common input context drives both
-    machines to it simultaneously while every sibling subtree stays
-    completable in both.  Expansion therefore only descends through symbols
-    whose slot pairs are all productive (own a common tree); a failed slot is
-    not descended into -- it is a domain difference reportable at its parent.
-    """
+    A pair expands through its rule pairs: a productive rule of each state
+    (one calling productive states only) under one symbol and arity, whose
+    child pairs, in slot order, are the pairs it reaches.  A pair is
+    co-reachable when some common input context drives both machines to it
+    while every sibling subtree stays completable in both, so the walk from
+    the axiom pair descends only through rule pairs whose child pairs all
+    own a common tree; `rule_pairs` maps each co-reachable pair to those, as
+    (symbol, child pairs, rule of M1, rule of M2).  `difference` is the
+    walk's first domain difference: (pair, None) when its states offer
+    different symbols or arities, else (pair, the rule pair with a child
+    pair that owns no common tree).  Common trees and parent links are built
+    only for a witness."""
 
     def __init__(self, M1: Ltw, M2: Ltw):
-        self.M1 = M1
-        self.M2 = M2
-        self.axiom_pair = (M1.axiom[1], M2.axiom[1])
-        self._expand: dict[tuple[str, str], list] = {}
-        self.universe: list[tuple[str, str]] = []
-        seen = {self.axiom_pair}
-        queue = deque([self.axiom_pair])
-        while queue:
-            pair = queue.popleft()
-            self.universe.append(pair)
-            exp = []
-            for f, kids, r1, r2 in self._expansions(pair):
+        self.M1, self.M2 = M1, M2
+        self.axiom_pair = top = (M1.axiom[1], M2.axiom[1])
+        live1, live2 = productive_rules(M1), productive_rules(M2)
+        expand: dict[tuple[str, str], list] = {top: []}
+        universe = [top]
+        for pair in universe:             # grows while it is read: breadth first
+            d2, exp = live2[pair[1]], expand[pair]
+            for f, (r1, by1) in live1[pair[0]].items():
+                r2, by2 = d2.get(f, (None, ()))
+                if r2 is None or len(by1) != len(by2):
+                    continue
+                kids = tuple(zip(by1, by2))
                 exp.append((f, kids, r1, r2))
                 for kid in kids:
-                    if kid not in seen:
-                        seen.add(kid)
-                        queue.append(kid)
-            self._expand[pair] = exp
-        settled = settle((pair, f, kids, 0) for pair in self.universe
-                         for f, kids, _, _ in self._expand[pair])
-        self._common: dict[tuple[str, str], Tree] = {}
-        for pair, (_, f, kids) in settled.items():
-            self._common[pair] = Tree(f, tuple(self._common[k] for k in kids))
-        self.productive = set(settled)
-        self.parent: dict[tuple[str, str], tuple | None] = {self.axiom_pair: None}
-        self.co: list[tuple[str, str]] = []
-        self._rules: dict[tuple[str, str], list] = {}
-        queue = deque([self.axiom_pair])
-        while queue:
-            pair = queue.popleft()
-            self.co.append(pair)
-            self._rules[pair] = rules = []
-            for e in self._expand[pair]:
-                f, kids, _, _ = e
-                if not all(k in self.productive for k in kids):
+                    if kid not in expand:
+                        expand[kid] = []
+                        universe.append(kid)
+        self._settled = settle((pair, f, kids, 0) for pair, exp in expand.items()
+                               for f, kids, _, _ in exp)
+        self.co, self.difference = [top], None
+        self.rule_pairs: dict[tuple[str, str], list] = {top: []}
+        self._common = self._parent = None
+        for pair in self.co:              # grows while it is read
+            exp, rules = expand[pair], self.rule_pairs[pair]
+            if self.difference is None and not (
+                    len(live1[pair[0]]) == len(exp) == len(live2[pair[1]])):
+                self.difference = pair, None
+            for e in exp:
+                if not all(k in self._settled for k in e[1]):
+                    self.difference = self.difference or (pair, e)
                     continue
                 rules.append(e)
-                for m, kid in enumerate(kids, 1):
-                    if kid not in self.parent:
-                        self.parent[kid] = (pair, f, m)
-                        queue.append(kid)
-
-    def _expansions(self, pair):
-        p1, p2 = pair
-        for f in self.M1.alphabet:
-            if f not in self.M2.alphabet:
-                continue
-            r1 = self.M1.rule(p1, f)
-            r2 = self.M2.rule(p2, f)
-            if r1 is None or r2 is None or r1.arity != r2.arity:
-                continue
-            by1 = {s: c for c, s in r1.calls}
-            by2 = {s: c for c, s in r2.calls}
-            kids = tuple((by1[m], by2[m]) for m in range(1, r1.arity + 1))
-            yield f, kids, r1, r2
-
-    def expansions(self, pair):
-        """(symbol, child pairs in slot order) of each rule pair of `pair`."""
-        return [(f, kids) for f, kids, _, _ in self._expand[pair]]
-
-    def rule_pairs(self, pair):
-        """(symbol, child pairs, rule of M1, rule of M2) of each rule pair
-        of a co-reachable pair whose child pairs are all productive."""
-        return self._rules[pair]
+                for kid in e[1]:
+                    if kid not in self.rule_pairs:
+                        self.rule_pairs[kid] = []
+                        self.co.append(kid)
 
     def common_tree(self, pair) -> Tree | None:
+        if self._common is None:        # every pair's, from the settle
+            self._common = common = {}
+            for p, (_, f, kids) in self._settled.items():
+                common[p] = Tree(f, tuple(common[k] for k in kids))
         return self._common.get(pair)
 
     def context(self, pair, inner: Tree) -> Tree:
         """Wrap `inner` into a whole input tree reaching `pair`."""
+        if self._parent is None:
+            self._parent = parent = {}
+            for p in self.co:
+                for f, kids, _, _ in self.rule_pairs[p]:
+                    for m, kid in enumerate(kids, 1):
+                        parent.setdefault(kid, (p, f, m, kids))
         cur, p = inner, pair
         while p != self.axiom_pair:
-            parent, f, slot = self.parent[p]
-            kids = next(ks for g, ks, _, _ in self._expand[parent] if g == f)
-            children = tuple(cur if m == slot else self._common[kids[m - 1]]
-                             for m in range(1, len(kids) + 1))
-            cur = Tree(f, children)
-            p = parent
+            p, f, slot, kids = self._parent[p]
+            cur = Tree(f, tuple(cur if m == slot else self.common_tree(kid)
+                                for m, kid in enumerate(kids, 1)))
         return cur
 
 
@@ -550,14 +535,14 @@ class _Step:
     the rule's first child, the partial output (1, 1) before any child)
     times the basis of the child's pair span (`kid`), kept in `out`.  `out`
     is the pair's span at the rule's last child, where `tree` = (symbol,
-    side-1 index of each slot) builds the tree; `raw` marks the first child
-    of several, whose images are kept unreduced."""
+    side-1 index of each slot) builds the tree.  Until the first child's
+    span gets a vector, the first step holds its rule pair in `rule`."""
 
-    __slots__ = ("ops", "kid", "left", "out", "raw", "tree")
+    __slots__ = ("ops", "kid", "left", "out", "tree", "rule")
 
-    def __init__(self, ops, kid, left, out, raw, tree):
-        self.ops, self.kid, self.left, self.out = ops, kid, left, out
-        self.raw, self.tree = raw, tree
+    def __init__(self, kid):
+        self.ops = self.left = self.out = self.tree = self.rule = None
+        self.kid = kid
 
 
 def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
@@ -596,7 +581,7 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
 
     for pair in ps.co:
         here = span[pair]
-        for f, kids, r1, r2 in ps.rule_pairs(pair):
+        for f, kids, r1, r2 in ps.rule_pairs[pair]:
             if not kids:
                 (h1, p1), (h2, p2) = t1[r1.words[0].node], t2[r2.words[0].node]
                 y = (p1, h1, p2, h2, 1)
@@ -607,29 +592,35 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
                     if here is top and stop is not None and stop(y):
                         return span
                 continue
-            steps = _steps(r1.calls, r2.calls, [t1[w.node] for w in r1.words],
-                           [t2[w.node] for w in r2.words], p)
-            order = [0] * len(kids)
-            for j, (slot, _, _) in enumerate(steps):
-                order[slot - 1] = j
-            left, last = start, len(steps) - 1
-            for j, (slot, ops, dim) in enumerate(steps):
-                kid = span[kids[slot - 1]]
-                if j < last:           # the first child's images stay unreduced
-                    out = _Span(0 if j == 0 else dim)
-                    readers[out] = []
-                    step = _Step(ops, kid, left, out, j == 0, None)
-                else:
-                    step = _Step(ops, kid, left, here, False, (f, order))
-                readers[kid].append((step, False))
-                if j:
-                    readers[left].append((step, True))
-                left = step.out
+            chain = [_Step(span[kids[slot - 1]]) for _, slot in r1.calls]
+            chain[0].left, chain[0].rule, chain[-1].out = start, (f, r1, r2, chain), here
+            for step in chain:
+                readers[step.kid].append((step, False))
+
+    def build(first):
+        """The ops of a rule pair's steps (:func:`_steps`) and the partial
+        spans between them, each read by the next step."""
+        f, r1, r2, chain = first.rule
+        first.rule, order = None, [0] * len(chain)
+        table = _steps(r1.calls, r2.calls, [t1[w.node] for w in r1.words],
+                       [t2[w.node] for w in r2.words], p)
+        for j, (step, (slot, ops, dim)) in enumerate(zip(chain, table)):
+            step.ops, order[slot - 1] = ops, j
+            if j:
+                step.left = chain[j - 1].out
+            if step.out is None:
+                step.out = _Span(0 if j == 0 else dim)
+                readers[step.out] = [(chain[j + 1], True)]
+        chain[-1].tree = f, order
 
     while queue:
         sp, i = queue.popleft()
         v, t, s = sp.vectors[i], sp.trees[i], sp.seqs[i]
         for step, at_left in readers[sp]:
+            if step.ops is None:
+                if step.rule is None:   # a later child, before the first has a vector
+                    continue
+                build(step)
             if at_left:         # a partial, times the child vectors kept before it
                 kid = step.kid
                 n = bisect_left(kid.seqs, s)
@@ -639,9 +630,10 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
                 n = bisect_left(left.seqs, s)
                 operands = zip(left.vectors[:n], left.trees[:n], repeat(v, n), repeat(t, n))
             out, tree = step.out, step.tree
+            raw = tree is None and step.left is start  # a first child's images stay unreduced
             for x, xt, u, ut in operands:
                 y = _apply(step, x, u, p)
-                if step.raw:
+                if raw:
                     out.vectors.append(y)
                     out.trees.append(xt + (ut,))
                 elif tree is None:
@@ -666,68 +658,51 @@ def shortest_domain_tree(M: Ltw, q: str) -> Tree | None:
     c = M._analysis
     if "sdt" not in c:
         trees: dict[str, Tree] = {}
-        rules = ((r.state, r, [callee for callee, _ in r.calls], 0)
-                 for p in M.states for r in M.rules_of(p))
-        for p, (_, r, _) in settle(rules).items():
-            by = {s: trees[callee] for callee, s in r.calls}
-            trees[p] = Tree(r.symbol, tuple(by[m] for m in range(1, r.arity + 1)))
+        rules = ((p, f, by, 0) for p, mine in productive_rules(M).items()
+                 for f, (_, by) in mine.items())
+        for p, (_, f, by) in settle(rules).items():
+            trees[p] = Tree(f, tuple(trees[callee] for callee in by))
         c["sdt"] = trees
     return c["sdt"].get(q)
 
 
 def domains_equal(ps: PairSpace) -> tuple[Tree, str] | None:
-    """Domain equality of the two machines (assumed trimmed): None, or an
-    input tree in one domain only and what differs there.
+    """Domain equality of the two machines: None, or an input tree in one
+    domain only and what differs there.
 
     At every co-reachable pair the two states must offer the same symbols at
     the same arities, and every slot pair under a common symbol must own a
-    common tree.  The caller verifies the tree.
+    common tree; :class:`PairSpace` records the first pair where either
+    fails, and this builds the tree.  The caller verifies it.
     """
+    if ps.difference is None:
+        return None
     M1, M2 = ps.M1, ps.M2
-    for pair in ps.co:
-        p1, p2 = pair
-        sy1 = {r.symbol: r.arity for r in M1.rules_of(p1)}
-        sy2 = {r.symbol: r.arity for r in M2.rules_of(p2)}
-        if sy1 != sy2:
-            order = list(M1.alphabet) + [f for f in M2.alphabet if f not in M1.alphabet]
-            f = next(g for g in order if sy1.get(g) != sy2.get(g))
-            if f in sy1:
-                M, st = M1, p1
-            else:
-                M, st = M2, p2
-            r = M.rule(st, f)
-            by = {s: shortest_domain_tree(M, callee) for callee, s in r.calls}
-            sub = Tree(f, tuple(by[m] for m in range(1, r.arity + 1)))
-            return (ps.context(pair, sub),
-                    f"symbol {f} offered on one side only (or at a different arity)")
-        for f, kids in ps.expansions(pair):
-            bad = next((i for i, k in enumerate(kids) if k not in ps.productive), None)
-            if bad is None:
-                continue
-            r1 = M1.rule(p1, f)
-            by1 = {s: c for c, s in r1.calls}
-            children = []
-            for m in range(1, r1.arity + 1):
-                kid = kids[m - 1]
-                if kid in ps.productive:
-                    children.append(ps.common_tree(kid))
-                else:
-                    children.append(shortest_domain_tree(M1, by1[m]))
-            sub = Tree(f, tuple(children))
-            return ps.context(pair, sub), f"slot {bad + 1} of {f} has no common tree"
-    return None
+    pair, e = ps.difference
+    if e is None:
+        d1, d2 = productive_rules(M1)[pair[0]], productive_rules(M2)[pair[1]]
+        sy1 = {f: len(by) for f, (_, by) in d1.items()}
+        sy2 = {f: len(by) for f, (_, by) in d2.items()}
+        order = list(M1.alphabet) + [f for f in M2.alphabet if f not in M1.alphabet]
+        f = next(g for g in order if sy1.get(g) != sy2.get(g))
+        M, (_, by) = (M1, d1[f]) if f in sy1 else (M2, d2[f])
+        sub = Tree(f, tuple(shortest_domain_tree(M, callee) for callee in by))
+        return (ps.context(pair, sub),
+                f"symbol {f} offered on one side only (or at a different arity)")
+    f, kids, _, _ = e
+    common = [ps.common_tree(k) for k in kids]
+    children = tuple(shortest_domain_tree(M1, k[0]) if t is None else t
+                     for t, k in zip(common, kids))
+    return (ps.context(pair, Tree(f, children)),
+            f"slot {common.index(None) + 1} of {f} has no common tree")
 
 
 def same_ordered(ps: PairSpace) -> bool:
     """Both machines consume children in the same display order everywhere
-    they can run together.
+    they can run together: in every rule pair of every co-reachable pair.
 
-    A rule only one side has is a domain difference, not an order
-    difference, so it is left to the domain check."""
-    M1, M2 = ps.M1, ps.M2
-    for p1, p2 in ps.co:
-        syms = set(M1.rule_symbols(p1)) & set(M2.rule_symbols(p2))
-        for f in syms:
-            if M1.rule(p1, f).slots != M2.rule(p2, f).slots:
-                return False
-    return True
+    A rule only one side has, or one with a child pair that owns no common
+    tree, is a domain difference, not an order difference, so it is left
+    to the domain check."""
+    return all(r1.slots == r2.slots for pair in ps.co
+               for _, _, r1, r2 in ps.rule_pairs[pair])

@@ -251,10 +251,42 @@ def settle(rules) -> dict:
     return out
 
 
-def productive_states(M: Ltw) -> set[str]:
-    """States with at least one tree in their domain (least fixpoint)."""
-    return set(settle((r.state, r, [c for c, _ in r.calls], 0)
-                      for r in M.rules.values()))
+def productive_rules(M: Ltw) -> dict[str, dict[str, tuple[Rule, list[str]]]]:
+    """Per state, its productive rules (those calling productive states
+    only, so a state with none has an empty domain) by symbol in alphabet
+    order, each with its callee per slot; computed once per machine, from
+    a count per rule of the calls not yet known productive."""
+    c = M._analysis
+    if "live" not in c:
+        good, waiting, ready = set(), {}, []
+        for r in M.rules.values():
+            cell = [len(r.calls), r.state]
+            for callee, _ in r.calls:
+                waiting.setdefault(callee, []).append(cell)
+            if not r.calls:
+                ready.append(r.state)
+        for q in ready:                   # grows while it is read
+            if q not in good:
+                good.add(q)
+                for cell in waiting.pop(q, ()):
+                    cell[0] -= 1
+                    if not cell[0]:
+                        ready.append(cell[1])
+        c["live"] = live = {}
+        for q in M.states:
+            live[q] = mine = {}
+            for f in M.alphabet:
+                r = M.rules.get((q, f))
+                if r is None:
+                    continue
+                by = [""] * len(r.calls)
+                for callee, slot in r.calls:
+                    if callee not in good:
+                        break
+                    by[slot - 1] = callee
+                else:
+                    mine[f] = r, by
+    return c["live"]
 
 
 def accessible(M: Ltw, q: str) -> set[str]:
@@ -276,13 +308,11 @@ def trim(M: Ltw) -> Ltw:
 
     Raises EmptyTransducer if the axiom state has an empty domain.
     """
-    good = productive_states(M)
-    if M.axiom[1] not in good:
+    live = productive_rules(M)
+    if not live.get(M.axiom[1]):
         raise EmptyTransducer(f"axiom state {M.axiom[1]} has an empty domain")
-    rules = {k: r for k, r in M.rules.items()
-             if k[0] in good and all(c in good for c, _ in r.calls)}
-    probe = M.with_(rules=rules)
-    keep = accessible(probe, M.axiom[1])
+    rules = {k: r for k, r in M.rules.items() if k[1] in live.get(k[0], ())}
+    keep = accessible(M.with_(rules=rules), M.axiom[1])
     states = tuple(s for s in M.states if s in keep)
     rules = {k: r for k, r in rules.items() if k[0] in keep}
     return M.with_(states=states, rules=rules)

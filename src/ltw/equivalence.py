@@ -1,7 +1,10 @@
 """Equivalence of linear tree-to-word transducers.
 
-Two trimmed machines are compared on their co-reachable state pairs
-(:class:`~ltw.analysis.PairSpace`).  Their domains are compared first.
+Two machines are compared as loaded, with no trimmed copies, on their
+co-reachable state pairs (:class:`~ltw.analysis.PairSpace`), which one pass
+builds through the productive rules of each.  An axiom state that is not
+productive decides the verdict at once; otherwise the domains are compared
+first, from the difference that pass records.
 Once the domains agree, the common trees of a pair (q1, q2) are summarized
 by vectors over F_p,
 
@@ -49,7 +52,7 @@ from __future__ import annotations
 from . import words
 from .analysis import (PairSpace, _summary, domains_equal, pair_spans,
                        shortest_domain_tree)
-from .core import EmptyTransducer, Ltw, Tree, domain_defined, evaluate, trim
+from .core import Ltw, Tree, domain_defined, evaluate, productive_rules
 
 
 class EquivVerdict(words.Record):
@@ -78,17 +81,15 @@ def morphism_equivalence(ps: PairSpace) -> tuple[str, Tree | None]:
         return framed(a0, a1, v[0], v[1], v[4]) != framed(b0, b1, v[2], v[3], v[4])
 
     top = pair_spans(ps, stop=fails)[ps.axiom_pair]
-    for v, tree in zip(top.vectors, top.trees):
-        if fails(v):
-            return "span", tree
-    return "span", None
+    return "span", top.trees[-1] if top.vectors and fails(top.vectors[-1]) else None
 
 
 def decide_same_ordered_equiv(M1: Ltw, M2: Ltw) -> EquivVerdict:
-    """Equivalence of two trimmed machines exactly as given: the domain
-    check, then the span test.  The span test handles children read in any
-    order on either side, so the machines need not be same-ordered.  Only
-    :func:`decide_equiv` calls this, after trimming both machines."""
+    """Equivalence of two machines exactly as given, trimmed or not: the
+    domain check, then the span test, both on one :class:`PairSpace`.  The
+    span test handles children read in any order on either side, so the
+    machines need not be same-ordered.  :func:`decide_equiv` calls this once
+    neither axiom state has an empty domain."""
     ps = PairSpace(M1, M2)
     diff = domains_equal(ps)
     if diff is not None:
@@ -104,26 +105,20 @@ def decide_same_ordered_equiv(M1: Ltw, M2: Ltw) -> EquivVerdict:
     return EquivVerdict(True, detail=method)
 
 
-def _trimmed(M: Ltw) -> Ltw | None:
-    try:
-        return trim(M)
-    except EmptyTransducer:
-        return None
-
-
 def decide_equiv(M1: Ltw, M2: Ltw) -> EquivVerdict:
-    """Full equivalence decision: trim both machines, then compare them.
+    """Full equivalence decision on the machines as loaded: the empty
+    domains first, then :func:`decide_same_ordered_equiv`.
 
     Every "not equivalent" carries a witness tree re-verified on the
     machines; "equivalent" errs only on a fingerprint collision."""
-    T1, T2 = _trimmed(M1), _trimmed(M2)
-    if T1 is None and T2 is None:
+    empty1, empty2 = (not productive_rules(M)[M.axiom[1]] for M in (M1, M2))
+    if empty1 and empty2:
         return EquivVerdict(True, detail="both domains empty")
-    if T1 is None or T2 is None:
-        T = T1 or T2
-        t = shortest_domain_tree(T, T.axiom[1])
+    if empty1 or empty2:
+        M = M2 if empty1 else M1
+        t = shortest_domain_tree(M, M.axiom[1])
         if domain_defined(M1, t) == domain_defined(M2, t):
             raise RuntimeError("domain witness failed verification")
         return EquivVerdict(False, reason="domain", witness=t,
                             detail="one domain is empty")
-    return decide_same_ordered_equiv(T1, T2)
+    return decide_same_ordered_equiv(M1, M2)

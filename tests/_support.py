@@ -1,11 +1,12 @@
 """Shared corpus builders: deterministic random machines (wide ones too,
-whose two sides call a rule's slots in differing orders), mutations, the
-word-equality differential, and the elimination law harness used by both the
-unit suites and the acceptance gate; and the helpers only tests need: word
-powers, structural machine equality, the companion machine, tree size and
-depth, the tree enumerator over a whole alphabet and brute-force
-quasi-periodicity; and the plain references that faster code is tested
-against: the span fixpoint and the token-cursor loader."""
+whose two sides call a rule's slots in differing orders), mutations, junk
+that trimming removes, the word-equality differential, and the elimination
+law harness used by both the unit suites and the acceptance gate; and the
+helpers only tests need: word powers, structural machine equality, the
+companion machine, tree size and depth, the tree enumerator over a whole
+alphabet and brute-force quasi-periodicity; and the plain references that
+faster code is tested against: the span fixpoint and the token-cursor
+loader."""
 
 from __future__ import annotations
 
@@ -266,6 +267,51 @@ def mutate(M: Ltw, rng: random.Random) -> Ltw:
     return M.with_(rules=rules)
 
 
+def with_junk(M: Ltw, rng: random.Random, empty_axiom: bool = False) -> Ltw:
+    """M with states and rules that trimming removes, each kind drawn at
+    random: unproductive states d<i>, every rule of which calls one of
+    them; inaccessible states z<i> with a nullary rule and a rule calling
+    any state; and rules of M's own states that call an unproductive
+    state, in place of one of M's rules or under a symbol the state had no
+    rule for.  The new states are spread among M's.  With `empty_axiom`
+    the axiom runs d0, so the domain is empty."""
+    nullary = [f for f, n in M.alphabet.items() if n == 0]
+    ranked = [f for f, n in M.alphabet.items() if n > 0]
+    own = list(M.states)
+    dead = [f"d{i}" for i in range(rng.randrange(1, 3))]
+    lost = [f"z{i}" for i in range(rng.randrange(3))]
+    rules = dict(M.rules)
+
+    def add(q, f, callees):
+        n = M.alphabet[f]
+        slots = list(range(1, n + 1))
+        rng.shuffle(slots)
+        ws = tuple(M.pool.literal(_word(rng, 2)) for _ in range(n + 1))
+        rules[(q, f)] = Rule(q, f, ws, tuple((callees[s - 1], s) for s in slots))
+
+    def calling_dead(f, others):
+        callees = [rng.choice(others) for _ in range(M.alphabet[f])]
+        callees[rng.randrange(len(callees))] = rng.choice(dead)
+        return callees
+
+    for d in dead:
+        for f in rng.sample(ranked, rng.randrange(1, len(ranked) + 1)):
+            add(d, f, calling_dead(f, own + dead))
+    for z in lost:
+        add(z, rng.choice(nullary), [])
+        f = rng.choice(ranked)
+        add(z, f, [rng.choice(own + dead + lost) for _ in range(M.alphabet[f])])
+    for _ in range(rng.randrange(3)):
+        f = rng.choice(ranked)
+        add(rng.choice(own), f, calling_dead(f, own))
+    states = own
+    for q in dead + lost:
+        states.insert(rng.randrange(len(states) + 1), q)
+    u0, q0, u1 = M.axiom
+    return M.with_(states=tuple(states), rules=rules,
+                   axiom=(u0, dead[0] if empty_axiom else q0, u1))
+
+
 def random_word_ref(pool, rng: random.Random, depth: int = 4):
     """Random compressed word built from the full operation surface."""
     if depth == 0 or rng.random() < 0.3:
@@ -368,7 +414,6 @@ def reference_pair_spans(ps) -> dict:
     vector when row reduction against normalized echelon rows leaves a
     remainder."""
     p = W.fingerprinter().prime
-    M1, M2 = ps.M1, ps.M2
 
     def side(ws, slots, vecs, o):
         P, H = ws[0]
@@ -382,13 +427,11 @@ def reference_pair_spans(ps) -> dict:
     rules, users = {}, defaultdict(dict)
     for pair in ps.co:
         rules[pair] = []
-        for f, kids in ps.expansions(pair):
-            if all(k in ps.productive for k in kids):
-                r1, r2 = M1.rule(pair[0], f), M2.rule(pair[1], f)
-                rules[pair].append((f, kids, [_summary(w) for w in r1.words], r1.slots,
-                                    [_summary(w) for w in r2.words], r2.slots))
-                for k in kids:
-                    users[k][pair] = None
+        for f, kids, r1, r2 in ps.rule_pairs[pair]:
+            rules[pair].append((f, kids, [_summary(w) for w in r1.words], r1.slots,
+                                [_summary(w) for w in r2.words], r2.slots))
+            for k in kids:
+                users[k][pair] = None
     span = {pair: ([], [], []) for pair in ps.co}    # vectors, trees, rows
     done, queue, queued = {}, deque(ps.co), set(ps.co)
     while queue:

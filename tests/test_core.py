@@ -9,7 +9,7 @@ from ltw import (EmptyTransducer, Ltw, Rule, Tree, UndefinedInput, evaluate,
                  validate)
 from ltw import words as W
 from ltw.analysis import QuasiPeriodicity
-from ltw.core import (accessible, domain_defined, productive_states, settle,
+from ltw.core import (accessible, domain_defined, productive_rules, settle,
                       with_axiom_state)
 from ltw.equivalence import EquivVerdict
 from ltw.oracle import (EnumerationBudget, enumerate_trees, evaluate_explicit,
@@ -179,7 +179,7 @@ def test_settle_equal_values_first_ready_wins():
 
 def test_productive_accessible():
     M = ex3()
-    assert productive_states(M) == set(M.states)
+    assert {q for q, rules in productive_rules(M).items() if rules} == set(M.states)
     assert accessible(M, "q") == {"q", "q1", "q2"}
     assert accessible(M, "q2") == {"q2"}
 

@@ -2,19 +2,22 @@
 the span fixpoint behind every verdict."""
 
 import random
+from collections import Counter
 
-from ltw import analysis, oracle, words
-from ltw.core import (EmptyTransducer, Ltw, trim, domain_defined, evaluate,
-                      with_axiom_state)
-from ltw.ltwfile import parse_ltw, print_tree
-from ltw.analysis import PairSpace, domains_equal, same_ordered
+from ltw import analysis, core, oracle, words
+from ltw.core import (EmptyTransducer, Ltw, Rule, trim, domain_defined,
+                      evaluate, with_axiom_state)
+from ltw.ltwfile import load_ltw, parse_ltw, print_tree
+from ltw.analysis import (PairSpace, domains_equal, same_ordered,
+                          shortest_domain_tree)
 from ltw.normalize import partial_normal_form
-from ltw.equivalence import (decide_equiv, decide_same_ordered_equiv,
-                             morphism_equivalence, pair_spans)
+from ltw.equivalence import (EquivVerdict, decide_equiv,
+                             decide_same_ordered_equiv, morphism_equivalence,
+                             pair_spans)
 
 from _support import (RuleBudget, chain, mutate, periodic_run_machine,
-                      random_cyclic_text, random_layered, reference_pair_spans,
-                      wide_pair)
+                      random_cyclic_text, random_layered, random_layered_text,
+                      reference_pair_spans, wide_pair, with_junk)
 
 
 def _load(fixtures, name):
@@ -403,13 +406,19 @@ def test_each_product_is_evaluated_once(monkeypatch, fixtures):
     assert t is not None and len(seen) < full
 
 
-def _wide_family(k: int, order=None) -> Ltw:
+def _wide_family(k: int, order=None, chain: int = 0) -> Ltw:
     """q f(x1..xk) = q(x1) "c" ... q(xk) "c" with q a = "a" and q b = "bb",
-    the calls made in `order` (default 1..k)."""
+    the calls made in `order` (default 1..k); with `chain` = m > 0, also
+    q g(x1) = "d" p1(x1), p<i> g(x1) = "d" p<i+1>(x1) and p<m> a = "a"."""
     xs = ",".join(f"x{s}" for s in range(1, k + 1))
     body = " ".join(f'q(x{s}) "c"' for s in order or range(1, k + 1))
-    return parse_ltw(f"input f:{k} a:0 b:0\naxiom = q(x)\n"
-                     f'rule q f({xs}) = {body}\nrule q a = "a"\nrule q b = "bb"\n')
+    text = (f"input f:{k} a:0 b:0{' g:1' if chain else ''}\naxiom = q(x)\n"
+            f'rule q f({xs}) = {body}\nrule q a = "a"\nrule q b = "bb"\n')
+    if chain:
+        text += "".join(f'rule {"q" if i == 0 else f"p{i}"} g(x1) = "d" p{i + 1}(x1)\n'
+                        for i in range(chain))
+        text += f'rule p{chain} a = "a"\n'
+    return parse_ltw(text)
 
 
 def test_products_grow_linearly_in_arity(monkeypatch):
@@ -493,3 +502,174 @@ def test_domain_witness_verified_at_its_shared_size(monkeypatch):
     v = decide_equiv(A, B)
     assert not v.equivalent and v.reason == "domain"
     assert not domain_defined(A, v.witness) and domain_defined(B, v.witness)
+
+
+def test_step_tables_are_built_on_first_read(monkeypatch):
+    # the k-ary family against its reversal stops at its first failing
+    # f-tree, k rounds of the queue in; the unary chain under q climbs one
+    # level per round, so the stopped fixpoint never reads the rules at its
+    # top.  A rule pair's table is built when its first child's span gets
+    # its first vector, right before its first product: the stopped
+    # fixpoint builds tables only for rule pairs it reads, the full one for
+    # every rule pair with children
+    built, read = [], set()
+    real_steps, real_apply = analysis._steps, analysis._apply
+
+    def steps(*args):
+        table = real_steps(*args)
+        built.append(table)
+        return table
+
+    def apply(step, x, v, p):
+        read.add(id(step.ops))
+        return real_apply(step, x, v, p)
+
+    monkeypatch.setattr(analysis, "_steps", steps)
+    monkeypatch.setattr(analysis, "_apply", apply)
+    for k in (4, 6, 8):
+        m = 3 * k + 5
+        A = _wide_family(k, chain=m)
+        B = _wide_family(k, list(range(k, 0, -1)), chain=m)
+        ps = PairSpace(A, B)
+        with_children = sum(1 for pair in ps.co for _, kids, _, _ in ps.rule_pairs[pair] if kids)
+        assert with_children == m + 1
+        built.clear()
+        read.clear()
+        _, t = morphism_equivalence(ps)
+        assert t is not None
+        assert not words.equals(evaluate(A, t), evaluate(B, t))
+        assert 2 <= len(built) < with_children
+        assert all(id(table[0][1]) in read for table in built)
+        built.clear()
+        pair_spans(ps)
+        assert len(built) == with_children
+
+
+# -- machines as loaded -------------------------------------------------------
+
+def _decide_on_trimmed(M1, M2) -> EquivVerdict:
+    """decide_equiv on trim(M1) and trim(M2); an axiom state with an empty
+    domain, which trim refuses, is decided by the empty-domain rules."""
+    T1, T2 = [], []
+    for M, T in ((M1, T1), (M2, T2)):
+        try:
+            T.append(trim(M))
+        except EmptyTransducer:
+            pass
+    if not T1 and not T2:
+        return EquivVerdict(True, detail="both domains empty")
+    if not T1 or not T2:
+        T = (T1 or T2)[0]
+        return EquivVerdict(False, reason="domain", detail="one domain is empty",
+                            witness=shortest_domain_tree(T, T.axiom[1]))
+    return decide_equiv(T1[0], T2[0])
+
+
+def _assert_verified(v, A, B):
+    if v.reason == "domain":
+        assert domain_defined(A, v.witness) != domain_defined(B, v.witness)
+    elif v.reason == "output":
+        assert not words.equals(evaluate(A, v.witness), evaluate(B, v.witness))
+
+
+def _redirected(M: Ltw, rng) -> Ltw:
+    """M with one call redirected to a new state y that has one nullary
+    rule, so the pair of the old callee and y may own no common tree."""
+    keys = sorted(k for k, r in M.rules.items() if r.calls)
+    if not keys:
+        return M
+    r = M.rules[keys[rng.randrange(len(keys))]]
+    calls = list(r.calls)
+    i = rng.randrange(len(calls))
+    calls[i] = ("y", calls[i][1])
+    f = rng.choice([f for f, n in M.alphabet.items() if n == 0])
+    rules = dict(M.rules)
+    rules[r.state, r.symbol] = Rule(r.state, r.symbol, r.words, tuple(calls))
+    rules["y", f] = Rule("y", f, (M.pool.literal("b"),), ())
+    return M.with_(states=M.states + ("y",), rules=rules)
+
+
+def test_untrimmed_machines_decide_as_their_trimmed_copies():
+    # inaccessible and unproductive states, rules that call an unproductive
+    # state, and unproductive axioms on one side or both: decide_equiv on
+    # the machines as loaded gives the verdict, reason, detail and witness
+    # it gives on their trimmed copies, and every witness holds on the
+    # machines as loaded
+    rng = random.Random(23)
+    kinds = Counter()
+    for i in range(600):
+        n = rng.randrange(1, 5)
+        M = parse_ltw(random_layered_text(rng, n) if i % 2 else random_cyclic_text(rng, n))
+        edit = rng.random()
+        N = mutate(M, rng) if edit < 0.4 else _redirected(M, rng) if edit < 0.7 else M
+        empty = rng.random()
+        A = with_junk(M, rng, empty_axiom=empty < 0.06)
+        B = with_junk(N, rng, empty_axiom=empty < 0.03 or 0.06 <= empty < 0.09)
+        v, ref = decide_equiv(A, B), _decide_on_trimmed(A, B)
+        assert ((v.equivalent, v.reason, v.detail, str(v.witness))
+                == (ref.equivalent, ref.reason, ref.detail, str(ref.witness))), i
+        _assert_verified(v, A, B)
+        kinds[v.reason, v.detail.split()[0]] += 1
+    assert kinds[None, "span"] >= 100 and kinds["output", "span"] >= 60
+    assert kinds["domain", "symbol"] >= 100 and kinds["domain", "slot"] >= 8
+    assert kinds["domain", "one"] >= 10 and kinds[None, "both"] >= 5
+
+
+class _Passes(dict):
+    """A rule table that counts the passes over all of its rules."""
+
+    def __init__(self, rules, passes: list[int]):
+        super().__init__(rules)
+        self.passes = passes
+
+    def values(self):
+        self.passes[0] += 1
+        return super().values()
+
+    def items(self):
+        self.passes[0] += 1
+        return super().items()
+
+
+def test_check_runs_one_pair_pass(monkeypatch, fixtures):
+    # decide_equiv makes no trimmed copy and walks no accessibility: it
+    # reads each machine's rules in one pass, for its productive rules, and
+    # PairSpace builds no tree; only a domain witness asks for common trees
+    def refuse(*args):
+        raise AssertionError("decide_equiv trimmed a machine")
+
+    monkeypatch.setattr(core, "trim", refuse)
+    monkeypatch.setattr(core, "accessible", refuse)
+    monkeypatch.setattr(analysis, "accessible", refuse)
+    passes, trees, asked = [0], [0], []
+    real_tree, real_common = analysis.Tree, PairSpace.common_tree
+
+    def tree(*args):
+        trees[0] += 1
+        return real_tree(*args)
+
+    def common_tree(self, pair):
+        asked.append(pair)
+        return real_common(self, pair)
+
+    monkeypatch.setattr(PairSpace, "common_tree", common_tree)
+    paths = sorted(fixtures.glob("*.ltw"))
+    reasons = Counter()
+    for a in paths:
+        for b in paths:
+            A, B = load_ltw(a), load_ltw(b)
+            monkeypatch.setattr(analysis, "Tree", tree)
+            PairSpace(A, B)
+            monkeypatch.setattr(analysis, "Tree", real_tree)
+            assert trees[0] == 0, (a.stem, b.stem)
+            A, B = (M.with_(rules=_Passes(M.rules, passes)) for M in (load_ltw(a), load_ltw(b)))
+            passes[0] = 0
+            asked.clear()
+            v = decide_equiv(A, B)
+            assert passes[0] == 2, (a.stem, b.stem)
+            assert v.reason == "domain" or not asked, (a.stem, b.stem)
+            _assert_verified(v, A, B)
+            again = decide_equiv(A, B)
+            assert str(again.witness) == str(v.witness) and passes[0] == 2
+            reasons[v.reason] += 1
+    assert reasons[None] >= len(paths) and reasons["domain"] and reasons["output"]
