@@ -515,12 +515,12 @@ def _steps(calls1, calls2, w1: list, w2: list, p: int) -> list:
     return out
 
 
-def _apply(step, x, v, p: int) -> list:
-    """The partial output after `step` from a partial output x before it
-    and a basis vector v of its child: side 1's prefix times v's
+def _apply(ops, x, v, p: int) -> list:
+    """The partial output after a step with `ops` from a partial output x
+    before it and a basis vector v of its child: side 1's prefix times v's
     (P1, H1, C), side 2's tensor times v's (P2, H2, C) (see :func:`_steps`)."""
     out = []
-    for xi, bases, (o0, o1, o2, o3, o4), (k0, k1, k2, k3, k4) in step.ops:
+    for xi, bases, (o0, o1, o2, o3, o4), (k0, k1, k2, k3, k4) in ops:
         xp, xh, xc = v[xi], v[xi + 1], v[4]
         c0, c1, c2, c3, c4 = xp * k0, xp * k1, xh * k2, xc * k3, xc * k4
         for b in bases:
@@ -530,31 +530,23 @@ def _apply(step, x, v, p: int) -> list:
     return out
 
 
-class _Step:
-    """One child of a rule pair: the partial outputs before it (`left`; for
-    the rule's first child, the partial output (1, 1) before any child)
-    times the basis of the child's pair span (`kid`), kept in `out`.  `out`
-    is the pair's span at the rule's last child, where `tree` = (symbol,
-    side-1 index of each slot) builds the tree.  Until the first child's
-    span gets a vector, the first step holds its rule pair in `rule`."""
-
-    __slots__ = ("ops", "kid", "left", "out", "tree", "rule")
-
-    def __init__(self, kid):
-        self.ops = self.left = self.out = self.tree = self.rule = None
-        self.kid = kid
-
-
 def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
     """The span of the output vectors (P1, H1, P2, H2, C) of every
     co-reachable pair's common trees (see :mod:`ltw.equivalence`).
 
     Each rule pair folds in its children one at a time, in side 1's call
-    order, through one partial span per child (:func:`_steps`).  A step is
-    bilinear in (partial output, child vector), so a vector kept anywhere
-    is multiplied only with the current basis of the other operand of each
-    step that reads it, from a FIFO queue of kept vectors.  Every kept
-    vector carries a sequence number, and a product is evaluated by the
+    order, through one partial span per child (:func:`_steps`).  A step
+    multiplies the partial outputs before it (for the rule's first child,
+    the partial output (1, 1) before any child) with the basis of its
+    child's pair span, and keeps the images in the partial span after it;
+    after the rule's last child that is the pair's span, where the step's
+    tree builder (symbol, side-1 index of each slot) makes the tree.  Every
+    step is built once, before the fixpoint starts.
+
+    A step is bilinear in (partial output, child vector), so a vector kept
+    anywhere is multiplied only with the current basis of the other operand
+    of each step that reads it, from a FIFO queue of kept vectors.  Every
+    kept vector carries a sequence number, and a product is evaluated by the
     later of its two operands, with the vectors of the other one kept
     before it.  So each product is evaluated once, even where one span
     feeds several places of a rule, and a rule costs
@@ -569,7 +561,9 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
     p = fp.prime
     t1, t2 = fp.table(ps.M1.pool), fp.table(ps.M2.pool)
     span = {pair: _Span(5) for pair in ps.co}
-    # the steps reading each span: (step, whether at its partial place)
+    # the steps reading each span, each with whether the span is its partial
+    # place: (ops, partial span before, child span, span after, tree builder
+    # or None, whether the images stay unreduced)
     readers: dict[_Span, list] = {sp: [] for sp in span.values()}
     top = span[ps.axiom_pair]
     start = _Span(0)                    # the partial output before any child
@@ -592,47 +586,36 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
                     if here is top and stop is not None and stop(y):
                         return span
                 continue
-            chain = [_Step(span[kids[slot - 1]]) for _, slot in r1.calls]
-            chain[0].left, chain[0].rule, chain[-1].out = start, (f, r1, r2, chain), here
-            for step in chain:
-                readers[step.kid].append((step, False))
-
-    def build(first):
-        """The ops of a rule pair's steps (:func:`_steps`) and the partial
-        spans between them, each read by the next step."""
-        f, r1, r2, chain = first.rule
-        first.rule, order = None, [0] * len(chain)
-        table = _steps(r1.calls, r2.calls, [t1[w.node] for w in r1.words],
-                       [t2[w.node] for w in r2.words], p)
-        for j, (step, (slot, ops, dim)) in enumerate(zip(chain, table)):
-            step.ops, order[slot - 1] = ops, j
-            if j:
-                step.left = chain[j - 1].out
-            if step.out is None:
-                step.out = _Span(0 if j == 0 else dim)
-                readers[step.out] = [(chain[j + 1], True)]
-        chain[-1].tree = f, order
+            steps = _steps(r1.calls, r2.calls, [t1[w.node] for w in r1.words],
+                           [t2[w.node] for w in r2.words], p)
+            order, left, last = [0] * len(kids), start, len(steps) - 1
+            for j, (slot, ops, dim) in enumerate(steps):
+                order[slot - 1] = j     # full before the fixpoint reads it
+                kid = span[kids[slot - 1]]
+                if j < last:           # a first child's images stay unreduced
+                    out = _Span(0 if j == 0 else dim)
+                    readers[out] = []
+                    step = (ops, left, kid, out, None, j == 0)
+                else:
+                    out = here
+                    step = (ops, left, kid, out, (f, order), False)
+                readers[kid].append((step, False))
+                if j:
+                    readers[left].append((step, True))
+                left = out
 
     while queue:
         sp, i = queue.popleft()
         v, t, s = sp.vectors[i], sp.trees[i], sp.seqs[i]
-        for step, at_left in readers[sp]:
-            if step.ops is None:
-                if step.rule is None:   # a later child, before the first has a vector
-                    continue
-                build(step)
+        for (ops, left, kid, out, tree, raw), at_left in readers[sp]:
             if at_left:         # a partial, times the child vectors kept before it
-                kid = step.kid
                 n = bisect_left(kid.seqs, s)
                 operands = zip(repeat(v, n), repeat(t, n), kid.vectors[:n], kid.trees[:n])
             else:               # a child vector, times the partials kept before it
-                left = step.left
                 n = bisect_left(left.seqs, s)
                 operands = zip(left.vectors[:n], left.trees[:n], repeat(v, n), repeat(t, n))
-            out, tree = step.out, step.tree
-            raw = tree is None and step.left is start  # a first child's images stay unreduced
             for x, xt, u, ut in operands:
-                y = _apply(step, x, u, p)
+                y = _apply(ops, x, u, p)
                 if raw:
                     out.vectors.append(y)
                     out.trees.append(xt + (ut,))

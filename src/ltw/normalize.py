@@ -106,13 +106,11 @@ def make_state_earliest(M: Ltw, q: str, verdict: QuasiPeriodicity) -> Ltw:
     rest falls to the next trim.
     """
     if verdict.direction == "right":
-        back = QuasiPeriodicity("left", words.reverse(verdict.handle),
-                                words.reverse(verdict.period))
-        return mirror(_make_left(mirror(M), q, back))
-    return _make_left(M, q, verdict)
+        return mirror(_make_left(mirror(M), q))
+    return _make_left(M, q)
 
 
-def _make_left(M: Ltw, q: str, verdict: QuasiPeriodicity) -> Ltw:
+def _make_left(M: Ltw, q: str) -> Ltw:
     acc = accessible(M, q)
     w = shortest_words(M)
     pool = M.pool
@@ -305,9 +303,7 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                 continue
             q, sym = key
             for i in range(len(M.rules[key].calls) - 1, -1, -1):
-                r = M.rules.get(key)
-                if r is None:
-                    break               # a rewrite copied q and trimmed it away
+                r = M.rules[key]
                 callee, slot = r.calls[i]
                 u = r.words[i + 1]
                 if shortest_word_lengths(M)[callee] == 0 and u.length == 0:

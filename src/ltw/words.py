@@ -315,56 +315,40 @@ def equals(a: WordRef, b: WordRef) -> bool:
 
 # -- structure ---------------------------------------------------------------
 
-def strip_prefix(w: WordRef, n: int) -> WordRef:
-    """The word with its first n symbols removed."""
+def _strip(w: WordRef, n: int, near: list, far: list) -> WordRef:
+    """The word with n symbols removed at the end that `near` (the pool's
+    left or right child list) descends to; `far` is the other list."""
     if n < 0 or n > w.length:
         raise OutOfRange(f"cannot strip {n} symbols from a word of length {w.length}")
     pool = w.pool
-    kind, left, right, lens = pool._kind, pool._left, pool._right, pool._len
-    rights = []
+    kind, lens = pool._kind, pool._len
+    kept = []
     cur, k = w.node, n
     while k:
-        kd = kind[cur]
-        if kd == _LIT:
+        if kind[cur] == _LIT:
             cur = 0
             break
-        a, b = left[cur], right[cur]
-        la = lens[a]
-        if k >= la:
-            cur, k = b, k - la
+        a, b = near[cur], far[cur]
+        if k >= lens[a]:
+            cur, k = b, k - lens[a]
         else:
-            rights.append(b)
+            kept.append(b)
             cur = a
     out = WordRef(pool, cur)
-    for b in reversed(rights):
-        out = pool.concat(out, WordRef(pool, b))
+    for b in reversed(kept):
+        b = WordRef(pool, b)
+        out = pool.concat(out, b) if near is pool._left else pool.concat(b, out)
     return out
+
+
+def strip_prefix(w: WordRef, n: int) -> WordRef:
+    """The word with its first n symbols removed."""
+    return _strip(w, n, w.pool._left, w.pool._right)
 
 
 def strip_suffix(w: WordRef, n: int) -> WordRef:
     """The word with its last n symbols removed."""
-    if n < 0 or n > w.length:
-        raise OutOfRange(f"cannot strip {n} symbols from a word of length {w.length}")
-    pool = w.pool
-    kind, left, right, lens = pool._kind, pool._left, pool._right, pool._len
-    lefts = []
-    cur, k = w.node, n
-    while k:
-        kd = kind[cur]
-        if kd == _LIT:
-            cur = 0
-            break
-        a, b = left[cur], right[cur]
-        lb = lens[b]
-        if k >= lb:
-            cur, k = a, k - lb
-        else:
-            lefts.append(a)
-            cur = b
-    out = WordRef(pool, cur)
-    for a in reversed(lefts):
-        out = pool.concat(WordRef(pool, a), out)
-    return out
+    return _strip(w, n, w.pool._right, w.pool._left)
 
 
 def prefix(w: WordRef, n: int) -> WordRef:
@@ -411,20 +395,6 @@ def reverse(w: WordRef) -> WordRef:
 
 
 # -- primitive roots ---------------------------------------------------------
-
-def smallest_period(s: str) -> int:
-    """Length of the smallest p with s[i] == s[i+p] for all i (failure function)."""
-    n = len(s)
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and s[i] != s[k]:
-            k = fail[k - 1]
-        if s[i] == s[k]:
-            k += 1
-        fail[i] = k
-    return n - fail[n - 1] if n else 0
-
 
 # Factoring a length: trial division by TRIAL_ODDS odd numbers, then at most
 # RHO_STEPS Pollard rho steps (about 0.5 s at 105 bits; they split prime
@@ -481,25 +451,17 @@ def _factorize(n: int) -> dict[int, int]:
 def primitive_root(w: WordRef) -> WordRef:
     """The primitive word p with w == p**k (w itself if not a proper power).
 
-    Up to DEFAULT_EXPAND_CAP symbols the word is expanded and the failure
-    function gives the answer exactly.  Above, the root length r starts at
-    the length n and loses each prime factor p of n while w still has period
-    r/p, checked by one compressed overlap comparison (w equals its own
-    d-shift iff d is a period).  The periods of w that divide n are the
-    multiples of the root's length that divide n, so this finds the root in
-    at most log2(n) + (number of primes of n) comparisons; it raises
-    CapExceeded when factoring the length gives up (see RHO_STEPS).
+    The root length r starts at the length n and loses each prime factor p
+    of n while w still has period r/p, checked by one compressed overlap
+    comparison (w equals its own d-shift iff d is a period).  The periods of
+    w that divide n are the multiples of the root's length that divide n,
+    so this finds the root in at most log2(n) + (number of primes of n)
+    comparisons; it raises CapExceeded when factoring the length gives up
+    (see RHO_STEPS).
     """
-    n = w.length
+    r = n = w.length
     if n == 0:
         return w
-    if n <= DEFAULT_EXPAND_CAP:
-        s = expand(w)
-        p = smallest_period(s)
-        if n % p == 0:
-            return prefix(w, p)
-        return w
-    r = n
     for p in _factorize(n):
         while r % p == 0 and equals(strip_suffix(w, r // p), strip_prefix(w, r // p)):
             r //= p

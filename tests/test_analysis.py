@@ -212,6 +212,11 @@ def test_quasi_periodicity_right_via_mirror():
     assert quasi_periodicity(M, "q", "left") is None
 
 
+def test_quasi_periodicity_rejects_a_bad_direction():
+    with pytest.raises(ValueError, match="direction must be left or right, not 'up'"):
+        quasi_periodicity(ex("ex3"), "q", "up")
+
+
 def test_quasi_periodicity_negative():
     M = ex("ex7")
     assert quasi_periodicity(M, "q", "left") is None
@@ -322,6 +327,13 @@ def test_part_quasi_periodicity_ex6():
                          'rule q__hat__T f(x1) = "abc" q__hat__T(x1)\n'
                          'rule q__hat__T g = ""\n')
     assert same_structure(T, expected)
+
+
+@pytest.mark.parametrize("state, symbol, pos", [
+    ("p", "h", 1), ("p", "h", -1), ("q", "g", 0), ("p", "f", 0)])
+def test_rule_part_rejects_a_bad_position(state, symbol, pos):
+    with pytest.raises(ValueError, match=f"no call {pos} in rule {state},{symbol}"):
+        rule_part_quasi_periodicity(ex("ex6"), state, symbol, pos)
 
 
 def test_part_quasi_periodicity_ex7():

@@ -231,6 +231,14 @@ rule q f(x1) = "a" q(x1)
 
 # -- analyze ------------------------------------------------------------------
 
+@pytest.mark.parametrize("state", [[], ["--state", "q"]])
+def test_analyze_empty_domain(tmp_path, capsys, state):
+    f = tmp_path / "empty.ltw"
+    f.write_text('input f:1 g:0\naxiom = q(x)\nrule q f(x1) = "a" q(x1)\n')
+    assert main(["analyze", str(f), *state]) == 0
+    assert capsys.readouterr() == ("empty domain\n", "")
+
+
 def test_analyze_state_block(capsys):
     assert main(["analyze", EX3, "--state", "q"]) == 0
     lines = capsys.readouterr().out.splitlines()

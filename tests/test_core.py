@@ -125,6 +125,37 @@ def test_validate_rejects_unknown_axiom_state():
         validate(bad)
 
 
+def _one_rule_changed(M, key, rule):
+    return M.with_(rules={**M.rules, key: rule})
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda M, e: M.with_(states=M.states + ("q",)), "duplicate state names"),
+    (lambda M, e: M.with_(alphabet={"f": 1}), "alphabet has no nullary symbol"),
+    (lambda M, e: _one_rule_changed(M, ("z", "g"), Rule("z", "g", (e,), ())),
+     "rule for undeclared state z"),
+    (lambda M, e: _one_rule_changed(M, ("q", "h"), Rule("q", "h", (e,), ())),
+     "rule for undeclared symbol h"),
+    (lambda M, e: _one_rule_changed(M, ("q", "g"), Rule("q2", "g", (e,), ())),
+     "rule indexed under a mismatched key"),
+    (lambda M, e: _one_rule_changed(M, ("q", "f"), Rule("q", "f", (e,), ())),
+     "rule q,f has 0 calls, arity is 1"),
+    (lambda M, e: _one_rule_changed(M, ("q", "f"), Rule("q", "f", (e,), (("q1", 1),))),
+     "rule q,f has 1 words, expected 2"),
+    (lambda M, e: _one_rule_changed(M, ("q", "f"), Rule("q", "f", (e, e), (("q1", 2),))),
+     r"rule q,f call slots \(2,\) are not a permutation"),
+    (lambda M, e: _one_rule_changed(M, ("q", "f"), Rule("q", "f", (e, e), (("z", 1),))),
+     "rule q,f calls undeclared state z"),
+    (lambda M, e: _one_rule_changed(M, ("q2", "g"), Rule(
+        "q2", "g", (W.SlpPool().literal("abc"),), ())), "rule word from a foreign pool"),
+])
+def test_validate_names_each_structural_defect(change, message):
+    M = ex3()
+    validate(M)
+    with pytest.raises(ValueError, match=message):
+        validate(change(M, M.pool.empty))
+
+
 def test_rule_slots():
     M = ex3()
     r = M.rule("q", "f")

@@ -1,11 +1,11 @@
 """No test-only surface and no dead knobs in src/ltw.
 
-Every module-level function and class of the package is exported in
-``ltw.__all__`` or used, outside its own body, by the package or by the
-benchmark under ``bench/``.  Helpers that only tests need live in
-``tests/_support.py``.  The benchmark's tracer names the functions it wraps
-as strings, so a string constant equal to a name counts as a use of it; an
-import alone does not.
+Every module-level function, class and constant of the package (dunders
+aside) is exported in ``ltw.__all__`` or used, outside its own body or
+assignment, by the package or by the benchmark under ``bench/``.  Helpers
+that only tests need live in ``tests/_support.py``.  The benchmark's tracer
+names the functions it wraps as strings, so a string constant equal to a
+name counts as a use of it; an import alone does not.
 
 Every method and property of a class in the package, dunders aside, is
 read outside its own body by the package or by the benchmark.
@@ -40,9 +40,17 @@ def _uses(node, owner, counts):
             counts[name] += 1
 
 
+def _assigned(stmt):
+    """The names a module-level assignment binds, dunders aside."""
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name) and not _dunder(t.id)]
+
+
 def unused_definitions(src=SRC, bench=BENCH, exported=frozenset(ltw.__all__)):
-    """(module, name) of every module-level function or class under `src`
-    that is neither in `exported` nor used outside its own body."""
+    """(module, name) of every module-level function, class or constant
+    under `src` that is neither in `exported` nor used outside its own body
+    or assignment."""
     defined, counts = [], Counter()
     for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -52,6 +60,12 @@ def unused_definitions(src=SRC, bench=BENCH, exported=frozenset(ltw.__all__)):
                 owner = stmt.name
                 if path.parent == src:
                     defined.append((path.stem, owner))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                if path.parent == src:
+                    defined += [(path.stem, name) for name in _assigned(stmt)]
+                if stmt.value is not None:
+                    _uses(stmt.value, None, counts)
+                continue
             _uses(stmt, owner, counts)
     return [(mod, name) for mod, name in defined
             if name not in exported and not counts[name]]
@@ -75,6 +89,19 @@ def test_the_guard_sees_a_helper_only_tests_call(tmp_path):
         "from ltw.m import recursive\nWRAP = [('ltw.m', 'traced')]\n")
     assert unused_definitions(src, bench, frozenset({"used"})) == [
         ("m", "recursive"), ("m", "Lonely")]
+
+
+def test_the_guard_sees_a_constant_nothing_reads(tmp_path):
+    src, bench = tmp_path / "ltw", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "m.py").write_text(
+        "__all__ = ['f']\nCAP = 10\nLIMIT: int = CAP * 2\nLONE = 3\n"
+        "A, (B, C) = 1, (2, 3)\nTRACED = 4\nX = Y = 5\n"
+        "def f(n=LIMIT):\n    return n + A + C\n")
+    (bench / "tracer.py").write_text("WRAP = [('ltw.m', 'TRACED')]\n")
+    assert unused_definitions(src, bench, frozenset({"f"})) == [
+        ("m", "LONE"), ("m", "B"), ("m", "X"), ("m", "Y")]
 
 
 def _dunder(name):

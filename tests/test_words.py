@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltw import words as W
-from ltw.words import (CapExceeded, PoolMismatch, SlpPool, WordRef, equals,
-                       expand, primitive_root, reverse, rotate_left,
-                       smallest_period, strip_prefix, strip_suffix,
-                       valid_symbol)
+from ltw.words import (CapExceeded, OutOfRange, PoolMismatch, SlpPool, WordRef,
+                       equals, expand, primitive_root, reverse, rotate_left,
+                       strip_prefix, strip_suffix, valid_symbol)
 
 from ltw.ltwfile import parse_ltw
 
@@ -148,6 +147,13 @@ def test_strip_suffix_matches_slicing(s, n):
     assert expand(strip_suffix(lit(pool, s), n)) == s[:len(s) - n]
 
 
+@pytest.mark.parametrize("strip", [strip_prefix, strip_suffix])
+@pytest.mark.parametrize("n", [-1, 6])
+def test_strip_out_of_range(pool, strip, n):
+    with pytest.raises(OutOfRange, match=f"cannot strip {n} symbols from a word of length 5"):
+        strip(pool.literal("abcde"), n)
+
+
 @settings(max_examples=200)
 @given(texts, st.integers(min_value=0, max_value=48))
 def test_rotate_left_matches_slicing(s, n):
@@ -198,18 +204,6 @@ def test_reverse_is_remembered_both_ways(pool):
 def test_power_matches_repetition(s, k):
     pool = SlpPool()
     assert expand(power(lit(pool, s), k), cap=100) == s * k
-
-
-@settings(max_examples=300)
-@given(st.text(alphabet="ab", min_size=1, max_size=16))
-def test_smallest_period_is_string_period(s):
-    p = smallest_period(s)
-    assert 1 <= p <= len(s)
-    assert all(s[i] == s[i - p] for i in range(p, len(s)))
-    # minimality
-    for q in range(1, p):
-        if all(s[i] == s[i - q] for i in range(q, len(s))):
-            pytest.fail(f"period {q} < {p} also fits {s!r}")
 
 
 @settings(max_examples=300)
