@@ -320,6 +320,15 @@ def rule_part_quasi_periodicity(M: Ltw, state: str, symbol: str, pos: int):
 
 # -- pair space ---------------------------------------------------------------
 
+def _settled_trees(settled: dict) -> dict:
+    """A tree per head of a :func:`settle` whose labels are symbols and
+    whose bodies list the children in slot order."""
+    trees: dict = {}
+    for head, (_, f, kids) in settled.items():
+        trees[head] = Tree(f, tuple([trees[k] for k in kids]))
+    return trees
+
+
 class PairSpace:
     """Co-reachable state pairs of two transducers, trimmed or not.
 
@@ -376,9 +385,7 @@ class PairSpace:
 
     def common_tree(self, pair) -> Tree | None:
         if self._common is None:        # every pair's, from the settle
-            self._common = common = {}
-            for p, (_, f, kids) in self._settled.items():
-                common[p] = Tree(f, tuple(common[k] for k in kids))
+            self._common = _settled_trees(self._settled)
         return self._common.get(pair)
 
     def context(self, pair, inner: Tree) -> Tree:
@@ -640,12 +647,9 @@ def shortest_domain_tree(M: Ltw, q: str) -> Tree | None:
     """Some smallest-height tree in the domain of q (None if empty)."""
     c = M._analysis
     if "sdt" not in c:
-        trees: dict[str, Tree] = {}
-        rules = ((p, f, by, 0) for p, mine in productive_rules(M).items()
-                 for f, (_, by) in mine.items())
-        for p, (_, f, by) in settle(rules).items():
-            trees[p] = Tree(f, tuple(trees[callee] for callee in by))
-        c["sdt"] = trees
+        c["sdt"] = _settled_trees(settle(
+            (p, f, by, 0) for p, mine in productive_rules(M).items()
+            for f, (_, by) in mine.items()))
     return c["sdt"].get(q)
 
 

@@ -15,7 +15,6 @@ analyses cached on them stay valid; rewrites build new ones sharing the pool.
 from __future__ import annotations
 
 import heapq
-from itertools import count
 
 from . import words
 from .words import Frozen, SlpPool, WordRef, _set
@@ -171,32 +170,31 @@ def outputs(M: Ltw, runs, memo: dict) -> list[WordRef]:
 
     Children are run in call order, depth first, so the first node without
     a rule is the one a plain left-to-right run meets first, and the
-    UndefinedInput carries its slot path from the root of its run."""
+    UndefinedInput carries its slot path from the root of its run.  Each
+    (state, subtree) reads its rule once: the step that assembles its
+    output waits on the stack behind its children."""
     for root in runs:
         todo = [(*root, ())]              # path: nested (parent path, slot)
         while todo:
-            q, node, path = todo[-1]
+            q, node, step = todo.pop()    # step: the path, or the node's rule
+            if isinstance(step, Rule):    # its children have run: assemble
+                parts = [step.words[0]]
+                for (callee, slot), w in zip(step.calls, step.words[1:]):
+                    parts += (memo[(callee, id(node.children[slot - 1]))][1], w)
+                memo[(q, id(node))] = node, M.pool.concat_all(parts)
+                continue
             if (q, id(node)) in memo:
-                todo.pop()
                 continue
             r = M.rule(q, node.symbol)
             if r is None or len(node.children) != r.arity:
                 slots = []
-                while path:
-                    path, slot = path
+                while step:
+                    step, slot = step
                     slots.append(slot)
                 raise UndefinedInput(q, node.symbol, slots[::-1])
-            kids = [(callee, node.children[slot - 1], (path, slot))
-                    for callee, slot in r.calls]
-            missing = [k for k in kids if (k[0], id(k[1])) not in memo]
-            if missing:
-                todo += reversed(missing)
-                continue
-            todo.pop()
-            parts = [r.words[0]]
-            for (callee, kid, _), w in zip(kids, r.words[1:]):
-                parts += (memo[(callee, id(kid))][1], w)
-            memo[(q, id(node))] = node, M.pool.concat_all(parts)
+            todo.append((q, node, r))
+            todo += [(callee, node.children[slot - 1], (step, slot))
+                     for callee, slot in reversed(r.calls)]
     return [memo[(q, id(t))][1] for q, t in runs]
 
 
@@ -212,66 +210,60 @@ def domain_defined(M: Ltw, t: Tree) -> bool:
 
 def settle(rules) -> dict:
     """Least fixpoint of a weighted and-or system: Knuth's generalization
-    of Dijkstra's algorithm to grammars (IPL 1977).
+    of Dijkstra's algorithm to grammars (IPL 1977), the one engine behind
+    every least fixpoint in the package.
 
     `rules` yields (head, label, body, cost) tuples with cost >= 0.  A rule
     becomes ready once every node of its body has settled, with the value
     cost + the sum of its body's values (a node listed twice counts twice);
     the ready rule of least value settles its head.  At equal value the rule
-    that became ready first wins, so with every cost 0 heads settle in plain
-    first-in-first-out order.  Returns {head: (value, label, body)} for the
-    winning rules, in settling order, so a body's nodes always come before
-    its head.  A rule is only revisited when one of its body nodes settles.
+    that became ready first wins: ready rules wait in one first-in-first-out
+    list per value, and a heap holds only the distinct values, so a system
+    whose costs are all 0 is a plain worklist.  Returns {head: (value,
+    label, body)} for the winning rules, in settling order, so a body's
+    nodes always come before its head.  A rule is only revisited when one
+    of its body nodes settles.
     """
     waiting: dict = {}
-    heap: list[list] = []
-    seq = count()
+    ready: dict = {}
     for head, label, body, cost in rules:
-        # [value so far, ready order, unsettled body nodes, head, label, body]
-        cell = [cost, 0, len(body), head, label, body]
+        # [value so far, unsettled body nodes, head, label, body]
+        cell = [cost, len(body), head, label, body]
         if body:
             for node in body:
                 waiting.setdefault(node, []).append(cell)
         else:
-            cell[1] = next(seq)
-            heap.append(cell)
-    heapq.heapify(heap)
+            ready.setdefault(cost, []).append(cell)
+    values = sorted(ready)                # a sorted list is a heap
     out: dict = {}
-    while heap:
-        value, _, _, head, label, body = heapq.heappop(heap)
-        if head in out:
-            continue
-        out[head] = (value, label, body)
-        for cell in waiting.pop(head, ()):
-            cell[0] += value
-            cell[2] -= 1
-            if not cell[2]:
-                cell[1] = next(seq)
-                heapq.heappush(heap, cell)
+    while values:
+        value = heapq.heappop(values)
+        for _, _, head, label, body in ready[value]:  # grows while it is read
+            if head in out:
+                continue
+            out[head] = (value, label, body)
+            for cell in waiting.pop(head, ()):
+                cell[0] += value
+                cell[1] -= 1
+                if not cell[1]:
+                    if cell[0] in ready:
+                        ready[cell[0]].append(cell)
+                    else:
+                        ready[cell[0]] = [cell]
+                        heapq.heappush(values, cell[0])
+        del ready[value]
     return out
 
 
 def productive_rules(M: Ltw) -> dict[str, dict[str, tuple[Rule, list[str]]]]:
     """Per state, its productive rules (those calling productive states
     only, so a state with none has an empty domain) by symbol in alphabet
-    order, each with its callee per slot; computed once per machine, from
-    a count per rule of the calls not yet known productive."""
+    order, each with its callee per slot; computed once per machine, the
+    productive states from one cost-0 :func:`settle` over its rules."""
     c = M._analysis
     if "live" not in c:
-        good, waiting, ready = set(), {}, []
-        for r in M.rules.values():
-            cell = [len(r.calls), r.state]
-            for callee, _ in r.calls:
-                waiting.setdefault(callee, []).append(cell)
-            if not r.calls:
-                ready.append(r.state)
-        for q in ready:                   # grows while it is read
-            if q not in good:
-                good.add(q)
-                for cell in waiting.pop(q, ()):
-                    cell[0] -= 1
-                    if not cell[0]:
-                        ready.append(cell[1])
+        good = settle((r.state, None, [callee for callee, _ in r.calls], 0)
+                      for r in M.rules.values())
         c["live"] = live = {}
         for q in M.states:
             live[q] = mine = {}

@@ -4,12 +4,14 @@ that trimming removes, the word-equality differential, and the elimination
 law harness used by both the unit suites and the acceptance gate; and the
 helpers only tests need: word powers, structural machine equality, the
 companion machine, tree size and depth, the tree enumerator over a whole
-alphabet and brute-force quasi-periodicity; and the plain references that
-faster code is tested against: the span fixpoint and the token-cursor
-loader."""
+alphabet and brute-force quasi-periodicity; the un-earliest edit that
+makes an equivalent copy of a machine; and the plain references that
+faster code is tested against: the heap settle, the span fixpoint and the
+token-cursor loader."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import re
@@ -312,6 +314,42 @@ def with_junk(M: Ltw, rng: random.Random, empty_axiom: bool = False) -> Ltw:
                    axiom=(u0, dead[0] if empty_axiom else q0, u1))
 
 
+def un_earliest(M: Ltw, rng: random.Random) -> Ltw | None:
+    """An equivalent copy of M that is one step further from earliest: a
+    nonempty suffix of the word before some call (or a prefix of the word
+    after it) in a rule of a state the axiom reaches moves into a fresh
+    copy of the callee that writes it first (or last), and the call runs
+    the copy.  None when every such word next to a call is empty."""
+    reach = accessible(M, M.axiom[1])
+    sites = [(key, i, side) for key, r in M.rules.items() if key[0] in reach
+             for i in range(len(r.calls)) for side in (0, 1)
+             if r.words[i + side].length]
+    if not sites:
+        return None
+    key, i, side = rng.choice(sites)
+    r = M.rules[key]
+    callee, slot = r.calls[i]
+    w = r.words[i + side]
+    k = rng.randrange(1, w.length + 1)
+    if side:                              # the prefix of the word after
+        moved, kept = W.prefix(w, k), W.strip_prefix(w, k)
+    else:                                 # the suffix of the word before
+        moved, kept = W.strip_prefix(w, w.length - k), W.strip_suffix(w, k)
+    copy = f"{callee}_u{len(M.states)}"
+    rules = dict(M.rules)
+    for c in M.rules_of(callee):
+        ws = list(c.words)
+        if side:
+            ws[-1] = M.pool.concat(ws[-1], moved)
+        else:
+            ws[0] = M.pool.concat(moved, ws[0])
+        rules[(copy, c.symbol)] = Rule(copy, c.symbol, tuple(ws), c.calls)
+    ws, calls = list(r.words), list(r.calls)
+    ws[i + side], calls[i] = kept, (copy, slot)
+    rules[key] = Rule(r.state, r.symbol, tuple(ws), tuple(calls))
+    return M.with_(states=M.states + (copy,), rules=rules)
+
+
 def random_word_ref(pool, rng: random.Random, depth: int = 4):
     """Random compressed word built from the full operation surface."""
     if depth == 0 or rng.random() < 0.3:
@@ -403,6 +441,38 @@ def equality_differential(cases: int, seed: int) -> int:
         if got != truth:
             mismatches += 1
     return mismatches
+
+
+def reference_settle(rules) -> dict:
+    """Knuth's least fixpoint with one heap of ready rules keyed by (value,
+    ready order), as a reference for :func:`ltw.core.settle`: the same
+    result, in the same settling order."""
+    waiting: dict = {}
+    heap: list[list] = []
+    seq = itertools.count()
+    for head, label, body, cost in rules:
+        # [value so far, ready order, unsettled body nodes, head, label, body]
+        cell = [cost, 0, len(body), head, label, body]
+        if body:
+            for node in body:
+                waiting.setdefault(node, []).append(cell)
+        else:
+            cell[1] = next(seq)
+            heap.append(cell)
+    heapq.heapify(heap)
+    out: dict = {}
+    while heap:
+        value, _, _, head, label, body = heapq.heappop(heap)
+        if head in out:
+            continue
+        out[head] = (value, label, body)
+        for cell in waiting.pop(head, ()):
+            cell[0] += value
+            cell[2] -= 1
+            if not cell[2]:
+                cell[1] = next(seq)
+                heapq.heappush(heap, cell)
+    return out
 
 
 def reference_pair_spans(ps) -> dict:

@@ -7,6 +7,7 @@ import pytest
 from ltw import (EmptyTransducer, Ltw, Rule, Tree, UndefinedInput, evaluate,
                  expand, load_ltw, mirror, parse_ltw, parse_tree, trim,
                  validate)
+from ltw import core
 from ltw import words as W
 from ltw.analysis import QuasiPeriodicity
 from ltw.core import (accessible, domain_defined, productive_rules, settle,
@@ -15,7 +16,8 @@ from ltw.equivalence import EquivVerdict
 from ltw.oracle import (EnumerationBudget, enumerate_trees, evaluate_explicit,
                         every_tree_machine)
 
-from _support import random_layered, same_structure, tree_depth, tree_size
+from _support import (random_layered, reference_settle, same_structure,
+                      tree_depth, tree_size)
 
 from conftest import FIXTURES
 
@@ -206,6 +208,49 @@ def test_settle_equal_values_first_ready_wins():
                   ("x", "x-second", [], 0)])
     assert list(out) == ["x", "y", "z"]
     assert out["x"] == (0, "x-first", []) and out["z"] == (0, "via-x", ["x"])
+
+
+def _random_system(rng):
+    # few nodes and costs, so values tie often; heads with several rules,
+    # nodes listed twice in one body, nodes no rule settles ("dead", and
+    # cycles with no way in), and every fourth system all at cost 0
+    nodes = [f"n{i}" for i in range(rng.randrange(1, 8))]
+    zero = rng.random() < 0.25
+    rules = []
+    for label in range(rng.randrange(16)):
+        body = [rng.choice(nodes + ["dead"])
+                for _ in range(rng.choice((0, 0, 1, 1, 2, 3)))]
+        if body and rng.random() < 0.2:
+            body.insert(rng.randrange(len(body) + 1), rng.choice(body))
+        cost = 0 if zero else rng.randrange(3)
+        rules.append((rng.choice(nodes), label, body, cost))
+    return rules
+
+
+def test_settle_matches_the_heap_reference_in_value_label_and_order():
+    rng = random.Random(20)
+    for _ in range(2500):
+        rules = _random_system(rng)
+        got, want = settle(rules), reference_settle(rules)
+        assert list(got.items()) == list(want.items()), rules
+
+
+def test_settle_all_zero_costs_push_nothing_on_the_heap(monkeypatch):
+    pushes = [0]
+    push = core.heapq.heappush
+
+    def counting(heap, item):
+        pushes[0] += 1
+        push(heap, item)
+
+    monkeypatch.setattr(core.heapq, "heappush", counting)
+    rules = [(f"n{i}", i, [f"n{i - 1}", f"n{i // 2}"] if i else [], 0)
+             for i in range(200)]
+    assert list(settle(rules)) == [f"n{i}" for i in range(200)]
+    assert pushes[0] == 0
+    # the counter does see pushes: a weighted system makes some
+    assert settle([(h, label, body, 1) for h, label, body, _ in rules])
+    assert pushes[0] > 0
 
 
 def test_productive_accessible():

@@ -15,8 +15,9 @@ from ltw.normalize import (_fresh, _strip_hat, erase_order, make_state_earliest,
                            partial_normal_form, processing_order,
                            reorder_periodic_runs)
 
-from _support import (check_elimination_laws, random_cyclic_text, replay_with_laws,
-                      stage_pipeline)
+from _support import (check_elimination_laws, random_cyclic_text,
+                      random_layered_text, replay_with_laws, stage_pipeline,
+                      un_earliest)
 
 FIX_NAMES = ("ex3", "ex5a", "ex5b", "ex6", "ex7")
 
@@ -113,6 +114,31 @@ def test_normal_form_idempotent(fixtures, name):
     rep2 = partial_normal_form(rep.result)
     assert rep2.entries == []
     assert print_ltw(rep2.result) == print_ltw(rep.result)
+
+
+def test_un_earliest_pairs_have_same_ordered_idempotent_normal_forms():
+    # Boiret-Palenta: equivalent machines in partial normal form read their
+    # children in the same order.  Each pair is a random machine and a copy
+    # that 1-3 un-earliest edits moved words into fresh callee copies, so
+    # the two are equivalent by construction
+    rng = random.Random(20)
+    pairs = 0
+    while pairs < 300:
+        gen = random_layered_text if pairs % 2 else random_cyclic_text
+        M = parse_ltw(gen(rng, rng.randrange(2, 5)))
+        N = M
+        for _ in range(rng.randrange(1, 4)):
+            N = un_earliest(N, rng) or N
+        if N is M:
+            continue
+        pairs += 1
+        assert decide_equiv(M, N).equivalent, print_ltw(N)
+        P, Q = (partial_normal_form(X).result for X in (M, N))
+        assert same_ordered(PairSpace(P, Q)), (print_ltw(M), print_ltw(N))
+        assert decide_equiv(P, Q).equivalent
+        for X in (P, Q):
+            again = partial_normal_form(X)
+            assert again.entries == [] and print_ltw(again.result) == print_ltw(X)
 
 
 @pytest.mark.parametrize("name", FIX_NAMES)
