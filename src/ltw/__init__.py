@@ -12,10 +12,9 @@ straight-line programs so rule outputs may be exponentially long.
 """
 
 from .analysis import (QuasiPeriodicity, domains_equal, is_erasing,
-                       is_periodic_state, mock_shift_table,
-                       part_quasi_periodicity, quasi_periodicity,
-                       rule_part_quasi_periodicity, same_ordered,
-                       shortest_word, shortest_word_lengths)
+                       mock_shift_table, part_quasi_periodicity,
+                       quasi_periodicity, rule_part_quasi_periodicity,
+                       same_ordered, shortest_word, shortest_word_lengths)
 from .core import (EmptyTransducer, Ltw, Rule, Tree, UndefinedInput, evaluate,
                    mirror, trim, validate)
 from .equivalence import EquivVerdict, decide_equiv, decide_same_ordered_equiv
@@ -36,8 +35,8 @@ __all__ = [
     "SlpPool", "Tree", "UndefinedInput", "WordRef",
     "brute_equiv", "decide_equiv", "decide_same_ordered_equiv",
     "domains_equal", "eliminate_quasi_periodic_states", "equals",
-    "erase_order", "evaluate", "expand", "is_erasing", "is_periodic_state",
-    "load_ltw", "make_rule_parts_earliest", "make_state_earliest", "mirror",
+    "erase_order", "evaluate", "expand", "is_erasing", "load_ltw",
+    "make_rule_parts_earliest", "make_state_earliest", "mirror",
     "mock_shift_table", "parse_ltw", "parse_tree", "part_quasi_periodicity",
     "partial_normal_form", "print_ltw", "print_tree", "quasi_periodicity",
     "reorder_periodic_runs", "rule_part_quasi_periodicity", "same_ordered",

@@ -167,8 +167,12 @@ def companion_rules(M: Ltw, q: str, name: dict[str, str]) -> dict:
 
 def _state_span(M: Ltw, q: str) -> _Span:
     """The span of the vectors (P, H, C) of L(q): the diagonal of the pair
-    spans of M restarted at q, which also gives the states below q."""
-    spans = M._analysis.setdefault("spans", {})
+    spans of M restarted at q, which also gives the states below q; M keeps
+    the current fingerprinter's spans only, their vectors are fingerprints."""
+    fp, c = words.fingerprinter(), M._analysis
+    if c.get("spans", (None,))[0] is not fp:
+        c["spans"] = fp, {}
+    spans = c["spans"][1]
     if q not in spans:
         Mq = with_axiom_state(M, q)
         for (p, _), s in pair_spans(PairSpace(Mq, Mq)).items():
@@ -228,14 +232,6 @@ def periodic_word(M: Ltw, q: str) -> WordRef | None:
             vectors = [(P, H, C) for P, H, _, _, C in _state_span(M, q).vectors]
             c[key] = w if _fits(vectors, M.pool.empty, w, "left") else None
     return c[key]
-
-
-def is_periodic_state(M: Ltw, q: str) -> WordRef | None:
-    """The primitive period p with L(q) a subset of p*, or None: the
-    primitive root of :func:`periodic_word` (empty when q has no nonempty
-    output)."""
-    w = periodic_word(M, q)
-    return None if w is None else words.primitive_root(w)
 
 
 class QuasiPeriodicity(Frozen):

@@ -6,14 +6,14 @@ by a :class:`WordRef`.  Lengths are exact Python integers, so words like
 a**(2**60) are first-class values; structural operations (strip, rotate,
 reverse) add O(depth) nodes and never expand.
 
-Equality compares Karp-Rabin fingerprints over a random 128-bit prime drawn
-from the configured seed (per-comparison error at most len/2**127, i.e. below
-2**-67 for lengths up to 2**60); `expand` gives the ground truth under a cap.
+Equality compares Karp-Rabin fingerprints modulo the fixed prime PRIME at a
+base drawn from the configured seed (per-comparison error at most
+len/2**127, i.e. below 2**-67 for lengths up to 2**60); `expand` gives the
+ground truth under a cap.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from operator import attrgetter
@@ -214,51 +214,31 @@ def expand(w: WordRef, cap: int = DEFAULT_EXPAND_CAP) -> str:
 
 # -- equality ----------------------------------------------------------------
 
-def _probably_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+PRIME = 2 ** 128 - 159                    # the largest prime below 2**128
 
 
 class Fingerprinter:
-    """Karp-Rabin summaries over a random 128-bit prime.
+    """Karp-Rabin summaries modulo PRIME at a base drawn from the seed: two
+    different words of length n collide at fewer than n bases (a nonzero
+    polynomial of degree below n), so the prime need not be random.
 
     Summaries are triples (length, hash, base**length mod p); concatenation
     composes them in O(1), so a summary of any pool node costs one pass over
     the nodes below it (cached per pool).
     """
 
-    def __init__(self, seed: int = 0):
-        rng = random.Random(seed)
-        while True:
-            c = rng.getrandbits(128) | (1 << 127) | 1
-            if _probably_prime(c):
-                self.prime = c
-                break
-        self.base = rng.randrange(2, self.prime - 1)
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.prime = PRIME
+        self.base = random.Random(seed).randrange(2, PRIME - 1)
 
     def table(self, pool: SlpPool) -> list[tuple[int, int]]:
         """(hash, base**length mod p) of every node of `pool`, indexed by
-        node: the pool's cache, extended to the pool's current size."""
+        node: the pool's cache, extended to the pool's current size; a pool
+        keeps one, as a new seed replaces the fingerprinter for good."""
         cache = pool._fp.get(self)
         if cache is None:
+            pool._fp.clear()
             cache = pool._fp[self] = []
         if len(cache) < len(pool):
             p, b = self.prime, self.base
@@ -283,23 +263,20 @@ class Fingerprinter:
         return (w.length, f, pw)
 
 
-_config = {"seed": 0}
+_current = Fingerprinter(0)
 
 
 def set_equality_seed(seed: int) -> None:
-    _config["seed"] = seed
+    """Fingerprint at `seed`'s base from now on; the fingerprinter, which
+    keys the pools' tables and the span caches, changes only with the seed."""
+    global _current
+    if seed != _current.seed:
+        _current = Fingerprinter(seed)
 
 
 def fingerprinter() -> Fingerprinter:
-    """The configured seed's fingerprinter; see `_fingerprinter_for`."""
-    return _fingerprinter_for(_config["seed"])
-
-
-@functools.lru_cache(maxsize=8)
-def _fingerprinter_for(seed: int) -> Fingerprinter:
-    """A pure function of the seed, so its prime search runs once per seed
-    (for the last 8 seeds), not on every change of seed."""
-    return Fingerprinter(seed)
+    """The fingerprinter of the configured seed."""
+    return _current
 
 
 def equals(a: WordRef, b: WordRef) -> bool:
@@ -401,6 +378,29 @@ def reverse(w: WordRef) -> WordRef:
 # factors below about 2**32); past them, CapExceeded.
 TRIAL_ODDS = 200000
 RHO_STEPS = 1 << 16
+
+
+def _probably_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _factorize(n: int) -> dict[int, int]:

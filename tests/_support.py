@@ -3,11 +3,11 @@ whose two sides call a rule's slots in differing orders), mutations, junk
 that trimming removes, the word-equality differential, and the elimination
 law harness used by both the unit suites and the acceptance gate; and the
 helpers only tests need: word powers, structural machine equality, the
-companion machine, tree size and depth, the tree enumerator over a whole
-alphabet and brute-force quasi-periodicity; the un-earliest edit that
-makes an equivalent copy of a machine; and the plain references that
-faster code is tested against: the heap settle, the span fixpoint and the
-token-cursor loader."""
+companion machine, a state's primitive period, tree size and depth, the
+tree enumerator over a whole alphabet and brute-force quasi-periodicity;
+the un-earliest edit that makes an equivalent copy of a machine; and the
+plain references that faster code is tested against: the heap settle, the
+span fixpoint and the token-cursor loader."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from ltw import Ltw, ParseError, Rule, Tree, parse_ltw
 from ltw import words as W
 from ltw.core import EmptyTransducer, accessible, mirror, trim
 from ltw.analysis import (_summary, companion_rules, mock_shift_table,
-                          quasi_periodicity, shortest_words)
+                          periodic_word, quasi_periodicity, shortest_words)
 from ltw.oracle import _exact_depth_combos
 from ltw.normalize import (eliminate_quasi_periodic_states, erase_order,
                            make_rule_parts_earliest, make_state_earliest,
@@ -882,6 +882,14 @@ def enumerate_all_trees(alphabet_items, budget: EnumerationBudget) -> list[Tree]
                 return out
             out.append(t)
     return out
+
+
+def is_periodic_state(M: Ltw, q: str) -> WordRef | None:
+    """The primitive period p with L(q) a subset of p*, or None: the
+    primitive root of :func:`ltw.analysis.periodic_word` (empty when q has
+    no nonempty output)."""
+    w = periodic_word(M, q)
+    return None if w is None else W.primitive_root(w)
 
 
 def string_primitive_root(s: str) -> str:

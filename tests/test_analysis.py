@@ -6,8 +6,8 @@ import pytest
 from ltw import analysis, expand, load_ltw, mirror, parse_ltw, trim
 from ltw import words as W
 from ltw.analysis import (PairSpace, domains_equal, erasing_states,
-                          is_erasing, is_periodic_state,
-                          mock_shift_table, part_quasi_periodicity,
+                          is_erasing, mock_shift_table,
+                          part_quasi_periodicity, periodic_word,
                           quasi_periodicity, rule_part_quasi_periodicity,
                           same_ordered, shortest_domain_tree,
                           shortest_nonempty_word, shortest_word,
@@ -16,7 +16,8 @@ from ltw.core import accessible, evaluate, with_axiom_state
 from ltw.normalize import hat_state_machine
 from ltw.oracle import EnumerationBudget, enumerate_trees, evaluate_explicit
 
-from _support import brute_quasi_periodic, build_Tq, chain, same_structure
+from _support import (brute_quasi_periodic, build_Tq, chain,
+                      is_periodic_state, same_structure)
 from conftest import FIXTURES
 
 
@@ -191,6 +192,23 @@ def test_is_periodic_state():
 def test_singleton_state_period_is_primitive_root():
     M = parse_ltw('input g:0\naxiom = q(x)\nrule q g = "abab"\n')
     assert expand(is_periodic_state(M, "q")) == "ab"
+
+
+def test_verdicts_after_a_seed_change_read_spans_of_the_new_seed():
+    # spans hold fingerprints, so spans cached under seed 0 must not answer
+    # for seed 7: read against seed-7 words they would refute every verdict
+    M = load_ltw(FIXTURES / "ex7.ltw")
+    quasi_periodicity(M, "q", "left")       # caches the spans of q, q1, q2
+    W.set_equality_seed(7)
+    try:
+        for machine in (M, load_ltw(FIXTURES / "ex7.ltw")):
+            v = quasi_periodicity(machine, "q1", "left")
+            assert (expand(v.handle), expand(v.period)) == ("", "bca")
+            assert expand(periodic_word(machine, "q2")) == "cab"
+            v = rule_part_quasi_periodicity(machine, "q", "h", 0)
+            assert (expand(v.handle), expand(v.period)) == ("b", "cab")
+    finally:
+        W.set_equality_seed(0)
 
 
 def test_quasi_periodicity_ex3_frozen():

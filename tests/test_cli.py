@@ -514,10 +514,10 @@ def test_removed_check_flags_are_usage_errors(capsys):
 def test_seed_changes_fingerprint_configuration(capsys):
     # the flag must reach the word pool configuration layer
     assert main(["check", EX5A, EX5B, "--seed", "7"]) == 0
-    assert words._config["seed"] == 7
+    assert words.fingerprinter().seed == 7
 
 
-# -- one parser and one prime per process -----------------------------------
+# -- one parser and one fingerprinter per process ---------------------------
 
 def _differing_pair(tmp_path):
     b = tmp_path / "ex5a_changed.ltw"
@@ -534,8 +534,8 @@ def test_main_reentrant_after_another_seed(tmp_path, capsys):
     assert main(["check", "--seed", "7", a, b]) == 1
     capsys.readouterr()
     assert main(["check", a, b]) == 1
-    assert words._config["seed"] == 0
-    assert words.fingerprinter().prime == words.Fingerprinter(0).prime
+    assert words.fingerprinter().seed == 0
+    assert words.fingerprinter().base == words.Fingerprinter(0).base
     cap = capsys.readouterr()
     assert (cap.out, cap.err) == (fresh.stdout, fresh.stderr)
 
@@ -549,4 +549,4 @@ def test_usage_error_between_calls_changes_nothing(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", a, b]) == 1
     assert capsys.readouterr() == first
-    assert words._config["seed"] == 0
+    assert words.fingerprinter().seed == 0

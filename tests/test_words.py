@@ -11,10 +11,12 @@ from ltw.words import (CapExceeded, OutOfRange, PoolMismatch, SlpPool, WordRef,
                        equals, expand, primitive_root, reverse, rotate_left,
                        strip_prefix, strip_suffix, valid_symbol)
 
+from ltw.cli import main
 from ltw.ltwfile import parse_ltw
 
 from _support import (equality_differential, is_power_of, power,
                       pow_family_text, string_primitive_root)
+from conftest import FIXTURES
 
 
 @pytest.fixture
@@ -113,17 +115,35 @@ def test_seed_change_keeps_answers():
     assert equality_differential(2000, seed=17) == 0
 
 
-def test_prime_drawn_once_per_seed():
-    # the configured fingerprinter always matches a fresh one for its seed,
-    # and going back to a seed reuses the prime drawn for it
-    drawn = {}
-    for seed in (7, 0, 7):
+def test_fixed_prime_and_one_fingerprinter_per_seed(monkeypatch):
+    # the seed draws only the base; the prime is fixed and never searched
+    assert W._probably_prime(W.PRIME) and W.PRIME >= 2 ** 127
+    fp0, fp7 = W.Fingerprinter(0), W.Fingerprinter(7)
+    assert fp0.prime == fp7.prime == W.PRIME and fp0.base != fp7.base
+    calls = []
+    real = W._probably_prime
+    monkeypatch.setattr(W, "_probably_prime", lambda n: calls.append(n) or real(n))
+    W.Fingerprinter(12345)
+    assert calls == []
+    # a check with the default seed keeps the fingerprinter, so the pools'
+    # tables and the span caches keyed by it stay valid across ops
+    ex5a = str(FIXTURES / "ex5a.ltw")
+    assert main(["check", ex5a, ex5a]) == 0
+    fp = W.fingerprinter()
+    assert main(["check", ex5a, ex5a]) == 0
+    assert W.fingerprinter() is fp and fp.seed == 0
+
+
+def test_pool_keeps_one_table_across_seed_changes():
+    # each change of seed builds a new fingerprinter, so a pool that kept a
+    # table per fingerprinter would grow by one on every switch
+    pool = SlpPool()
+    a, b = pool.literal("abab"), pool.literal("abba")
+    for seed in (0, 7) * 10:
         W.set_equality_seed(seed)
-        fp = W.fingerprinter()
-        fresh = W.Fingerprinter(seed)
-        assert (fp.prime, fp.base) == (fresh.prime, fresh.base)
-        assert drawn.setdefault(seed, fp) is fp
-    assert drawn[0].prime != drawn[7].prime
+        assert not equals(a, b) and equals(a, pool.concat(pool.literal("ab"),
+                                                           pool.literal("ab")))
+    assert len(pool._fp) == 1
 
 
 # -- operation laws -----------------------------------------------------
