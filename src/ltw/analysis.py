@@ -21,7 +21,6 @@ All analyses are per-machine pure functions; results are cached on the
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from itertools import count, repeat
 from operator import mul
 
@@ -548,18 +547,24 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
 
     A step is bilinear in (partial output, child vector), so a vector kept
     anywhere is multiplied only with the current basis of the other operand
-    of each step that reads it, from a FIFO queue of kept vectors.  Every
-    kept vector carries a sequence number, and a product is evaluated by the
+    of each step that reads it.  Kept vectors wait on two depth-first stacks
+    that take turns, one pop each, the far one first (an empty stack gives
+    up its turn).  Both start from the leaf-rule vectors in `ps.co` order:
+    the far stack pops them last-first, the near one from the axiom pair.
+    A vector is expanded by the stack that pops it first, and the vectors
+    kept meanwhile go onto that stack, the first kept on top.  Every kept
+    vector carries a sequence number, and a product is evaluated by the
     later of its two operands, with the vectors of the other one kept
-    before it.  So each product is evaluated once, even where one span
-    feeds several places of a rule, and a rule costs
+    before it.  So each product is evaluated once in any pop order, even
+    where one span feeds several places of a rule, and a rule costs
     sum_j dim(partial_j) * dim(child_j+1)
     products over the whole fixpoint, with dim(partial_j) <= 3 + 3**m_j for
     m_j runs of side 2 after j children.
 
     `stop`, a test on vectors of the axiom pair, ends the fixpoint as soon
     as a vector kept there passes it; that vector is then the axiom pair's
-    last basis vector, and the other spans are partial."""
+    last basis vector, and the other spans are partial.  A difference deep
+    below the axiom pair climbs to it along one chain of products."""
     fp = words.fingerprinter()
     p = fp.prime
     t1, t2 = fp.table(ps.M1.pool), fp.table(ps.M2.pool)
@@ -574,7 +579,7 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
     start.trees.append(())
     start.seqs.append(-1)
     seq = count()
-    queue: deque = deque()              # (span, index) of each kept vector
+    seeds = []                          # (span, index) of each leaf-rule vector
 
     for pair in ps.co:
         here = span[pair]
@@ -585,7 +590,7 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
                 if here.add(y, p):
                     here.trees.append(Tree(f, ()))
                     here.seqs.append(next(seq))
-                    queue.append((here, len(here.seqs) - 1))
+                    seeds.append((here, len(here.seqs) - 1))
                     if here is top and stop is not None and stop(y):
                         return span
                 continue
@@ -607,9 +612,16 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
                     readers[left].append((step, True))
                 left = out
 
-    while queue:
-        sp, i = queue.popleft()
+    stacks, done, turn = [seeds, seeds[::-1]], set(), 0    # far, near: pop at the end
+    while stacks[0] or stacks[1]:
+        stack = stacks[turn] or stacks[1 - turn]
+        turn ^= 1
+        sp, i = stack.pop()
         v, t, s = sp.vectors[i], sp.trees[i], sp.seqs[i]
+        if s in done:
+            continue
+        done.add(s)
+        kept = []
         for (ops, left, kid, out, tree, raw), at_left in readers[sp]:
             if at_left:         # a partial, times the child vectors kept before it
                 n = bisect_left(kid.seqs, s)
@@ -635,7 +647,8 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
                 out.seqs.append(next(seq))
                 if out is top and stop is not None and stop(y):
                     return span
-                queue.append((out, len(out.seqs) - 1))
+                kept.append((out, len(out.seqs) - 1))
+        stack += reversed(kept)
     return span
 
 

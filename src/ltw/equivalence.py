@@ -32,14 +32,17 @@ test, made without inverses on the free columns of the span's reduced
 echelon form (all rows at one common scale); only the images of a rule's
 first child, when more children follow, are kept untested.  Each basis
 vector is kept together with the tree it is the image of; the tree is
-built only for vectors that are kept.
+built only for vectors that are kept.  Kept vectors wait on two
+depth-first stacks, from the leaves of the last pairs and of the axiom
+pair, so a deep difference climbs to the axiom pair along one chain.
 
 The machines are equivalent iff the axiom words map every basis vector of
 the axiom pair to equal summaries on both sides.  Basis vectors are only
 ever appended, so the fixpoint stops at the first kept vector of the axiom
 pair that fails: it is the first failing one of the full basis.  It is the
-image of a real input tree; that tree is re-run on both machines, each
-shared subtree once, before it is reported as the witness.  "Equivalent"
+image of a real input tree, not always one of least height; that tree is
+re-run on both machines, each shared subtree once, before it is reported
+as the witness.  "Equivalent"
 errs only if one pair of distinct words collides under the fingerprint,
 with probability at most len/2**127.  This is the linear case of the equivalence test of
 Seidl, Maneth and Kemper for tree-to-string transducers (FOCS 2015), where

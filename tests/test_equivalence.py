@@ -384,7 +384,9 @@ def _count_products(monkeypatch):
 
 def test_each_product_is_evaluated_once(monkeypatch, fixtures):
     # every (step, partial or pair vector, child vector) at most once; on a
-    # pair that is not equivalent the early stop evaluates fewer
+    # pair that is not equivalent the early stop evaluates under a third of
+    # the full fixpoint's products, since the depth-first stacks climb from
+    # the chain's end to the axiom pair along one chain of products
     A = parse_ltw(PROBE)
     B = parse_ltw(PROBE.replace('rule c8 n = "d"', 'rule c8 n = "e"'))
     seen = _count_products(monkeypatch)
@@ -403,7 +405,8 @@ def test_each_product_is_evaluated_once(monkeypatch, fixtures):
     full = len(seen)
     seen.clear()
     _, t = morphism_equivalence(ps)
-    assert t is not None and len(seen) < full
+    assert t is not None and len(seen) <= full // 3, (len(seen), full)
+    assert print_tree(t) == "v(v(v(v(v(v(v(v(n))))))))"
 
 
 def _wide_family(k: int, order=None, chain: int = 0) -> Ltw:
@@ -449,6 +452,37 @@ def test_products_grow_linearly_in_arity(monkeypatch):
         n, c = products(_wide_family(k, interleaved), _wide_family(k))
         bound = c + c * c + sum(c * (3 + 3 ** min(j, k + 1 - j)) for j in range(2, k))
         assert n <= bound, (k, n, bound)
+
+
+def test_interleaved_refutation_stops_early(monkeypatch):
+    # the 16-ary family read in bit-reversal order against in order, with
+    # leaves "a", "bb" and "c": every partial span lives in dimension
+    # 3 + 3**8, and a full sweep of the lower vectors takes about 2000
+    # products there; the depth-first stacks refute in about a hundred
+    k = 16
+    bitrev = [1, 9, 5, 13, 3, 11, 7, 15, 2, 10, 6, 14, 4, 12, 8, 16]
+    xs = ",".join(f"x{s}" for s in range(1, k + 1))
+
+    def side(order):
+        body = " ".join(f'q(x{s}) "a"' for s in order)
+        return parse_ltw(f"input f:{k} a:0 b:0 c:0\naxiom = q(x)\n"
+                         f'rule q f({xs}) = {body}\nrule q a = "a"\n'
+                         'rule q b = "bb"\nrule q c = "c"\n')
+
+    A, B = side(bitrev), side(range(1, k + 1))
+    products = [0]
+    real = analysis._apply
+
+    def apply(ops, x, v, p):
+        products[0] += 1
+        if products[0] > 150:
+            raise AssertionError("more than 150 products")
+        return real(ops, x, v, p)
+
+    monkeypatch.setattr(analysis, "_apply", apply)
+    v = decide_equiv(A, B)
+    assert not v.equivalent and v.reason == "output"
+    assert not words.equals(evaluate(A, v.witness), evaluate(B, v.witness))
 
 
 def test_wide16_fixture_is_decided_both_ways(fixtures):
@@ -507,10 +541,13 @@ def test_domain_witness_verified_at_its_shared_size(monkeypatch):
 
 def test_every_rule_pair_gets_a_step_table(monkeypatch):
     # the k-ary family against its reversal stops at its first failing
-    # f-tree, k rounds of the queue in; the unary chain under q climbs one
-    # level per round, so the stopped fixpoint never reads the rules at its
-    # top.  Every rule pair with children gets its table before the
-    # fixpoint starts, whether it stops early or runs to the end
+    # f-tree, which the near stack builds from q's leaves while the far
+    # stack climbs the unary chain under q one level per turn, so the
+    # stopped fixpoint never reads the rules at the chain's top and its
+    # witness has no g node (one stack, deepest leaves first, would read
+    # them all and put the chain into the witness).  Every rule pair with
+    # children gets its table before the fixpoint starts, whether it stops
+    # early or runs to the end
     built, read = [], set()
     real_steps, real_apply = analysis._steps, analysis._apply
 
@@ -535,7 +572,7 @@ def test_every_rule_pair_gets_a_step_table(monkeypatch):
         built.clear()
         read.clear()
         _, t = morphism_equivalence(ps)
-        assert t is not None
+        assert t is not None and "g(" not in print_tree(t)
         assert not words.equals(evaluate(A, t), evaluate(B, t))
         assert len(built) == with_children
         tables_read = sum(1 for table in built if any(id(ops) in read for _, ops, _ in table))
