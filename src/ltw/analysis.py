@@ -189,10 +189,10 @@ def _basis_words(M: Ltw, q: str) -> list[WordRef]:
 
 
 def _fits(vectors, u: WordRef, rho: WordRef, direction: str) -> bool:
-    """A language whose span has the basis `vectors`, triples (P, H, C), lies
-    inside u.rho* ("left") or rho*.u ("right"), for a shortest word u of it
-    and a primitive nonempty rho.  A rho = sigma^k answers for its primitive
-    root sigma, since rho^omega = sigma^omega.
+    """A language whose span has the basis `vectors`, read as (P, H, ..., C),
+    lies inside u.rho* ("left") or rho*.u ("right"), for a shortest word u
+    of it and a primitive nonempty rho.  A rho = sigma^k answers for its
+    primitive root sigma, since rho^omega = sigma^omega.
 
     Left: a word w, no shorter than u, lies in u.rho* iff w.rho^omega =
     u.rho^omega, because x.rho^omega = rho^omega forces x into rho* for a
@@ -205,9 +205,10 @@ def _fits(vectors, u: WordRef, rho: WordRef, direction: str) -> bool:
     on the basis.  Right is the same with rho^omega on the left:
     (H - H_u C)(beta - 1) = gamma (P - P_u C).
     """
-    p = words.fingerprinter().prime
-    (pu, hu), (beta, gamma) = _summary(u), _summary(rho)
-    for P, H, C in vectors:
+    fp = words.fingerprinter()
+    p = fp.prime
+    (pu, hu), (beta, gamma) = fp.summary(u), fp.summary(rho)
+    for P, H, *_, C in vectors:
         a = pu * H - hu * P if direction == "left" else H - hu * C
         if (a * (beta - 1) - gamma * (P - pu * C)) % p:
             return False
@@ -228,8 +229,7 @@ def periodic_word(M: Ltw, q: str) -> WordRef | None:
         if w is None:                     # erasing, or vacuously: empty domain
             c[key] = M.pool.empty
         else:
-            vectors = [(P, H, C) for P, H, _, _, C in _state_span(M, q).vectors]
-            c[key] = w if _fits(vectors, M.pool.empty, w, "left") else None
+            c[key] = w if _fits(_state_span(M, q).vectors, M.pool.empty, w, "left") else None
     return c[key]
 
 
@@ -261,16 +261,16 @@ def quasi_periodicity(M: Ltw, q: str, direction: str = "left") -> QuasiPeriodici
     key = ("qp", q, direction)
     if key not in c:
         u = shortest_word(M, q)
-        vectors = [(P, H, C) for P, H, _, _, C in _state_span(M, q).vectors]
+        vectors = _state_span(M, q).vectors
         c[key] = None if u is None else _verdict(u, _basis_words(M, q), vectors, direction)
     return c[key]
 
 
 def _verdict(u: WordRef, ws, vectors, direction: str) -> QuasiPeriodicity | None:
     """:func:`quasi_periodicity` of a language with shortest word u whose
-    span has the basis `vectors`, the vectors (P, H, C) of the words `ws`.
+    span has the basis `vectors` of the words `ws` (read as in :func:`_fits`).
     The period's length is factored only once the language is known to fit."""
-    u_vec = _summary(u)
+    u_vec = words.fingerprinter().summary(u)
     others = [w for w, v in zip(ws, vectors) if v[:2] != u_vec]
     if not others:
         return QuasiPeriodicity(direction, u, u.pool.empty)
@@ -291,15 +291,15 @@ def _verdict(u: WordRef, ws, vectors, direction: str) -> QuasiPeriodicity | None
 def part_quasi_periodicity(M: Ltw, callee: str, u: WordRef):
     """Quasi-periodicity (left) of the part language L(callee).u.
 
-    Appending u maps a word's vector (P, H, C) to (P P_u, H P_u + H_u C, C),
-    so the verdict reads the callee's basis times u.  Returns the
-    certificate, or None when the part is not quasi-periodic.
+    Appending u maps a word's vector (P, H, C) to (P P_u, H P_u + H_u C, C)
+    (:func:`_frame`, with L empty), so the verdict reads the callee's basis
+    times u.  Returns the certificate, or None when it is not quasi-periodic.
     """
     w = shortest_word(M, callee)
-    p = words.fingerprinter().prime
-    pu, hu = _summary(u)
-    vectors = [(P * pu % p, (H * pu + hu * C) % p, C)
-               for P, H, _, _, C in _state_span(M, callee).vectors]
+    fp = words.fingerprinter()
+    ops = ((0, (0,), *_frame(0, (1, 0), 0, fp.summary(u), fp.prime)),)
+    vectors = [tuple(_apply(ops, (1,), v, fp.prime))
+               for v in _state_span(M, callee).vectors]
     ws = [M.pool.concat(b, u) for b in _basis_words(M, callee)]
     return None if w is None else _verdict(M.pool.concat(w, u), ws, vectors, "left")
 
@@ -448,31 +448,33 @@ class _Span:
         return True
 
 
-def _summary(w) -> tuple[int, int]:
-    """(P, H) of a word; its C is 1."""
-    _, h, pw = words.fingerprinter().triple(w)
-    return pw, h
+def _frame(sl: int, left, sr: int, right, p: int):
+    """(offsets, coefficients) of the op that puts a child X between L and
+    R (see :func:`_steps`), each a run of the tensor, passed as (1, 1) with
+    its stride, or a word, passed as its (P, H) with stride 0."""
+    (lP, lH), (rP, rH) = left, right
+    return ((0, sl, 2 * sl, 2 * sl + sr, 2 * (sl + sr)),
+            (lP * rP % p, lH * rP % p, rP, rH, 1))
 
 
 def _steps(calls1, calls2, w1: list, w2: list, p: int) -> list:
     """The steps of a rule pair with calls `calls1`, `calls2` and words of
-    (H, P) `w1`, `w2`, one per child in side 1's call order: (slot, ops,
+    (P, H) `w1`, `w2`, one per child in side 1's call order: (slot, ops,
     dimension of the partial output after it).
 
     A partial output is side 1's prefix (P, H, C), then the tensor product
     of side 2's known stretches, one (P, H, C) factor per maximal run of
     placed children, each run holding the words around it, in the order the
     runs last grew; before the first child it is (1, 1), each side a
-    product of no factors.  A child X
-    turns the stretch L before it and R after it, each a run or a word,
-    into the run L.X.R, which becomes the last factor:
+    product of no factors.  A child X turns the stretch L before it and R
+    after it, each a run or a word, into the run L.X.R, the last factor:
 
         L.X.R = (X_P M00, X_P M10 + X_H M20 + X_C M21, X_C M22)
 
     with M[a][b] = L_a R_b over (P, H, C).  An op (v's index of X_P, bases,
     offsets, coefficients) reads, for each base, M00, M10, M20, M21 and M22
-    at base + offsets[i] times coefficients[i]; side 1 is the case of L
-    its prefix (or its first word) and R a word."""
+    at base + offsets[i] times coefficients[i] (:func:`_frame`); side 1 is
+    the case of L its prefix (or its first word) and R a word."""
     pos = {s: t for t, (_, s) in enumerate(calls2)}
     runs: list[tuple[int, int]] = []     # (first, last) side-2 call, in tensor order
     out = []
@@ -484,36 +486,17 @@ def _steps(calls1, calls2, w1: list, w2: list, p: int) -> list:
                 iL = i
             elif first == t + 1:
                 iR = i
-        sL = 0 if iL is None else 3 ** (m - 1 - iL)
-        sR = 0 if iR is None else 3 ** (m - 1 - iR)
-        if iL is None and iR is None:
-            (ah, ap), (bh, bp) = w2[t], w2[t + 1]
-            offsets, coefs = (0, 0, 0, 0, 0), (ap * bp % p, ah * bp % p, bp, bh, 1)
-            run = (t, t)
-        elif iR is None:
-            bh, bp = w2[t + 1]
-            offsets, coefs = (0, sL, 2 * sL, 2 * sL, 2 * sL), (bp, bp, bp, bh, 1)
-            run = (runs[iL][0], t)
-        elif iL is None:
-            ah, ap = w2[t]
-            offsets, coefs = (0, 0, 0, sR, 2 * sR), (ap, ah, 1, 1, 1)
-            run = (t, runs[iR][1])
-        else:
-            offsets = (0, sL, 2 * sL, 2 * sL + sR, 2 * sL + 2 * sR)
-            coefs = (1, 1, 1, 1, 1)
-            run = (runs[iL][0], runs[iR][1])
+        sL, L = (0, w2[t]) if iL is None else (3 ** (m - 1 - iL), (1, 1))
+        sR, R = (0, w2[t + 1]) if iR is None else (3 ** (m - 1 - iR), (1, 1))
+        run = (t if iL is None else runs[iL][0], t if iR is None else runs[iR][1])
         rest = [i for i in range(m) if i != iL and i != iR]
         bases = [3 if j else 1]
         for i in rest:
             bases = [b + d * 3 ** (m - 1 - i) for b in bases for d in (0, 1, 2)]
         runs = [runs[i] for i in rest] + [run]
-        bh, bp = w1[j + 1]
-        if j:
-            side1 = (0, (0,), (0, 1, 2, 2, 2), (bp, bp, bp, bh, 1))
-        else:
-            ah, ap = w1[0]
-            side1 = (0, (0,), (0, 0, 0, 0, 0), (ap * bp % p, ah * bp % p, bp, bh, 1))
-        out.append((s, (side1, (2, bases, offsets, coefs)), 3 + 3 ** len(runs)))
+        side1 = _frame(1, (1, 1), 0, w1[j + 1], p) if j else _frame(0, w1[0], 0, w1[1], p)
+        out.append((s, ((0, (0,), *side1), (2, bases, *_frame(sL, L, sR, R, p))),
+                    3 + 3 ** len(runs)))
     return out
 
 
@@ -585,8 +568,7 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
         here = span[pair]
         for f, kids, r1, r2 in ps.rule_pairs[pair]:
             if not kids:
-                (h1, p1), (h2, p2) = t1[r1.words[0].node], t2[r2.words[0].node]
-                y = (p1, h1, p2, h2, 1)
+                y = (*t1[r1.words[0].node], *t2[r2.words[0].node], 1)
                 if here.add(y, p):
                     here.trees.append(Tree(f, ()))
                     here.seqs.append(next(seq))

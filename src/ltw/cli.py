@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "normalization, evaluation")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for fingerprints (default 0)")
+                        help="seed for fingerprints (default %(default)s)")
     parser.set_defaults(seed=0)   # run and oracle compare no words
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a transducer on one input tree")
     p.add_argument("a")
     p.add_argument("--tree", required=True, help="input tree, e.g. 'f(g,g)'")
-    p.add_argument("--max-len", type=int, default=10 ** 6,
-                   help="longest output to materialize (default 1000000)")
+    p.add_argument("--max-len", type=int, default=words.DEFAULT_EXPAND_CAP,
+                   help="longest output to materialize (default %(default)s)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("analyze", parents=[common],
@@ -223,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="bounded brute-force equivalence check")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--max-trees", type=int, default=20000)
+    p.add_argument("--depth", type=int, default=EnumerationBudget().max_depth)
+    p.add_argument("--max-trees", type=int, default=EnumerationBudget().max_trees)
     p.set_defaults(func=cmd_oracle)
     return parser
 

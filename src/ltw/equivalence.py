@@ -13,7 +13,9 @@ by vectors over F_p,
 where (P, H) = (base**len, hash) is the Karp-Rabin summary of one side's
 output (:class:`~ltw.words.Fingerprinter`) and C is a constant coordinate
 both sides share.  A word acts as the lower-triangular matrix
-[[P, 0], [H, C]], and concatenation is matrix product.  Each child is read
+[[P, 0], [H, C]], and concatenation is matrix product, so one rule,
+:func:`~ltw.analysis._frame`, puts a child X between two words or runs
+(L.X.R) in every step below and in the axiom frame.  Each child is read
 exactly once on each side, in any order, so a tree's vector is multilinear
 in the vectors of its children: the span of a pair's vectors is spanned by
 the images of the children's basis vectors.
@@ -42,18 +44,18 @@ ever appended, so the fixpoint stops at the first kept vector of the axiom
 pair that fails: it is the first failing one of the full basis.  It is the
 image of a real input tree, not always one of least height; that tree is
 re-run on both machines, each shared subtree once, before it is reported
-as the witness.  "Equivalent"
-errs only if one pair of distinct words collides under the fingerprint,
-with probability at most len/2**127.  This is the linear case of the equivalence test of
-Seidl, Maneth and Kemper for tree-to-string transducers (FOCS 2015), where
-polynomial ideals collapse to linear spans, and the tree analogue of Tzeng's
-(1992) linear-algebra test for weighted automata.
+as the witness.  "Equivalent" errs only if one pair of distinct words
+collides under the fingerprint, with probability at most len/2**127.  This
+is the linear case of the equivalence test of Seidl, Maneth and Kemper for
+tree-to-string transducers (FOCS 2015), where polynomial ideals collapse to
+linear spans, and the tree analogue of Tzeng's (1992) linear-algebra test
+for weighted automata.
 """
 
 from __future__ import annotations
 
 from . import words
-from .analysis import (PairSpace, _summary, domains_equal, pair_spans,
+from .analysis import (PairSpace, _apply, _frame, domains_equal, pair_spans,
                        shortest_domain_tree)
 from .core import Ltw, Tree, domain_defined, evaluate, productive_rules
 
@@ -73,15 +75,15 @@ def morphism_equivalence(ps: PairSpace) -> tuple[str, Tree | None]:
     Checks the axiom frame on the basis of the axiom pair's span, which
     stops growing at the first vector that fails it.  The tree is not
     re-verified here."""
-    p = words.fingerprinter().prime
-    (a0, a1), (b0, b1) = ((_summary(M.axiom[0]), _summary(M.axiom[2]))
-                          for M in (ps.M1, ps.M2))
-
-    def framed(u0, u1, P, H, C):
-        return u0[0] * P * u1[0] % p, ((u0[1] * P + H) * u1[0] + C * u1[1]) % p
+    fp = words.fingerprinter()
+    p = fp.prime
+    # one step from the partial output 1: each side's axiom words around v
+    ops = [(i, (0,), *_frame(0, fp.summary(M.axiom[0]), 0, fp.summary(M.axiom[2]), p))
+           for i, M in ((0, ps.M1), (2, ps.M2))]
 
     def fails(v):
-        return framed(a0, a1, v[0], v[1], v[4]) != framed(b0, b1, v[2], v[3], v[4])
+        y = _apply(ops, (1,), v, p)
+        return y[:2] != y[3:5]
 
     top = pair_spans(ps, stop=fails)[ps.axiom_pair]
     return "span", top.trees[-1] if top.vectors and fails(top.vectors[-1]) else None

@@ -308,9 +308,9 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                 u = r.words[i + 1]
                 if shortest_word_lengths(M)[callee] == 0 and u.length == 0:
                     continue
-                # length and hash fix the whole fingerprint triple, so
+                # length and hash fix the whole fingerprint summary, so
                 # equal keys are equal words under words.equals
-                ukey = (callee, u.length, fp.triple(u)[1])
+                ukey = (callee, u.length, fp.summary(u)[1])
                 hit = registry.get(ukey, "miss")
                 if hit is None:
                     continue            # known not quasi-periodic

@@ -10,6 +10,9 @@ Equality compares Karp-Rabin fingerprints modulo the fixed prime PRIME at a
 base drawn from the configured seed (per-comparison error at most
 len/2**127, i.e. below 2**-67 for lengths up to 2**60); `expand` gives the
 ground truth under a cap.
+
+A node's length fixes its kind: 0 (node 0 only) the empty word, 1 a literal,
+2 or more a concatenation, as `concat` never joins an empty operand.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import random
 from operator import attrgetter
 
 DEFAULT_EXPAND_CAP = 10 ** 6
-
-_EMPTY, _LIT, _CAT = 0, 1, 2
 
 
 class CapExceeded(Exception):
@@ -129,7 +130,6 @@ class SlpPool:
     """
 
     def __init__(self):
-        self._kind = [_EMPTY]
         self._left = [0]
         self._right = [0]
         self._sym = [""]
@@ -140,22 +140,21 @@ class SlpPool:
         self.empty = WordRef(self, 0)
 
     def __len__(self):
-        return len(self._kind)
+        return len(self._len)
 
-    def _push(self, kind, left, right, sym, ln) -> int:
-        self._kind.append(kind)
+    def _push(self, left, right, sym, ln) -> int:
         self._left.append(left)
         self._right.append(right)
         self._sym.append(sym)
         self._len.append(ln)
-        return len(self._kind) - 1
+        return len(self._len) - 1
 
     def _char(self, ch: str) -> int:
         nid = self._chars.get(ch)
         if nid is None:
             if not valid_symbol(ch):
                 raise ValueError(f"invalid output symbol: {ch!r}")
-            nid = self._push(_LIT, 0, 0, ch, 1)
+            nid = self._push(0, 0, ch, 1)
             self._chars[ch] = nid
         return nid
 
@@ -168,7 +167,7 @@ class SlpPool:
             nxt = []
             for i in range(0, len(ids) - 1, 2):
                 a, b = ids[i], ids[i + 1]
-                nxt.append(self._push(_CAT, a, b, "", self._len[a] + self._len[b]))
+                nxt.append(self._push(a, b, "", self._len[a] + self._len[b]))
             if len(ids) % 2:
                 nxt.append(ids[-1])
             ids = nxt
@@ -181,7 +180,7 @@ class SlpPool:
             return b
         if b.length == 0:
             return a
-        return WordRef(self, self._push(_CAT, a.node, b.node, "", a.length + b.length))
+        return WordRef(self, self._push(a.node, b.node, "", a.length + b.length))
 
     def concat_all(self, refs) -> WordRef:
         out = self.empty
@@ -199,14 +198,14 @@ def expand(w: WordRef, cap: int = DEFAULT_EXPAND_CAP) -> str:
     if w.length > cap:
         raise CapExceeded(w.length, cap)
     pool, out = w.pool, []
-    kind, left, right, sym = pool._kind, pool._left, pool._right, pool._sym
+    lens, left, right, sym = pool._len, pool._left, pool._right, pool._sym
     stack = [w.node]
     while stack:
         n = stack.pop()
-        k = kind[n]
-        if k == _LIT:
+        k = lens[n]
+        if k == 1:
             out.append(sym[n])
-        elif k == _CAT:
+        elif k:
             stack.append(right[n])
             stack.append(left[n])
     return "".join(out)
@@ -222,9 +221,10 @@ class Fingerprinter:
     different words of length n collide at fewer than n bases (a nonzero
     polynomial of degree below n), so the prime need not be random.
 
-    Summaries are triples (length, hash, base**length mod p); concatenation
-    composes them in O(1), so a summary of any pool node costs one pass over
-    the nodes below it (cached per pool).
+    A word's summary is (P, H) = (base**len, hash) mod p, in the order of
+    the span vectors; concatenation composes summaries in O(1), so the
+    summary of any pool node costs one pass over the nodes below it (cached
+    per pool).
     """
 
     def __init__(self, seed: int):
@@ -233,34 +233,31 @@ class Fingerprinter:
         self.base = random.Random(seed).randrange(2, PRIME - 1)
 
     def table(self, pool: SlpPool) -> list[tuple[int, int]]:
-        """(hash, base**length mod p) of every node of `pool`, indexed by
-        node: the pool's cache, extended to the pool's current size; a pool
-        keeps one, as a new seed replaces the fingerprinter for good."""
+        """The summary (P, H) of every node of `pool`, indexed by node: the
+        pool's cache, extended to the pool's current size; a pool keeps one,
+        as a new seed replaces the fingerprinter for good."""
         cache = pool._fp.get(self)
         if cache is None:
             pool._fp.clear()
             cache = pool._fp[self] = []
         if len(cache) < len(pool):
             p, b = self.prime, self.base
-            kind, left, right, sym = pool._kind, pool._left, pool._right, pool._sym
+            lens, left, right, sym = pool._len, pool._left, pool._right, pool._sym
             for n in range(len(cache), len(pool)):
-                k = kind[n]
-                if k == _EMPTY:
-                    cache.append((0, 1))
-                elif k == _LIT:
-                    cache.append((ord(sym[n]) % p, b % p))
+                k = lens[n]
+                if k > 1:
+                    p1, h1 = cache[left[n]]
+                    p2, h2 = cache[right[n]]
+                    cache.append((p1 * p2 % p, (h1 * p2 + h2) % p))
+                elif k:
+                    cache.append((b, ord(sym[n])))
                 else:
-                    f1, p1 = cache[left[n]]
-                    f2, p2 = cache[right[n]]
-                    cache.append(((f1 * p2 + f2) % p, p1 * p2 % p))
+                    cache.append((1, 0))
         return cache
 
-    def triple(self, w: WordRef) -> tuple[int, int, int]:
-        cache = w.pool._fp.get(self)
-        if cache is None or len(cache) <= w.node:
-            cache = self.table(w.pool)
-        f, pw = cache[w.node]
-        return (w.length, f, pw)
+    def summary(self, w: WordRef) -> tuple[int, int]:
+        """(P, H) of the word `w`."""
+        return self.table(w.pool)[w.node]
 
 
 _current = Fingerprinter(0)
@@ -287,7 +284,7 @@ def equals(a: WordRef, b: WordRef) -> bool:
     if a.pool is b.pool and a.node == b.node:
         return True
     fp = fingerprinter()
-    return fp.triple(a) == fp.triple(b)
+    return fp.summary(a) == fp.summary(b)
 
 
 # -- structure ---------------------------------------------------------------
@@ -298,11 +295,11 @@ def _strip(w: WordRef, n: int, near: list, far: list) -> WordRef:
     if n < 0 or n > w.length:
         raise OutOfRange(f"cannot strip {n} symbols from a word of length {w.length}")
     pool = w.pool
-    kind, lens = pool._kind, pool._len
+    lens = pool._len
     kept = []
     cur, k = w.node, n
     while k:
-        if kind[cur] == _LIT:
+        if lens[cur] == 1:
             cur = 0
             break
         a, b = near[cur], far[cur]
@@ -346,7 +343,7 @@ def reverse(w: WordRef) -> WordRef:
     """The word read backwards.  The pool keeps every reversal both ways, so
     reversing a word back, or a shared part again, adds no node."""
     pool = w.pool
-    kind, left, right = pool._kind, pool._left, pool._right
+    left, right, lens = pool._left, pool._right, pool._len
     memo = pool._reversed
     stack = [w.node]
     while stack:
@@ -354,15 +351,13 @@ def reverse(w: WordRef) -> WordRef:
         if n in memo:
             stack.pop()
             continue
-        k = kind[n]
-        if k != _CAT:
+        if lens[n] < 2:
             memo[n] = n
             stack.pop()
             continue
         a, b = left[n], right[n]
         if a in memo and b in memo:
-            r = memo[n] = pool._push(_CAT, memo[b], memo[a], "",
-                                     pool._len[a] + pool._len[b])
+            r = memo[n] = pool._push(memo[b], memo[a], "", lens[n])
             memo[r] = n
             stack.pop()
         else:

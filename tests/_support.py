@@ -5,9 +5,9 @@ law harness used by both the unit suites and the acceptance gate; and the
 helpers only tests need: word powers, structural machine equality, the
 companion machine, a state's primitive period, tree size and depth, the
 tree enumerator over a whole alphabet and brute-force quasi-periodicity;
-the un-earliest edit that makes an equivalent copy of a machine; and the
-plain references that faster code is tested against: the heap settle, the
-span fixpoint and the token-cursor loader."""
+the un-earliest and state-splitting edits that make equivalent copies of a
+machine; and the plain references that faster code is tested against: the
+heap settle, the span fixpoint and the token-cursor loader."""
 
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from collections import defaultdict, deque
 from ltw import Ltw, ParseError, Rule, Tree, parse_ltw
 from ltw import words as W
 from ltw.core import EmptyTransducer, accessible, mirror, trim
-from ltw.analysis import (_summary, companion_rules, mock_shift_table,
-                          periodic_word, quasi_periodicity, shortest_words)
+from ltw.analysis import (companion_rules, mock_shift_table, periodic_word,
+                          quasi_periodicity, shortest_words)
 from ltw.oracle import _exact_depth_combos
 from ltw.normalize import (eliminate_quasi_periodic_states, erase_order,
                            make_rule_parts_earliest, make_state_earliest,
@@ -350,6 +350,28 @@ def un_earliest(M: Ltw, rng: random.Random) -> Ltw | None:
     return M.with_(states=M.states + (copy,), rules=rules)
 
 
+def split_state(M: Ltw, rng: random.Random) -> Ltw | None:
+    """An equivalent copy of M in which one call, in a rule of a state the
+    axiom reaches, runs a fresh copy of its callee with identical rules.
+    None when no such rule has a call."""
+    reach = accessible(M, M.axiom[1])
+    sites = [(key, i) for key, r in M.rules.items() if key[0] in reach
+             for i in range(len(r.calls))]
+    if not sites:
+        return None
+    key, i = rng.choice(sites)
+    r = M.rules[key]
+    callee, slot = r.calls[i]
+    copy = f"{callee}_s{len(M.states)}"
+    rules = dict(M.rules)
+    for c in M.rules_of(callee):
+        rules[(copy, c.symbol)] = Rule(copy, c.symbol, c.words, c.calls)
+    calls = list(r.calls)
+    calls[i] = (copy, slot)
+    rules[key] = Rule(r.state, r.symbol, r.words, tuple(calls))
+    return M.with_(states=M.states + (copy,), rules=rules)
+
+
 def random_word_ref(pool, rng: random.Random, depth: int = 4):
     """Random compressed word built from the full operation surface."""
     if depth == 0 or rng.random() < 0.3:
@@ -483,7 +505,8 @@ def reference_pair_spans(ps) -> dict:
     vectors in product order, skipping those read before, and keeps a
     vector when row reduction against normalized echelon rows leaves a
     remainder."""
-    p = W.fingerprinter().prime
+    fp = W.fingerprinter()
+    p = fp.prime
 
     def side(ws, slots, vecs, o):
         P, H = ws[0]
@@ -498,8 +521,8 @@ def reference_pair_spans(ps) -> dict:
     for pair in ps.co:
         rules[pair] = []
         for f, kids, r1, r2 in ps.rule_pairs[pair]:
-            rules[pair].append((f, kids, [_summary(w) for w in r1.words], r1.slots,
-                                [_summary(w) for w in r2.words], r2.slots))
+            rules[pair].append((f, kids, [fp.summary(w) for w in r1.words], r1.slots,
+                                [fp.summary(w) for w in r2.words], r2.slots))
             for k in kids:
                 users[k][pair] = None
     span = {pair: ([], [], []) for pair in ps.co}    # vectors, trees, rows

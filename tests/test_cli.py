@@ -9,9 +9,10 @@ import sys
 import pytest
 
 from ltw import analysis, words
-from ltw.cli import main
+from ltw.cli import build_parser, main
 from ltw.core import domain_defined, evaluate
 from ltw.ltwfile import parse_ltw, parse_tree, print_ltw
+from ltw.oracle import EnumerationBudget
 
 from _support import pow_family_text
 
@@ -46,6 +47,16 @@ def test_run_reports_exact_length_above_cap(capsys):
     err = capsys.readouterr().err
     assert "len=1152921504606846976" in err
     assert "max-len 1000000" in err
+
+
+def test_option_defaults_are_the_library_defaults():
+    # each default is stated once, in the library, and the parser reads it
+    parser = build_parser()
+    run = parser.parse_args(["run", EX3, "--tree", "g"])
+    oracle = parser.parse_args(["oracle", EX3, EX3])
+    budget = EnumerationBudget()
+    assert run.max_len == words.DEFAULT_EXPAND_CAP
+    assert (oracle.depth, oracle.max_trees) == (budget.max_depth, budget.max_trees)
 
 
 def test_run_max_len_flag(capsys):

@@ -211,8 +211,8 @@ def test_derivation_trees_live_in_both_domains(fixtures):
     for (q1, q2), span in spans.items():
         assert 1 <= len(span.vectors) <= 5
         for v, t in zip(span.vectors, span.trees):
-            _, h1, p1 = fp.triple(evaluate(with_axiom_state(A, q1), t))
-            _, h2, p2 = fp.triple(evaluate(with_axiom_state(B, q2), t))
+            p1, h1 = fp.summary(evaluate(with_axiom_state(A, q1), t))
+            p2, h2 = fp.summary(evaluate(with_axiom_state(B, q2), t))
             assert v == (p1, h1, p2, h2, 1)
 
 

@@ -16,8 +16,8 @@ from ltw.normalize import (_fresh, _strip_hat, erase_order, make_state_earliest,
                            reorder_periodic_runs)
 
 from _support import (check_elimination_laws, random_cyclic_text,
-                      random_layered_text, replay_with_laws, stage_pipeline,
-                      un_earliest)
+                      random_layered_text, replay_with_laws, split_state,
+                      stage_pipeline, un_earliest)
 
 FIX_NAMES = ("ex3", "ex5a", "ex5b", "ex6", "ex7")
 
@@ -116,11 +116,21 @@ def test_normal_form_idempotent(fixtures, name):
     assert print_ltw(rep2.result) == print_ltw(rep.result)
 
 
-def test_un_earliest_pairs_have_same_ordered_idempotent_normal_forms():
+def _assert_normal_forms_agree(M, N):
     # Boiret-Palenta: equivalent machines in partial normal form read their
-    # children in the same order.  Each pair is a random machine and a copy
-    # that 1-3 un-earliest edits moved words into fresh callee copies, so
-    # the two are equivalent by construction
+    # children in the same order; M and N are equivalent by construction
+    assert decide_equiv(M, N).equivalent, print_ltw(N)
+    P, Q = (partial_normal_form(X).result for X in (M, N))
+    assert same_ordered(PairSpace(P, Q)), (print_ltw(M), print_ltw(N))
+    assert decide_equiv(P, Q).equivalent
+    for X in (P, Q):
+        again = partial_normal_form(X)
+        assert again.entries == [] and print_ltw(again.result) == print_ltw(X)
+
+
+def test_un_earliest_pairs_have_same_ordered_idempotent_normal_forms():
+    # each pair is a random machine and a copy that 1-3 un-earliest edits
+    # moved words into fresh callee copies
     rng = random.Random(20)
     pairs = 0
     while pairs < 300:
@@ -132,13 +142,24 @@ def test_un_earliest_pairs_have_same_ordered_idempotent_normal_forms():
         if N is M:
             continue
         pairs += 1
-        assert decide_equiv(M, N).equivalent, print_ltw(N)
-        P, Q = (partial_normal_form(X).result for X in (M, N))
-        assert same_ordered(PairSpace(P, Q)), (print_ltw(M), print_ltw(N))
-        assert decide_equiv(P, Q).equivalent
-        for X in (P, Q):
-            again = partial_normal_form(X)
-            assert again.entries == [] and print_ltw(again.result) == print_ltw(X)
+        _assert_normal_forms_agree(M, N)
+
+
+def test_split_state_pairs_have_same_ordered_idempotent_normal_forms():
+    # each pair is a random machine and a copy with one call split off to a
+    # fresh copy of its callee, then 0-2 more splits or un-earliest edits
+    rng = random.Random(25)
+    pairs = 0
+    while pairs < 200:
+        gen = random_layered_text if pairs % 2 else random_cyclic_text
+        M = parse_ltw(gen(rng, rng.randrange(2, 5)))
+        N = split_state(M, rng)
+        if N is None:
+            continue
+        for edit in rng.choices((split_state, un_earliest), k=rng.randrange(3)):
+            N = edit(N, rng) or N
+        pairs += 1
+        _assert_normal_forms_agree(M, N)
 
 
 @pytest.mark.parametrize("name", FIX_NAMES)

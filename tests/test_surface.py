@@ -8,7 +8,8 @@ names the functions it wraps as strings, so a string constant equal to a
 name counts as a use of it; an import alone does not.
 
 Every method and property of a class in the package, dunders aside, is
-read outside its own body by the package or by the benchmark.
+read outside its own body by the package or by the benchmark.  A read of an
+attribute of the name ``args`` does not count: those are argparse options.
 
 Every defaulted parameter of a module-level function or of a class
 constructor is passed by some call in the package, the benchmark or the
@@ -26,11 +27,14 @@ BENCH = ROOT / "bench"
 
 
 def _uses(node, owner, counts):
-    """Count the names `node` reads, skipping the body of `owner`."""
+    """Count the names `node` reads, skipping the body of `owner` and the
+    argparse options read off `args`."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             name = sub.id
         elif isinstance(sub, ast.Attribute):
+            if isinstance(sub.value, ast.Name) and sub.value.id == "args":
+                continue
             name = sub.attr
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             name = sub.value
@@ -145,6 +149,17 @@ def test_the_guard_sees_a_member_nothing_reads(tmp_path):
         "    def _hidden(self):\n        pass\n")
     (bench / "tracer.py").write_text("WRAP = [('ltw.m', 'traced')]\n")
     assert unused_members(src, bench) == [("m", "T", "size"), ("m", "T", "_hidden")]
+
+
+def test_the_guard_does_not_count_an_option_read_off_args(tmp_path):
+    # `args.depth` in the CLI once hid a `depth` property only tests read
+    src, bench = tmp_path / "ltw", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "m.py").write_text(
+        "class T:\n    @property\n    def depth(self):\n        return 0\n\n"
+        "def cmd(args):\n    return args.depth\n")
+    assert unused_members(src, bench) == [("m", "T", "depth")]
 
 
 def unpassed_defaults(src=SRC, others=(BENCH, ROOT / "tests")):
