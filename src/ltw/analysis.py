@@ -292,14 +292,14 @@ def part_quasi_periodicity(M: Ltw, callee: str, u: WordRef):
     """Quasi-periodicity (left) of the part language L(callee).u.
 
     Appending u maps a word's vector (P, H, C) to (P P_u, H P_u + H_u C, C)
-    (:func:`_frame`, with L empty), so the verdict reads the callee's basis
-    times u.  Returns the certificate, or None when it is not quasi-periodic.
+    (:func:`_frame`, with L empty), so the verdict reads the callee's basis,
+    each side framed by u.  Returns the certificate, or None when it is not
+    quasi-periodic.
     """
     w = shortest_word(M, callee)
     fp = words.fingerprinter()
-    ops = ((0, (0,), *_frame(0, (1, 0), 0, fp.summary(u), fp.prime)),)
-    vectors = [tuple(_apply(ops, (1,), v, fp.prime))
-               for v in _state_span(M, callee).vectors]
+    frames = _frame((1, 0), fp.summary(u), fp.prime) * 2
+    vectors = [_framed(frames, v, fp.prime) for v in _state_span(M, callee).vectors]
     ws = [M.pool.concat(b, u) for b in _basis_words(M, callee)]
     return None if w is None else _verdict(M.pool.concat(w, u), ws, vectors, "left")
 
@@ -448,37 +448,51 @@ class _Span:
         return True
 
 
-def _frame(sl: int, left, sr: int, right, p: int):
-    """(offsets, coefficients) of the op that puts a child X between L and
-    R (see :func:`_steps`), each a run of the tensor, passed as (1, 1) with
-    its stride, or a word, passed as its (P, H) with stride 0."""
+def _frame(left, right, p: int) -> tuple:
+    """(a, b, c, d) with L.X.R = (a X_P, b X_P + c X_H + d X_C, X_C) for a
+    child X between L and R, each a word given as its (P, H), or, in a
+    step, a run of the tensor given as (1, 1)."""
     (lP, lH), (rP, rH) = left, right
-    return ((0, sl, 2 * sl, 2 * sl + sr, 2 * (sl + sr)),
-            (lP * rP % p, lH * rP % p, rP, rH, 1))
+    return lP * rP % p, lH * rP % p, rP, rH
+
+
+def _framed(frames, v, p: int) -> tuple:
+    """The vector (P1, H1, P2, H2, C) of a child v with each side put into
+    its word frame, `frames` the two sides' (a, b, c, d) of :func:`_frame`
+    one after the other: a linear map of v."""
+    a1, b1, c1, d1, a2, b2, c2, d2 = frames
+    P1, H1, P2, H2, C = v
+    return (a1 * P1 % p, (b1 * P1 + c1 * H1 + d1 * C) % p,
+            a2 * P2 % p, (b2 * P2 + c2 * H2 + d2 * C) % p, C)
 
 
 def _steps(calls1, calls2, w1: list, w2: list, p: int) -> list:
-    """The steps of a rule pair with calls `calls1`, `calls2` and words of
-    (P, H) `w1`, `w2`, one per child in side 1's call order: (slot, ops,
-    dimension of the partial output after it).
+    """The steps of a rule pair of arity at least 2 with calls `calls1`,
+    `calls2` and words of (P, H) `w1`, `w2`, one per child after the first
+    in side 1's call order: (slot, ops, dimension of the partial output
+    after it).
 
     A partial output is side 1's prefix (P, H, C), then the tensor product
     of side 2's known stretches, one (P, H, C) factor per maximal run of
     placed children, each run holding the words around it, in the order the
-    runs last grew; before the first child it is (1, 1), each side a
-    product of no factors.  A child X turns the stretch L before it and R
-    after it, each a run or a word, into the run L.X.R, the last factor:
+    runs last grew.  After the first child, which :func:`pair_spans` puts
+    into its word frames alone, it is (P1, H1, C, P2, H2, C): one run.  A
+    child X turns the stretch L before it and R after it, each a run or a
+    word, into the run L.X.R, the last factor:
 
         L.X.R = (X_P M00, X_P M10 + X_H M20 + X_C M21, X_C M22)
 
     with M[a][b] = L_a R_b over (P, H, C).  An op (v's index of X_P, bases,
-    offsets, coefficients) reads, for each base, M00, M10, M20, M21 and M22
-    at base + offsets[i] times coefficients[i] (:func:`_frame`); side 1 is
-    the case of L its prefix (or its first word) and R a word."""
+    offsets, (a, b, c, d) of :func:`_frame`) reads, for each base, M00, M10,
+    M20, M21 and M22 at base + offsets[i], the offsets (0, sL, 2 sL,
+    2 sL + sR, 2 (sL + sR)) for the strides of L and R in the tensor, 0 for
+    a word, and a run passed to :func:`_frame` as (1, 1); side 1 is the
+    case of L its prefix, of stride 1, and R a word."""
     pos = {s: t for t, (_, s) in enumerate(calls2)}
-    runs: list[tuple[int, int]] = []     # (first, last) side-2 call, in tensor order
+    t = pos[calls1[0][1]]
+    runs = [(t, t)]                      # (first, last) side-2 call, in tensor order
     out = []
-    for j, (_, s) in enumerate(calls1):
+    for j, (_, s) in enumerate(calls1[1:], 1):
         t, m = pos[s], len(runs)
         iL = iR = None
         for i, (first, last) in enumerate(runs):
@@ -490,13 +504,13 @@ def _steps(calls1, calls2, w1: list, w2: list, p: int) -> list:
         sR, R = (0, w2[t + 1]) if iR is None else (3 ** (m - 1 - iR), (1, 1))
         run = (t if iL is None else runs[iL][0], t if iR is None else runs[iR][1])
         rest = [i for i in range(m) if i != iL and i != iR]
-        bases = [3 if j else 1]
+        bases = [3]
         for i in rest:
             bases = [b + d * 3 ** (m - 1 - i) for b in bases for d in (0, 1, 2)]
         runs = [runs[i] for i in rest] + [run]
-        side1 = _frame(1, (1, 1), 0, w1[j + 1], p) if j else _frame(0, w1[0], 0, w1[1], p)
-        out.append((s, ((0, (0,), *side1), (2, bases, *_frame(sL, L, sR, R, p))),
-                    3 + 3 ** len(runs)))
+        side1 = (0, (0,), (0, 1, 2, 2, 2), _frame((1, 1), w1[j + 1], p))
+        side2 = (2, bases, (0, sL, 2 * sL, 2 * sL + sR, 2 * (sL + sR)), _frame(L, R, p))
+        out.append((s, (side1, side2), 3 + 3 ** len(runs)))
     return out
 
 
@@ -505,13 +519,13 @@ def _apply(ops, x, v, p: int) -> list:
     before it and a basis vector v of its child: side 1's prefix times v's
     (P1, H1, C), side 2's tensor times v's (P2, H2, C) (see :func:`_steps`)."""
     out = []
-    for xi, bases, (o0, o1, o2, o3, o4), (k0, k1, k2, k3, k4) in ops:
+    for xi, bases, (o0, o1, o2, o3, o4), (k0, k1, k2, k3) in ops:
         xp, xh, xc = v[xi], v[xi + 1], v[4]
-        c0, c1, c2, c3, c4 = xp * k0, xp * k1, xh * k2, xc * k3, xc * k4
+        c0, c1, c2, c3 = xp * k0, xp * k1, xh * k2, xc * k3
         for b in bases:
             out += (x[b + o0] * c0 % p,
                     (x[b + o1] * c1 + x[b + o2] * c2 + x[b + o3] * c3) % p,
-                    x[b + o4] * c4 % p)
+                    x[b + o4] * xc % p)
     return out
 
 
@@ -520,29 +534,32 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
     co-reachable pair's common trees (see :mod:`ltw.equivalence`).
 
     Each rule pair folds in its children one at a time, in side 1's call
-    order, through one partial span per child (:func:`_steps`).  A step
-    multiplies the partial outputs before it (for the rule's first child,
-    the partial output (1, 1) before any child) with the basis of its
-    child's pair span, and keeps the images in the partial span after it;
-    after the rule's last child that is the pair's span, where the step's
-    tree builder (symbol, side-1 index of each slot) makes the tree.  Every
-    step is built once, before the fixpoint starts.
+    order.  The first child enters through its word frames on both sides, a
+    linear map (:func:`_framed`) into the pair's span for a unary rule, else
+    into an unreduced first partial span.  Each later child is a step
+    (:func:`_steps`) that multiplies the partial outputs before it with the
+    basis of its child's pair span and keeps the images in the partial span
+    after it, the pair's span after the last child, where the step's tree
+    builder (symbol, side-1 index of each slot) makes the tree.  All frames
+    and steps are built before the fixpoint starts.
 
     A step is bilinear in (partial output, child vector), so a vector kept
     anywhere is multiplied only with the current basis of the other operand
-    of each step that reads it.  Kept vectors wait on two depth-first stacks
-    that take turns, one pop each, the far one first (an empty stack gives
-    up its turn).  Both start from the leaf-rule vectors in `ps.co` order:
-    the far stack pops them last-first, the near one from the axiom pair.
-    A vector is expanded by the stack that pops it first, and the vectors
-    kept meanwhile go onto that stack, the first kept on top.  Every kept
-    vector carries a sequence number, and a product is evaluated by the
-    later of its two operands, with the vectors of the other one kept
-    before it.  So each product is evaluated once in any pop order, even
-    where one span feeds several places of a rule, and a rule costs
+    of each step that reads it, and a first child's vector is framed once.
+    Kept vectors wait on two depth-first stacks that take turns, one pop
+    each, the far one first (an empty stack gives up its turn).  Both start
+    from the leaf-rule vectors in `ps.co` order: the far stack pops them
+    last-first, the near one from the axiom pair.  A vector is expanded by
+    the stack that pops it first, and the vectors kept meanwhile go onto
+    that stack, the first kept on top.  Every kept vector carries a
+    sequence number, and a product is evaluated by the later of its two
+    operands, with the vectors of the other one kept before it.  So each
+    product is evaluated once in any pop order, even where one span feeds
+    several places of a rule, and a rule costs
     sum_j dim(partial_j) * dim(child_j+1)
-    products over the whole fixpoint, with dim(partial_j) <= 3 + 3**m_j for
-    m_j runs of side 2 after j children.
+    products over the whole fixpoint, with dim(partial_0) = 1 for the
+    frames and dim(partial_j) <= 3 + 3**m_j for m_j runs of side 2 after j
+    children.
 
     `stop`, a test on vectors of the axiom pair, ends the fixpoint as soon
     as a vector kept there passes it; that vector is then the axiom pair's
@@ -552,15 +569,12 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
     p = fp.prime
     t1, t2 = fp.table(ps.M1.pool), fp.table(ps.M2.pool)
     span = {pair: _Span(5) for pair in ps.co}
-    # the steps reading each span, each with whether the span is its partial
+    # the readers of each span, each with whether the span is its partial
     # place: (ops, partial span before, child span, span after, tree builder
-    # or None, whether the images stay unreduced)
+    # or None); a first child's has its frames, no partial or child span, and
+    # for a unary rule its symbol as the tree builder
     readers: dict[_Span, list] = {sp: [] for sp in span.values()}
     top = span[ps.axiom_pair]
-    start = _Span(0)                    # the partial output before any child
-    start.vectors.append((1, 1))
-    start.trees.append(())
-    start.seqs.append(-1)
     seq = count()
     seeds = []                          # (span, index) of each leaf-rule vector
 
@@ -576,22 +590,30 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
                     if here is top and stop is not None and stop(y):
                         return span
                 continue
-            steps = _steps(r1.calls, r2.calls, [t1[w.node] for w in r1.words],
-                           [t2[w.node] for w in r2.words], p)
-            order, left, last = [0] * len(kids), start, len(steps) - 1
-            for j, (slot, ops, dim) in enumerate(steps):
+            w1, w2 = [t1[w.node] for w in r1.words], [t2[w.node] for w in r2.words]
+            slot = r1.calls[0][1]
+            pos = r2.slots.index(slot)
+            frames = _frame(w1[0], w1[1], p) + _frame(w2[pos], w2[pos + 1], p)
+            first = span[kids[slot - 1]]
+            if len(kids) == 1:
+                readers[first].append(((frames, None, None, here, f), False))
+                continue
+            left = _Span(0)             # the first child's images, unreduced
+            readers[left] = []
+            readers[first].append(((frames, None, None, left, None), False))
+            order, last = [0] * len(kids), len(kids) - 1
+            for j, (slot, ops, dim) in enumerate(_steps(r1.calls, r2.calls, w1, w2, p), 1):
                 order[slot - 1] = j     # full before the fixpoint reads it
                 kid = span[kids[slot - 1]]
-                if j < last:           # a first child's images stay unreduced
-                    out = _Span(0 if j == 0 else dim)
+                if j < last:
+                    out = _Span(dim)
                     readers[out] = []
-                    step = (ops, left, kid, out, None, j == 0)
+                    step = (ops, left, kid, out, None)
                 else:
                     out = here
-                    step = (ops, left, kid, out, (f, order), False)
+                    step = (ops, left, kid, out, (f, order))
                 readers[kid].append((step, False))
-                if j:
-                    readers[left].append((step, True))
+                readers[left].append((step, True))
                 left = out
 
     stacks, done, turn = [seeds, seeds[::-1]], set(), 0    # far, near: pop at the end
@@ -604,7 +626,21 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
             continue
         done.add(s)
         kept = []
-        for (ops, left, kid, out, tree, raw), at_left in readers[sp]:
+        for (ops, left, kid, out, tree), at_left in readers[sp]:
+            if left is None:    # a first child: one product, through its frames
+                y = _framed(ops, v, p)
+                if tree is None:        # (P1, H1, C, P2, H2, C), kept unreduced
+                    out.vectors.append((y[0], y[1], y[4], y[2], y[3], y[4]))
+                    out.trees.append((t,))
+                elif out.add(y, p):
+                    out.trees.append(Tree(tree, (t,)))
+                else:
+                    continue
+                out.seqs.append(next(seq))
+                if out is top and stop is not None and stop(y):
+                    return span
+                kept.append((out, len(out.seqs) - 1))
+                continue
             if at_left:         # a partial, times the child vectors kept before it
                 n = bisect_left(kid.seqs, s)
                 operands = zip(repeat(v, n), repeat(t, n), kid.vectors[:n], kid.trees[:n])
@@ -613,10 +649,7 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
                 operands = zip(left.vectors[:n], left.trees[:n], repeat(v, n), repeat(t, n))
             for x, xt, u, ut in operands:
                 y = _apply(ops, x, u, p)
-                if raw:
-                    out.vectors.append(y)
-                    out.trees.append(xt + (ut,))
-                elif tree is None:
+                if tree is None:
                     if not out.add(y, p):
                         continue
                     out.trees.append(xt + (ut,))

@@ -15,19 +15,21 @@ output (:class:`~ltw.words.Fingerprinter`) and C is a constant coordinate
 both sides share.  A word acts as the lower-triangular matrix
 [[P, 0], [H, C]], and concatenation is matrix product, so one rule,
 :func:`~ltw.analysis._frame`, puts a child X between two words or runs
-(L.X.R) in every step below and in the axiom frame.  Each child is read
+(L.X.R) everywhere below and in the axiom frame.  Each child is read
 exactly once on each side, in any order, so a tree's vector is multilinear
 in the vectors of its children: the span of a pair's vectors is spanned by
 the images of the children's basis vectors.
 :func:`~ltw.analysis.pair_spans` computes every pair's span by folding each
-rule's children in one at a time.  The partial output after j children is
-one vector: the first side's prefix, joined with the tensor product of the
-second side's known stretches.  Each step is bilinear in (partial, child
-vector), so the partial span is reduced after each child, and a vector kept
-anywhere meets only the current basis of the other operand of each step
-that reads it, each product once.  A rule of arity k thus costs
-sum_j dim(partial_j) * dim(child_j+1) products over the whole fixpoint,
-with dim(partial_j) <= 3 + 3**m_j for m_j runs of the second side after j
+rule's children in one at a time.  The first child enters through its word
+frames, a linear map (:func:`~ltw.analysis._framed`).  The partial output
+after j >= 1 children is one vector: the first side's prefix, joined with
+the tensor product of the second side's known stretches.  Each later child
+is a step bilinear in (partial, child vector), so the partial span is
+reduced after each child, and a vector kept anywhere meets only the current
+basis of the other operand of each step that reads it, each product once.
+A rule of arity k thus costs sum_j dim(partial_j) * dim(child_j+1)
+products over the whole fixpoint, with dim(partial_0) = 1 for the frames
+and dim(partial_j) <= 3 + 3**m_j for m_j runs of the second side after j
 children: linear in arity when the sides call the children in the same
 order, reversed, or with one swap.  Each product costs one membership
 test, made without inverses on the free columns of the span's reduced
@@ -55,7 +57,7 @@ for weighted automata.
 from __future__ import annotations
 
 from . import words
-from .analysis import (PairSpace, _apply, _frame, domains_equal, pair_spans,
+from .analysis import (PairSpace, _frame, _framed, domains_equal, pair_spans,
                        shortest_domain_tree)
 from .core import Ltw, Tree, domain_defined, evaluate, productive_rules
 
@@ -77,13 +79,13 @@ def morphism_equivalence(ps: PairSpace) -> tuple[str, Tree | None]:
     re-verified here."""
     fp = words.fingerprinter()
     p = fp.prime
-    # one step from the partial output 1: each side's axiom words around v
-    ops = [(i, (0,), *_frame(0, fp.summary(M.axiom[0]), 0, fp.summary(M.axiom[2]), p))
-           for i, M in ((0, ps.M1), (2, ps.M2))]
+    (l1, _, r1), (l2, _, r2) = ps.M1.axiom, ps.M2.axiom     # the words around v
+    frames = (_frame(fp.summary(l1), fp.summary(r1), p)
+              + _frame(fp.summary(l2), fp.summary(r2), p))
 
     def fails(v):
-        y = _apply(ops, (1,), v, p)
-        return y[:2] != y[3:5]
+        y = _framed(frames, v, p)
+        return y[:2] != y[2:4]
 
     top = pair_spans(ps, stop=fails)[ps.axiom_pair]
     return "span", top.trees[-1] if top.vectors and fails(top.vectors[-1]) else None

@@ -6,8 +6,9 @@ helpers only tests need: word powers, structural machine equality, the
 companion machine, a state's primitive period, tree size and depth, the
 tree enumerator over a whole alphabet and brute-force quasi-periodicity;
 the un-earliest and state-splitting edits that make equivalent copies of a
-machine; and the plain references that faster code is tested against: the
-heap settle, the span fixpoint and the token-cursor loader."""
+machine; the plain references that faster code is tested against: the
+heap settle, the span fixpoint and the token-cursor loader; and a counter of
+the span fixpoint's products."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import random
 import re
 from collections import defaultdict, deque
 
-from ltw import Ltw, ParseError, Rule, Tree, parse_ltw
+from ltw import Ltw, ParseError, Rule, Tree, analysis, parse_ltw
 from ltw import words as W
 from ltw.core import EmptyTransducer, accessible, mirror, trim
 from ltw.analysis import (companion_rules, mock_shift_table, periodic_word,
@@ -495,6 +496,33 @@ def reference_settle(rules) -> dict:
                 cell[1] = next(seq)
                 heapq.heappush(heap, cell)
     return out
+
+
+def count_products(monkeypatch, limit: int | None = None) -> list:
+    """Record every product the span fixpoint evaluates from now on, as
+    (id of its step, partial operand or None, child vector): a first child
+    through its word frames (`analysis._framed`), a later one through its
+    bilinear step (`analysis._apply`).  The list is live; past `limit`
+    products the next one raises."""
+    seen = []
+    apply, framed = analysis._apply, analysis._framed
+
+    def record(key):
+        seen.append(key)
+        if limit is not None and len(seen) > limit:
+            raise AssertionError(f"more than {limit} products")
+
+    def counted_apply(ops, x, v, p):
+        record((id(ops), tuple(x), v))
+        return apply(ops, x, v, p)
+
+    def counted_framed(frames, v, p):
+        record((id(frames), None, v))
+        return framed(frames, v, p)
+
+    monkeypatch.setattr(analysis, "_apply", counted_apply)
+    monkeypatch.setattr(analysis, "_framed", counted_framed)
+    return seen
 
 
 def reference_pair_spans(ps) -> dict:

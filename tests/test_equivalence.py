@@ -1,6 +1,7 @@
 """Equivalence decision tests: verdict reasons, verified witnesses, and
 the span fixpoint behind every verdict."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -15,9 +16,10 @@ from ltw.equivalence import (EquivVerdict, decide_equiv,
                              decide_same_ordered_equiv, morphism_equivalence,
                              pair_spans)
 
-from _support import (RuleBudget, chain, mutate, periodic_run_machine,
-                      random_cyclic_text, random_layered, random_layered_text,
-                      reference_pair_spans, wide_pair, with_junk)
+from _support import (RuleBudget, chain, count_products, mutate,
+                      periodic_run_machine, random_cyclic_text, random_layered,
+                      random_layered_text, reference_pair_spans, wide_pair,
+                      with_junk)
 
 
 def _load(fixtures, name):
@@ -338,6 +340,27 @@ def test_pair_spans_match_the_reference(fixtures):
     assert witnesses >= 40
 
 
+def test_span_bases_are_pinned(fixtures):
+    # the reference test above compares subspaces only; this pins every
+    # pair's basis vectors and their trees in basis order, which picks the
+    # witnesses, and the early stop's witness, on every case above at
+    # fingerprint seed 0
+    digest = hashlib.sha256()
+    for A, B in _span_cases(fixtures):
+        try:
+            A, B = trim(A), trim(B)
+        except EmptyTransducer:
+            continue
+        ps = PairSpace(A, B)
+        for pair, sp in pair_spans(ps).items():
+            trees = [print_tree(t) for t in sp.trees]
+            digest.update(repr((pair, [tuple(v) for v in sp.vectors], trees)).encode())
+        _, t = morphism_equivalence(ps)
+        digest.update(b"-" if t is None else print_tree(t).encode())
+    assert digest.hexdigest() == (
+        "a3664802eeafe3396452109506a3c9b73ccefbfcb92f57770d81429cf328997b")
+
+
 def test_wide_machines_match_the_reference_and_the_oracle():
     # rules of arity 3-6 whose sides read the slots in orders of their own:
     # the only machines here that fold children into several runs of side 2
@@ -370,42 +393,32 @@ def test_wide_machines_match_the_reference_and_the_oracle():
     assert 60 <= sum(verdicts) <= len(pairs) - 60
 
 
-def _count_products(monkeypatch):
-    seen = []
-    real = analysis._apply
-
-    def apply(ops, x, v, p):
-        seen.append((id(ops), tuple(x), v))
-        return real(ops, x, v, p)
-
-    monkeypatch.setattr(analysis, "_apply", apply)
-    return seen
-
-
 def test_each_product_is_evaluated_once(monkeypatch, fixtures):
-    # every (step, partial or pair vector, child vector) at most once; on a
-    # pair that is not equivalent the early stop evaluates under a third of
-    # the full fixpoint's products, since the depth-first stacks climb from
-    # the chain's end to the axiom pair along one chain of products
+    # every (step, partial or pair vector, child vector) at most once, a
+    # first child's frames included; on a pair that is not equivalent the
+    # early stop evaluates under a third of the full fixpoint's products,
+    # since the depth-first stacks climb from the chain's end to the axiom
+    # pair along one chain of products.  The counts on PROBE are pinned
     A = parse_ltw(PROBE)
     B = parse_ltw(PROBE.replace('rule c8 n = "d"', 'rule c8 n = "e"'))
-    seen = _count_products(monkeypatch)
+    seen = count_products(monkeypatch)
     rng = random.Random(3)
     cases = [(A, B), (A, A), (parse_ltw(DEEP), parse_ltw(DEEP)),
              (_load(fixtures, "ex5a"), _load(fixtures, "ex5b"))]
     cases += [wide_pair(rng) for _ in range(20)]
+    counts = []
     for M1, M2 in cases:
         ps = PairSpace(trim(M1), trim(M2))
         seen.clear()
         pair_spans(ps)
         assert seen and len(set(seen)) == len(seen)
+        counts.append(len(seen))
+    assert counts[:2] == [130, 84]
     ps = PairSpace(trim(A), trim(B))
     seen.clear()
-    pair_spans(ps)
-    full = len(seen)
-    seen.clear()
     _, t = morphism_equivalence(ps)
-    assert t is not None and len(seen) <= full // 3, (len(seen), full)
+    assert t is not None and len(seen) <= counts[0] // 3, (len(seen), counts[0])
+    assert len(seen) == 28
     assert print_tree(t) == "v(v(v(v(v(v(v(v(n))))))))"
 
 
@@ -429,7 +442,7 @@ def test_products_grow_linearly_in_arity(monkeypatch):
     # order, reversed, and with one adjacent swap: a constant number of
     # products per child; side 1 interleaved as 2,4,..,k,1,3,..,k-1 against
     # side 2 in order meets the README's bound with m_j = min(j, k + 1 - j)
-    seen = _count_products(monkeypatch)
+    seen = count_products(monkeypatch)
 
     def products(side1, side2):
         seen.clear()
@@ -447,6 +460,8 @@ def test_products_grow_linearly_in_arity(monkeypatch):
             counts.append(products(_wide_family(k), _wide_family(k, order))[0])
         steps = {b - a for a, b in zip(counts, counts[1:])}
         assert len(steps) == 1 and steps.pop() <= 25, (kind, counts)
+        first, step = {"same": (-6, 9), "reversed": (-12, 16), "swap": (12, 16)}[kind]
+        assert counts == [first + step * k for k in range(4, 13)], (kind, counts)
     for k in (4, 6, 8):
         interleaved = list(range(2, k + 1, 2)) + list(range(1, k + 1, 2))
         n, c = products(_wide_family(k, interleaved), _wide_family(k))
@@ -470,18 +485,9 @@ def test_interleaved_refutation_stops_early(monkeypatch):
                          'rule q b = "bb"\nrule q c = "c"\n')
 
     A, B = side(bitrev), side(range(1, k + 1))
-    products = [0]
-    real = analysis._apply
-
-    def apply(ops, x, v, p):
-        products[0] += 1
-        if products[0] > 150:
-            raise AssertionError("more than 150 products")
-        return real(ops, x, v, p)
-
-    monkeypatch.setattr(analysis, "_apply", apply)
+    seen = count_products(monkeypatch, limit=150)
     v = decide_equiv(A, B)
-    assert not v.equivalent and v.reason == "output"
+    assert not v.equivalent and v.reason == "output" and len(seen) == 93
     assert not words.equals(evaluate(A, v.witness), evaluate(B, v.witness))
 
 
@@ -546,40 +552,51 @@ def test_every_rule_pair_gets_a_step_table(monkeypatch):
     # stopped fixpoint never reads the rules at the chain's top and its
     # witness has no g node (one stack, deepest leaves first, would read
     # them all and put the chain into the witness).  Every rule pair with
-    # children gets its table before the fixpoint starts, whether it stops
-    # early or runs to the end
-    built, read = [], set()
-    real_steps, real_apply = analysis._steps, analysis._apply
+    # children is registered before the fixpoint starts, whether it stops
+    # early or runs to the end: the word frames of its first child on both
+    # sides, and, for the f rule pair alone, a _steps table with one step
+    # per later child, which frames that child on both sides too
+    seen = count_products(monkeypatch)
+    frames, built = [], []
+    real_frame, real_steps = analysis._frame, analysis._steps
+
+    def frame(*args):
+        frames.append(len(seen))
+        return real_frame(*args)
 
     def steps(*args):
         table = real_steps(*args)
         built.append(table)
         return table
 
-    def apply(ops, x, v, p):
-        read.add(id(ops))
-        return real_apply(ops, x, v, p)
-
+    monkeypatch.setattr(analysis, "_frame", frame)
     monkeypatch.setattr(analysis, "_steps", steps)
-    monkeypatch.setattr(analysis, "_apply", apply)
     for k in (4, 6, 8):
         m = 3 * k + 5
         A = _wide_family(k, chain=m)
         B = _wide_family(k, list(range(k, 0, -1)), chain=m)
         ps = PairSpace(A, B)
-        with_children = sum(1 for pair in ps.co for _, kids, _, _ in ps.rule_pairs[pair] if kids)
-        assert with_children == m + 1
-        built.clear()
-        read.clear()
-        _, t = morphism_equivalence(ps)
-        assert t is not None and "g(" not in print_tree(t)
-        assert not words.equals(evaluate(A, t), evaluate(B, t))
-        assert len(built) == with_children
-        tables_read = sum(1 for table in built if any(id(ops) in read for _, ops, _ in table))
-        assert 2 <= tables_read < with_children
-        built.clear()
-        pair_spans(ps)
-        assert len(built) == with_children
+        arities = sorted(len(kids) for pair in ps.co
+                         for _, kids, _, _ in ps.rule_pairs[pair] if kids)
+        with_children = len(arities)
+        assert arities == [1] * m + [k]
+        for stopped in (True, False):
+            frames.clear()
+            built.clear()
+            seen.clear()
+            if stopped:
+                _, t = morphism_equivalence(ps)
+                assert t is not None and "g(" not in print_tree(t)
+                assert not words.equals(evaluate(A, t), evaluate(B, t))
+            else:
+                pair_spans(ps)
+            assert frames == [0] * 2 * (with_children + k - 1)
+            assert [len(table) for table in built] == [k - 1]
+            read = {key for key, partial, _ in seen if partial is None}
+            if stopped:
+                assert 2 <= len(read) < with_children
+            else:
+                assert len(read) == with_children
 
 
 # -- machines as loaded -------------------------------------------------------
