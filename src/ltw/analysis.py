@@ -410,39 +410,59 @@ class _Span:
     Only the rows' entries on the free columns are stored, one list per
     free column: cols[i][k] is row k's entry at column free[i].  A vector v
     lies in the span iff d*v[j] = sum_k v[pivots[k]]*row_k[j] on every free
-    column j; on the pivot columns that holds by construction."""
+    column j; on the pivot columns that holds by construction.  So with r
+    vectors kept, a membership test costs (D - r)*r products mod p.
+
+    An empty span, whose D is that of the first vector it keeps, keeps a
+    nonzero v (entries reduced mod p) in one step: the pivot is v's first
+    nonzero column c, d = v[c], and the row is v itself, [v[j]] on each free
+    column after c and [0] on each before it.  A zero vector is never kept."""
 
     __slots__ = ("vectors", "trees", "seqs", "pivots", "free", "cols", "d")
 
-    def __init__(self, dim: int):
+    def __init__(self):
         self.vectors: list = []
         self.trees: list = []
         self.seqs: list[int] = []
         self.pivots: list[int] = []
-        self.free = list(range(dim))
-        self.cols: list[list[int]] = [[] for _ in range(dim)]
+        self.free: list[int] = []
+        self.cols: list[list[int]] = []
         self.d = 1
 
     def add(self, v, p: int) -> bool:
         """Keep v if it lies outside the span; True when it was kept (the
         caller then appends its tree and sequence number)."""
+        pivots = self.pivots
+        if not pivots:
+            for c, e in enumerate(v):
+                if e:
+                    break
+            else:
+                return False
+            self.free = [*range(c), *range(c + 1, len(v))]
+            self.cols = [[0] for _ in range(c)] + [[x] for x in v[c + 1:]]
+            pivots.append(c)
+            self.d = e
+            self.vectors.append(v)
+            return True
         d, free, cols = self.d, self.free, self.cols
-        pv = [v[c] for c in self.pivots]
-        for i, (j, col) in enumerate(zip(free, cols)):
-            e = (d * v[j] - sum(map(mul, pv, col))) % p
+        pv = [v[c] for c in pivots]
+        for i in range(len(free)):
+            e = (d * v[free[i]] - sum(map(mul, pv, cols[i]))) % p
             if e:
                 break
         else:
             return False
         # the remainder d*v - sum_k v[pivots[k]]*row_k, 0 on the pivots and
         # on the free columns before free[i], becomes a row with pivot free[i]
-        c, cc = free.pop(i), cols.pop(i)
+        pivots.append(free.pop(i))
+        cc = cols.pop(i)
         new = [[e * a % p for a in col] + [0] for col in cols[:i]]
-        for j, col in zip(free[i:], cols[i:]):
-            x = (d * v[j] - sum(map(mul, pv, col))) % p
+        for k in range(i, len(free)):
+            col = cols[k]
+            x = (d * v[free[k]] - sum(map(mul, pv, col))) % p
             new.append([(e * a - b * x) % p for a, b in zip(col, cc)] + [d * x % p])
         self.cols = new
-        self.pivots.append(c)
         self.d = d * e % p
         self.vectors.append(v)
         return True
@@ -469,8 +489,7 @@ def _framed(frames, v, p: int) -> tuple:
 def _steps(calls1, calls2, w1: list, w2: list, p: int) -> list:
     """The steps of a rule pair of arity at least 2 with calls `calls1`,
     `calls2` and words of (P, H) `w1`, `w2`, one per child after the first
-    in side 1's call order: (slot, ops, dimension of the partial output
-    after it).
+    in side 1's call order: (slot, ops).
 
     A partial output is side 1's prefix (P, H, C), then the tensor product
     of side 2's known stretches, one (P, H, C) factor per maximal run of
@@ -510,7 +529,7 @@ def _steps(calls1, calls2, w1: list, w2: list, p: int) -> list:
         runs = [runs[i] for i in rest] + [run]
         side1 = (0, (0,), (0, 1, 2, 2, 2), _frame((1, 1), w1[j + 1], p))
         side2 = (2, bases, (0, sL, 2 * sL, 2 * sL + sR, 2 * (sL + sR)), _frame(L, R, p))
-        out.append((s, (side1, side2), 3 + 3 ** len(runs)))
+        out.append((s, (side1, side2)))
     return out
 
 
@@ -568,7 +587,7 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
     fp = words.fingerprinter()
     p = fp.prime
     t1, t2 = fp.table(ps.M1.pool), fp.table(ps.M2.pool)
-    span = {pair: _Span(5) for pair in ps.co}
+    span = {pair: _Span() for pair in ps.co}
     # the readers of each span, each with whether the span is its partial
     # place: (ops, partial span before, child span, span after, tree builder
     # or None); a first child's has its frames, no partial or child span, and
@@ -590,23 +609,26 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
                     if here is top and stop is not None and stop(y):
                         return span
                 continue
+            if len(kids) == 1:
+                (u1, v1), (u2, v2) = r1.words, r2.words
+                frames = (_frame(t1[u1.node], t1[v1.node], p)
+                          + _frame(t2[u2.node], t2[v2.node], p))
+                readers[span[kids[0]]].append(((frames, None, None, here, f), False))
+                continue
             w1, w2 = [t1[w.node] for w in r1.words], [t2[w.node] for w in r2.words]
             slot = r1.calls[0][1]
             pos = r2.slots.index(slot)
             frames = _frame(w1[0], w1[1], p) + _frame(w2[pos], w2[pos + 1], p)
             first = span[kids[slot - 1]]
-            if len(kids) == 1:
-                readers[first].append(((frames, None, None, here, f), False))
-                continue
-            left = _Span(0)             # the first child's images, unreduced
+            left = _Span()              # the first child's images, unreduced
             readers[left] = []
             readers[first].append(((frames, None, None, left, None), False))
             order, last = [0] * len(kids), len(kids) - 1
-            for j, (slot, ops, dim) in enumerate(_steps(r1.calls, r2.calls, w1, w2, p), 1):
+            for j, (slot, ops) in enumerate(_steps(r1.calls, r2.calls, w1, w2, p), 1):
                 order[slot - 1] = j     # full before the fixpoint reads it
                 kid = span[kids[slot - 1]]
                 if j < last:
-                    out = _Span(dim)
+                    out = _Span()
                     readers[out] = []
                     step = (ops, left, kid, out, None)
                 else:

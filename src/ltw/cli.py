@@ -10,6 +10,7 @@ Exit codes, shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -84,17 +85,15 @@ def cmd_normalize(args) -> int:
                     {}, M.pool)
         text = print_ltw(empty)
         lines = ["empty-domain"]
-    if args.output:
-        with open(args.output, "w", encoding="latin-1") as f:
-            f.write(text)
-    else:
-        _write_latin1(text)
     report_text = "".join(line + "\n" for line in lines)
-    if args.report:
-        with open(args.report, "w", encoding="latin-1") as f:
-            f.write(report_text)
-    else:
-        sys.stderr.write(report_text)
+    with contextlib.ExitStack() as files:     # a bad path fails before any write
+        out, report = [files.enter_context(open(path, "w", encoding="latin-1"))
+                       if path else None for path in (args.output, args.report)]
+        if out:
+            out.write(text)
+        else:
+            _write_latin1(text)
+        (report or sys.stderr).write(report_text)
     return OK
 
 

@@ -7,8 +7,8 @@ companion machine, a state's primitive period, tree size and depth, the
 tree enumerator over a whole alphabet and brute-force quasi-periodicity;
 the un-earliest and state-splitting edits that make equivalent copies of a
 machine; the plain references that faster code is tested against: the
-heap settle, the span fixpoint and the token-cursor loader; and a counter of
-the span fixpoint's products."""
+heap settle, the span fixpoint, rank by row reduction and the token-cursor
+loader; and a counter of the span fixpoint's products."""
 
 from __future__ import annotations
 
@@ -523,6 +523,21 @@ def count_products(monkeypatch, limit: int | None = None) -> list:
     monkeypatch.setattr(analysis, "_apply", counted_apply)
     monkeypatch.setattr(analysis, "_framed", counted_framed)
     return seen
+
+
+def plain_rank(vectors) -> int:
+    """The rank of `vectors` over F_p, by plain row reduction."""
+    p = W.fingerprinter().prime
+    rows = []
+    for v in vectors:
+        r = list(v)
+        for c, row in rows:
+            r = [(a - r[c] * b) % p for a, b in zip(r, row)]
+        c = next((i for i, a in enumerate(r) if a), None)
+        if c is not None:
+            inv = pow(r[c], -1, p)
+            rows.append((c, [a * inv % p for a in r]))
+    return len(rows)
 
 
 def reference_pair_spans(ps) -> dict:

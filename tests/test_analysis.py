@@ -17,7 +17,7 @@ from ltw.normalize import hat_state_machine
 from ltw.oracle import EnumerationBudget, enumerate_trees, evaluate_explicit
 
 from _support import (brute_quasi_periodic, build_Tq, chain,
-                      is_periodic_state, same_structure)
+                      is_periodic_state, plain_rank, same_structure)
 from conftest import FIXTURES
 
 
@@ -471,3 +471,64 @@ def test_shortest_domain_tree():
     t = shortest_domain_tree(M, "q2")
     assert str(t) == "g"
     assert str(shortest_domain_tree(M, "q")) == "f(f(g))"
+
+
+# -- the span kernel ----------------------------------------------------------
+
+def _assert_add_matches_plain_rank(vectors):
+    # one _Span fed `vectors` keeps exactly those that raise the rank of the
+    # ones kept before them, and then holds them as its basis
+    p = W.fingerprinter().prime
+    span, kept = analysis._Span(), []
+    for v in vectors:
+        grows = plain_rank(kept + [v]) > len(kept)
+        assert span.add(v, p) == grows, (kept, v)
+        if grows:
+            kept.append(v)
+    assert span.vectors == kept
+
+
+def _combination(rng, vectors, coefficients):
+    p = W.fingerprinter().prime
+    out = [0] * len(vectors[0])
+    for v in vectors:
+        c = rng.choice(coefficients)
+        out = [(a + c * b) % p for a, b in zip(out, v)]
+    return out
+
+
+def test_span_add_keeps_exactly_what_raises_the_rank():
+    # pair vectors always have P1 != 0 and C = 1, so they never reach a zero
+    # vector or a first pivot past column 0; these cases do
+    p = W.fingerprinter().prime
+    rng = random.Random(7)
+    for D in (1, 5, 6, 12):
+        unit = [[int(i == j) for j in range(D)] for i in range(D)]
+        zero = [0] * D
+        v = [rng.randrange(1, p) for _ in range(D)]
+        _assert_add_matches_plain_rank([zero, zero, v, zero, [2 * a % p for a in v],
+                                        [(p - 1) * a % p for a in v]])
+        # the first nonzero coordinate at column 2, then at the last column
+        for c in {min(2, D - 1), D - 1}:
+            w = [0] * c + [rng.randrange(1, p) for _ in range(D - c)]
+            _assert_add_matches_plain_rank([w, [3 * a % p for a in w], unit[-1],
+                                            unit[0], [(a + b) % p for a, b in zip(w, unit[0])]])
+        # saturation: every unit vector but the first, then v fills the
+        # space, and every vector after it is rejected
+        tail = [_combination(rng, unit, (0, 1, p - 1, rng.randrange(p))) for _ in range(D)]
+        _assert_add_matches_plain_rank(unit[1:] + [v] + tail + [zero, unit[0]])
+
+
+def test_span_add_matches_plain_rank_on_random_sequences():
+    # vectors from random subspaces, so that both branches run often, with
+    # entries and coefficients drawn from 0, 1, p - 1 and random residues
+    p = W.fingerprinter().prime
+    rng = random.Random(11)
+    for D in (1, 5, 6, 12):
+        for _ in range(40):
+            draw = (0, 1, p - 1, rng.randrange(p))
+            gens = [[rng.choice(draw) for _ in range(D)]
+                    for _ in range(rng.randrange(1, D + 2))]
+            seq = [_combination(rng, gens, draw) if rng.random() < 0.6
+                   else rng.choice(gens) for _ in range(2 * D + 2)]
+            _assert_add_matches_plain_rank(seq)

@@ -209,6 +209,22 @@ def test_normalize_to_files(tmp_path, capsys):
     assert report[-1] == "# parts-passes: 2"
 
 
+@pytest.mark.parametrize("flag", ["-o", "--report"])
+def test_normalize_writes_nothing_when_a_target_cannot_open(flag, tmp_path, capsys):
+    # both targets are opened before either is written, so a bad path
+    # leaves stdout empty and writes nothing into the other target
+    bad = tmp_path / "missing" / "x.txt"
+    other = tmp_path / "other.txt"
+    other_flag = "--report" if flag == "-o" else "-o"
+    assert main(["normalize", EX3, flag, str(bad), other_flag, str(other)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("error:") and "missing" in cap.err
+    assert main(["normalize", EX3, flag, str(bad)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("error:") and "missing" in cap.err
+    assert not bad.exists() and (not other.exists() or other.read_text() == "")
+
+
 def test_normalize_deeply_nested_word(tmp_path, capsys):
     # a word built by 1500 nested concatenations prints without recursion
     lines = ["input f:1 g:0", 'slp W0 = "%s"' % ("ab" * 21)]

@@ -8,8 +8,10 @@ names the functions it wraps as strings, so a string constant equal to a
 name counts as a use of it; an import alone does not.
 
 Every method and property of a class in the package, dunders aside, is
-read outside its own body by the package or by the benchmark.  A read of an
-attribute of the name ``args`` does not count: those are argparse options.
+read outside its own body by the package or by the benchmark, as an
+attribute or named by a string.  A plain name of the same spelling (a
+local variable) does not count, nor does a read of an attribute of the
+name ``args``: those are argparse options.
 
 Every defaulted parameter of a module-level function or of a class
 constructor is passed by some call in the package, the benchmark or the
@@ -26,13 +28,16 @@ SRC = ROOT / "src" / "ltw"
 BENCH = ROOT / "bench"
 
 
-def _uses(node, owner, counts):
+def _uses(node, owner, counts, bare=True):
     """Count the names `node` reads, skipping the body of `owner` and the
-    argparse options read off `args`."""
+    argparse options read off `args`: attribute reads, string constants
+    and, when `bare`, plain names (any use of one: a local variable too)."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
+            if not bare:
+                continue
             name = sub.id
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             if isinstance(sub.value, ast.Name) and sub.value.id == "args":
                 continue
             name = sub.attr
@@ -115,12 +120,14 @@ def _dunder(name):
 def unused_members(src=SRC, bench=BENCH):
     """(module, class, member) of every method or property, dunders aside,
     of a module-level class under `src` whose name nothing under `src` or
-    `bench` reads outside the member's own body."""
+    `bench` reads as an attribute or names as a string outside the member's
+    own body; a plain name of the same spelling, a local variable say, is
+    not a read of it."""
     members, counts = [], Counter()
     for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(stmt, ast.ClassDef):
-                _uses(stmt, None, counts)
+                _uses(stmt, None, counts, bare=False)
                 continue
             for sub in stmt.body:
                 owner = None
@@ -128,7 +135,7 @@ def unused_members(src=SRC, bench=BENCH):
                     owner = sub.name
                     if path.parent == src:
                         members.append((path.stem, stmt.name, owner))
-                _uses(sub, owner, counts)
+                _uses(sub, owner, counts, bare=False)
     return [m for m in members if not counts[m[2]]]
 
 
@@ -160,6 +167,20 @@ def test_the_guard_does_not_count_an_option_read_off_args(tmp_path):
         "class T:\n    @property\n    def depth(self):\n        return 0\n\n"
         "def cmd(args):\n    return args.depth\n")
     assert unused_members(src, bench) == [("m", "T", "depth")]
+
+
+def test_the_guard_does_not_count_a_local_of_a_member_s_name(tmp_path):
+    # locals `slots` and `arity` in the loader would otherwise keep the
+    # Rule properties of those names alive on their own
+    src, bench = tmp_path / "ltw", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "m.py").write_text(
+        "class T:\n    @property\n    def slots(self):\n        return ()\n\n"
+        "    def arity(self):\n        return len(self.slots)\n\n"
+        "def parse(text):\n    slots = []\n    arity = slots.arity = len(text)\n"
+        "    return slots, arity\n")
+    assert unused_members(src, bench) == [("m", "T", "arity")]
 
 
 def unpassed_defaults(src=SRC, others=(BENCH, ROOT / "tests")):
