@@ -14,8 +14,10 @@ the callee's span times u's matrix.  Each verdict is one linear form that
 must vanish on every basis vector, so it errs only on a fingerprint
 collision, like "equivalent".
 
-All analyses are per-machine pure functions; results are cached on the
-(immutable) transducer instance.
+All analyses are pure functions of the (immutable) machine.  Those read
+more than once are kept on it by :func:`ltw.core.memo`: productive rules,
+shortest words, erasing states, periodic words, spans with their basis
+outputs, and domain trees.  A seed change or a rewrite starts afresh.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from itertools import count, repeat
 from operator import mul
 
 from . import words
-from .core import (Ltw, Rule, Tree, accessible, outputs, productive_rules,
-                   settle, with_axiom_state)
+from .core import (Ltw, Rule, Tree, accessible, memo, outputs,
+                   productive_rules, settle, with_axiom_state)
 from .words import Frozen, WordRef, _set
 
 
@@ -41,8 +43,10 @@ def _assemble(M: Ltw, r: Rule, subs) -> WordRef:
 
 # -- shortest words -----------------------------------------------------------
 
-def _shortest(M: Ltw, key: str):
-    """The cached shortest-output maps of M, from one weighted settle.
+@memo
+def _shortest(M: Ltw):
+    """(shortest words, shortest nonempty words, shortest lengths) by state,
+    from one weighted settle.
 
     Its nodes are (q, False), a shortest output of q, and (q, True), a
     shortest nonempty one; a node's value is the word's length.  A rule
@@ -52,32 +56,29 @@ def _shortest(M: Ltw, key: str):
     ready first wins; words are assembled in settling order, so a rule's
     callee words always exist before its own.
     """
-    c = M._analysis
-    if "m" not in c:
-        rules = []
-        for p in M.states:
-            for r in M.rules_of(p):
-                cost = sum(w.length for w in r.words)
-                plain = [(callee, False) for callee, _ in r.calls]
-                rules.append(((p, False), r, plain, cost))
-                if cost:
-                    rules.append(((p, True), r, plain, cost))
-                    continue
-                for i, (callee, _) in enumerate(r.calls):
-                    rules.append(((p, True), r,
-                                  plain[:i] + [(callee, True)] + plain[i + 1:], 0))
-        out: dict[tuple[str, bool], WordRef] = {}
-        for node, (_, r, body) in settle(rules).items():
-            out[node] = _assemble(M, r, [out[b] for b in body])
-        c["w"] = {q: w for (q, nonempty), w in out.items() if not nonempty}
-        c["w+"] = {q: w for (q, nonempty), w in out.items() if nonempty}
-        c["m"] = {q: c["w"][q].length if q in c["w"] else None for q in M.states}
-    return c[key]
+    rules = []
+    for p in M.states:
+        for r in M.rules_of(p):
+            cost = sum(w.length for w in r.words)
+            plain = [(callee, False) for callee, _ in r.calls]
+            rules.append(((p, False), r, plain, cost))
+            if cost:
+                rules.append(((p, True), r, plain, cost))
+                continue
+            for i, (callee, _) in enumerate(r.calls):
+                rules.append(((p, True), r,
+                              plain[:i] + [(callee, True)] + plain[i + 1:], 0))
+    out: dict[tuple[str, bool], WordRef] = {}
+    for node, (_, r, body) in settle(rules).items():
+        out[node] = _assemble(M, r, [out[b] for b in body])
+    w = {q: w for (q, nonempty), w in out.items() if not nonempty}
+    plus = {q: w for (q, nonempty), w in out.items() if nonempty}
+    return w, plus, {q: w[q].length if q in w else None for q in M.states}
 
 
 def shortest_word_lengths(M: Ltw) -> dict[str, int | None]:
     """Minimal output length per state; None for states with empty domain."""
-    return _shortest(M, "m")
+    return _shortest(M)[2]
 
 
 def shortest_words(M: Ltw) -> dict[str, WordRef]:
@@ -86,7 +87,7 @@ def shortest_words(M: Ltw) -> dict[str, WordRef]:
     Deterministic: among the rules reaching the minimum, the one that became
     ready first wins, i.e. the one whose last callee settled earliest; rules
     without calls rank in state, then symbol declaration order."""
-    return _shortest(M, "w")
+    return _shortest(M)[0]
 
 
 def shortest_word(M: Ltw, q: str) -> WordRef | None:
@@ -96,16 +97,14 @@ def shortest_word(M: Ltw, q: str) -> WordRef | None:
 def shortest_nonempty_word(M: Ltw, q: str) -> WordRef | None:
     """A minimal-length nonempty output of q, or None if q only erases
     (or has an empty domain); ties broken as in :func:`shortest_words`."""
-    return _shortest(M, "w+").get(q)
+    return _shortest(M)[1].get(q)
 
 
+@memo
 def erasing_states(M: Ltw) -> set[str]:
     """Productive states whose every output is the empty word."""
-    c = M._analysis
-    if "erasing" not in c:
-        m, plus = _shortest(M, "m"), _shortest(M, "w+")
-        c["erasing"] = {q for q in M.states if m[q] == 0 and q not in plus}
-    return c["erasing"]
+    _, plus, m = _shortest(M)
+    return {q for q in M.states if m[q] == 0 and q not in plus}
 
 
 def is_erasing(M: Ltw, q: str) -> bool:
@@ -119,22 +118,18 @@ def mock_shift_table(M: Ltw, q: str) -> dict[str, int]:
     an output of q: one settle from q over the calls in the rules of q's
     accessible states (no other edge can fire), where the edge from a caller
     into a callee weighs the shortest completion of what follows the call."""
-    c = M._analysis
-    key = ("shift", q)
-    if key not in c:
-        m = shortest_word_lengths(M)
-        edges = [(q, None, [], 0)]
-        for p in accessible(M, q):
-            for r in M.rules_of(p):
-                if any(m[callee] is None for callee, _ in r.calls):
-                    continue
-                suf = r.words[-1].length
-                for i in range(len(r.calls) - 1, -1, -1):
-                    callee = r.calls[i][0]
-                    edges.append((callee, None, [p], suf))
-                    suf += m[callee] + r.words[i].length
-        c[key] = {p: value for p, (value, _, _) in settle(edges).items()}
-    return c[key]
+    m = shortest_word_lengths(M)
+    edges = [(q, None, [], 0)]
+    for p in accessible(M, q):
+        for r in M.rules_of(p):
+            if any(m[callee] is None for callee, _ in r.calls):
+                continue
+            suf = r.words[-1].length
+            for i in range(len(r.calls) - 1, -1, -1):
+                callee = r.calls[i][0]
+                edges.append((callee, None, [p], suf))
+                suf += m[callee] + r.words[i].length
+    return {p: value for p, (value, _, _) in settle(edges).items()}
 
 
 def companion_rules(M: Ltw, q: str, name: dict[str, str]) -> dict:
@@ -164,14 +159,16 @@ def companion_rules(M: Ltw, q: str, name: dict[str, str]) -> dict:
 
 # -- periodicity and quasi-periodicity ----------------------------------------
 
+@memo
+def _span_tables(M: Ltw) -> tuple[dict, dict]:
+    """Spans by state and outputs by (state, basis subtree), filled on read."""
+    return {}, {}
+
+
 def _state_span(M: Ltw, q: str) -> _Span:
     """The span of the vectors (P, H, C) of L(q): the diagonal of the pair
-    spans of M restarted at q, which also gives the states below q; M keeps
-    the current fingerprinter's spans only, their vectors are fingerprints."""
-    fp, c = words.fingerprinter(), M._analysis
-    if c.get("spans", (None,))[0] is not fp:
-        c["spans"] = fp, {}
-    spans = c["spans"][1]
+    spans of M restarted at q, which also gives the states below q."""
+    spans = _span_tables(M)[0]
     if q not in spans:
         Mq = with_axiom_state(M, q)
         for (p, _), s in pair_spans(PairSpace(Mq, Mq)).items():
@@ -182,10 +179,9 @@ def _state_span(M: Ltw, q: str) -> _Span:
 def _basis_words(M: Ltw, q: str) -> list[WordRef]:
     """The outputs of q on the trees behind its span's basis.
 
-    Basis trees share their subtrees, so outputs are memoized per (state,
+    Basis trees share their subtrees, so outputs are kept per (state,
     subtree) on M."""
-    memo = M._analysis.setdefault("out", {})
-    return outputs(M, [(q, t) for t in _state_span(M, q).trees], memo)
+    return outputs(M, [(q, t) for t in _state_span(M, q).trees], _span_tables(M)[1])
 
 
 def _fits(vectors, u: WordRef, rho: WordRef, direction: str) -> bool:
@@ -215,6 +211,7 @@ def _fits(vectors, u: WordRef, rho: WordRef, direction: str) -> bool:
     return True
 
 
+@memo
 def periodic_word(M: Ltw, q: str) -> WordRef | None:
     """The shortest nonempty output w of q when L(q) lies inside sigma* for
     w's primitive root sigma, the empty word when q has no nonempty output,
@@ -222,15 +219,10 @@ def periodic_word(M: Ltw, q: str) -> WordRef | None:
 
     :func:`_fits` reads w in place of sigma: for w = sigma^k, w^omega =
     sigma^omega, so the verdict is the same and |w| is never factored."""
-    c = M._analysis
-    key = ("periodic", q)
-    if key not in c:
-        w = shortest_nonempty_word(M, q)
-        if w is None:                     # erasing, or vacuously: empty domain
-            c[key] = M.pool.empty
-        else:
-            c[key] = w if _fits(_state_span(M, q).vectors, M.pool.empty, w, "left") else None
-    return c[key]
+    w = shortest_nonempty_word(M, q)
+    if w is None:                         # erasing, or vacuously: empty domain
+        return M.pool.empty
+    return w if _fits(_state_span(M, q).vectors, M.pool.empty, w, "left") else None
 
 
 class QuasiPeriodicity(Frozen):
@@ -257,13 +249,9 @@ def quasi_periodicity(M: Ltw, q: str, direction: str = "left") -> QuasiPeriodici
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be left or right, not {direction!r}")
-    c = M._analysis
-    key = ("qp", q, direction)
-    if key not in c:
-        u = shortest_word(M, q)
-        vectors = _state_span(M, q).vectors
-        c[key] = None if u is None else _verdict(u, _basis_words(M, q), vectors, direction)
-    return c[key]
+    u = shortest_word(M, q)
+    vectors = _state_span(M, q).vectors
+    return None if u is None else _verdict(u, _basis_words(M, q), vectors, direction)
 
 
 def _verdict(u: WordRef, ws, vectors, direction: str) -> QuasiPeriodicity | None:
@@ -277,10 +265,7 @@ def _verdict(u: WordRef, ws, vectors, direction: str) -> QuasiPeriodicity | None
     w = min(others, key=lambda w: w.length)
     if w.length == u.length:
         return None
-    if direction == "left":
-        rest = words.strip_prefix(w, u.length)
-    else:
-        rest = words.strip_suffix(w, u.length)
+    rest = (words.strip_prefix if direction == "left" else words.strip_suffix)(w, u.length)
     if not _fits(vectors, u, rest, direction):
         return None
     return QuasiPeriodicity(direction, u, words.primitive_root(rest))
@@ -689,14 +674,16 @@ def pair_spans(ps: PairSpace, stop=None) -> dict[tuple[str, str], _Span]:
     return span
 
 
+@memo
+def _domain_trees(M: Ltw) -> dict[str, Tree]:
+    """A smallest-height tree per productive state."""
+    return _settled_trees(settle((p, f, by, 0) for p, mine in productive_rules(M).items()
+                                 for f, (_, by) in mine.items()))
+
+
 def shortest_domain_tree(M: Ltw, q: str) -> Tree | None:
     """Some smallest-height tree in the domain of q (None if empty)."""
-    c = M._analysis
-    if "sdt" not in c:
-        c["sdt"] = _settled_trees(settle(
-            (p, f, by, 0) for p, mine in productive_rules(M).items()
-            for f, (_, by) in mine.items()))
-    return c["sdt"].get(q)
+    return _domain_trees(M).get(q)
 
 
 def domains_equal(ps: PairSpace) -> tuple[Tree, str] | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 
 from . import words
@@ -75,6 +76,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    if args.output and args.report and (
+            os.path.realpath(args.output) == os.path.realpath(args.report)):
+        print("error: -o and --report name the same file", file=sys.stderr)
+        return USAGE
     M = load_ltw(args.a)
     try:
         report = partial_normal_form(M)

@@ -9,11 +9,12 @@ at most one rule per (state, symbol).  A rule
 carries n+1 words and n calls; the call slots s(1..n) form a permutation of
 the children, so every child is read exactly once.  All words are WordRefs
 into the transducer's pool.  Machines are immutable (assignment raises), so
-analyses cached on them stay valid; rewrites build new ones sharing the pool.
+analyses kept by :func:`memo` stay valid; rewrites build new ones sharing the pool.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 
 from . import words
@@ -99,7 +100,7 @@ class Ltw(Frozen):
         _set(self, "axiom", axiom)
         _set(self, "rules", rules)
         _set(self, "pool", pool)
-        _set(self, "_analysis", {})       # what ltw.analysis computes on it
+        _set(self, "_analysis", {})       # fingerprinter -> results: see memo
 
     def rule(self, state: str, symbol: str) -> Rule | None:
         return self.rules.get((state, symbol))
@@ -116,7 +117,7 @@ class Ltw(Frozen):
         return tuple(sym for sym in self.alphabet if (state, sym) in self.rules)
 
     def with_(self, **kw) -> Ltw:
-        """Replace some fields (others are a TypeError); the cache starts empty."""
+        """Replace some fields (others are a TypeError); the new memo starts empty."""
         fields = {f: kw.pop(f, getattr(self, f)) for f in self._fields}
         return Ltw(**fields, **kw)
 
@@ -255,30 +256,46 @@ def settle(rules) -> dict:
     return out
 
 
+def memo(fn):
+    """`fn(M, *args)` kept on the machine M under the key (fn, *args): the
+    package's one cache of analyses.  Spans and verdicts read fingerprints,
+    so a new fingerprinter (a seed change) clears all that M keeps."""
+    @functools.wraps(fn)
+    def cached(M: Ltw, *args):
+        fp, key = words.fingerprinter(), (fn, *args)
+        results = M._analysis.get(fp)
+        if results is None:
+            M._analysis.clear()
+            results = M._analysis[fp] = {}
+        if key not in results:
+            results[key] = fn(M, *args)
+        return results[key]
+    return cached
+
+
+@memo
 def productive_rules(M: Ltw) -> dict[str, dict[str, tuple[Rule, list[str]]]]:
     """Per state, its productive rules (those calling productive states
     only, so a state with none has an empty domain) by symbol in alphabet
-    order, each with its callee per slot; computed once per machine, the
-    productive states from one cost-0 :func:`settle` over its rules."""
-    c = M._analysis
-    if "live" not in c:
-        good = settle((r.state, None, [callee for callee, _ in r.calls], 0)
-                      for r in M.rules.values())
-        c["live"] = live = {}
-        for q in M.states:
-            live[q] = mine = {}
-            for f in M.alphabet:
-                r = M.rules.get((q, f))
-                if r is None:
-                    continue
-                by = [""] * len(r.calls)
-                for callee, slot in r.calls:
-                    if callee not in good:
-                        break
-                    by[slot - 1] = callee
-                else:
-                    mine[f] = r, by
-    return c["live"]
+    order, each with its callee per slot; the productive states from one
+    cost-0 :func:`settle` over its rules."""
+    good = settle((r.state, None, [callee for callee, _ in r.calls], 0)
+                  for r in M.rules.values())
+    live = {}
+    for q in M.states:
+        live[q] = mine = {}
+        for f in M.alphabet:
+            r = M.rules.get((q, f))
+            if r is None:
+                continue
+            by = [""] * len(r.calls)
+            for callee, slot in r.calls:
+                if callee not in good:
+                    break
+                by[slot - 1] = callee
+            else:
+                mine[f] = r, by
+    return live
 
 
 def accessible(M: Ltw, q: str) -> set[str]:

@@ -122,7 +122,7 @@ def _make_left(M: Ltw, q: str) -> Ltw:
             existing.add(name)
             copy[p] = name
     new_rules = companion_rules(M, q, copy)
-    fixed = {}
+    fixed = dict(M.rules)
     for key, r in M.rules.items():
         if any(c == q for c, _ in r.calls):
             wl, cl = list(r.words), list(r.calls)
@@ -131,8 +131,6 @@ def _make_left(M: Ltw, q: str) -> Ltw:
                     wl[i] = pool.concat(wl[i], w[q])
                     cl[i] = (copy[q], s)
             fixed[key] = Rule(r.state, r.symbol, tuple(wl), tuple(cl))
-        else:
-            fixed[key] = r
     fixed.update(new_rules)
     u0, ax, u1 = M.axiom
     axiom = (pool.concat(u0, w[q]), copy[q], u1) if ax == q else M.axiom
@@ -213,31 +211,28 @@ def eliminate_quasi_periodic_states(
 
     A state is already earliest on both sides when its shortest word is
     empty, which also holds for every copy an elimination introduces, so the
-    loop terminates.  Verdicts are cached by state name: a surviving state's
-    language never changes, and reused names only ever go to fresh copies,
-    which the empty-shortest-word test skips before the cache is consulted.
+    loop terminates.  Verdicts are cached by state name, the one result
+    carried across rewrites (every other analysis starts afresh on each new
+    machine): a surviving state's language never changes, and reused names
+    only ever go to fresh copies, which the empty-shortest-word test skips
+    before the cache is consulted.
     """
     entries: list[str] = []
     eliminated: list[tuple[str, str]] = []
-    cache: dict[tuple[str, str], QuasiPeriodicity | None] = {}
+    cache: dict[str, tuple[str, QuasiPeriodicity] | None] = {}
     while True:
         m = shortest_word_lengths(M)
-        found = None
         for s in processing_order(M):
             if m[s] == 0:
                 continue
-            for d in ("left", "right"):
-                key = (s, d)
-                if key not in cache:
-                    cache[key] = quasi_periodicity(M, s, d)
-                if cache[key] is not None:
-                    found = (s, d, cache[key])
-                    break
-            if found:
+            if s not in cache:
+                cache[s] = next(((d, v) for d in ("left", "right")
+                                 if (v := quasi_periodicity(M, s, d)) is not None), None)
+            if cache[s] is not None:
                 break
-        if found is None:
+        else:
             return M, entries, eliminated
-        s, d, v = found
+        d, v = cache[s]
         M = trim(make_state_earliest(M, s, v))
         entries.append(f"earliest-state {s} {d} "
                        f"handle_len={v.handle.length} period_len={v.period.length}")
@@ -366,7 +361,6 @@ def reorder_periodic_runs(M: Ltw) -> tuple[Ltw, list[str]]:
         for r in M.rules_of(q):
             n = len(r.calls)
             cl = list(r.calls)
-            changed_rule = False
             i = 0
             while i < n:
                 j = i
@@ -384,13 +378,10 @@ def reorder_periodic_runs(M: Ltw) -> tuple[Ltw, list[str]]:
                     seg = sorted(cl[i:j + 1], key=lambda cs: cs[1])
                     if seg != cl[i:j + 1]:
                         cl[i:j + 1] = seg
-                        changed_rule = True
                         entries.append(f"reorder-run {q} {r.symbol} pos={i + 1}..{j + 1}")
                 i = j + 1
-            if changed_rule:
-                rules[(q, r.symbol)] = Rule(q, r.symbol, r.words, tuple(cl))
-            else:
-                rules[(q, r.symbol)] = r
+            changed = cl != list(r.calls)
+            rules[(q, r.symbol)] = Rule(q, r.symbol, r.words, tuple(cl)) if changed else r
     return M.with_(rules=rules), entries
 
 

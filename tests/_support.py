@@ -5,8 +5,8 @@ law harness used by both the unit suites and the acceptance gate; and the
 helpers only tests need: word powers, structural machine equality, the
 companion machine, a state's primitive period, tree size and depth, the
 tree enumerator over a whole alphabet and brute-force quasi-periodicity;
-the un-earliest and state-splitting edits that make equivalent copies of a
-machine; the plain references that faster code is tested against: the
+the un-earliest, state-splitting and axiom-handle edits that make
+equivalent copies of a machine; the plain references that faster code is tested against: the
 heap settle, the span fixpoint, rank by row reduction and the token-cursor
 loader; and a counter of the span fixpoint's products."""
 
@@ -371,6 +371,29 @@ def split_state(M: Ltw, rng: random.Random) -> Ltw | None:
     calls[i] = (copy, slot)
     rules[key] = Rule(r.state, r.symbol, r.words, tuple(calls))
     return M.with_(states=M.states + (copy,), rules=rules)
+
+
+def axiom_handle(M: Ltw, rng: random.Random) -> tuple[Ltw, Ltw]:
+    """Two machines equivalent to each other: one writes a random nonempty
+    word h just before (or just after) the call of M's axiom, the other
+    calls a fresh copy of the axiom state instead, whose every rule writes h
+    first (or last).  The copy's rules call the original states."""
+    h = M.pool.literal(_word(rng) + rng.choice(WORD_CHARS))
+    after = rng.random() < 0.5
+    u0, q, u1 = M.axiom
+    framed = M.with_(axiom=(u0, q, M.pool.concat(h, u1)) if after
+                     else (M.pool.concat(u0, h), q, u1))
+    copy = f"{q}_h{len(M.states)}"
+    rules = dict(M.rules)
+    for r in M.rules_of(q):
+        ws = list(r.words)
+        if after:
+            ws[-1] = M.pool.concat(ws[-1], h)
+        else:
+            ws[0] = M.pool.concat(h, ws[0])
+        rules[(copy, r.symbol)] = Rule(copy, r.symbol, tuple(ws), r.calls)
+    inner = M.with_(states=M.states + (copy,), rules=rules, axiom=(u0, copy, u1))
+    return framed, inner
 
 
 def random_word_ref(pool, rng: random.Random, depth: int = 4):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from ltw import analysis, expand, load_ltw, mirror, parse_ltw, trim
+from ltw import analysis, core, expand, load_ltw, mirror, parse_ltw, trim
 from ltw import words as W
 from ltw.analysis import (PairSpace, domains_equal, erasing_states,
                           is_erasing, mock_shift_table,
@@ -12,7 +12,7 @@ from ltw.analysis import (PairSpace, domains_equal, erasing_states,
                           same_ordered, shortest_domain_tree,
                           shortest_nonempty_word, shortest_word,
                           shortest_word_lengths, shortest_words)
-from ltw.core import accessible, evaluate, with_axiom_state
+from ltw.core import accessible, evaluate, productive_rules, with_axiom_state
 from ltw.normalize import hat_state_machine
 from ltw.oracle import EnumerationBudget, enumerate_trees, evaluate_explicit
 
@@ -207,6 +207,52 @@ def test_verdicts_after_a_seed_change_read_spans_of_the_new_seed():
             assert expand(periodic_word(machine, "q2")) == "cab"
             v = rule_part_quasi_periodicity(machine, "q", "h", 0)
             assert (expand(v.handle), expand(v.period)) == ("b", "cab")
+            for q in machine.states:        # each vector is its word's, at seed 7
+                span = analysis._state_span(machine, q)
+                sums = [W.fingerprinter().summary(w)
+                        for w in analysis._basis_words(machine, q)]
+                assert [v[:2] for v in span.vectors] == sums
+                assert [v[2:4] for v in span.vectors] == sums
+    finally:
+        W.set_equality_seed(0)
+
+
+def test_each_analysis_runs_once_per_machine_and_seed(monkeypatch):
+    # the memo keeps every result on the machine; a seed change drops them
+    # all, so each family then runs exactly once more
+    M = ex("ex5a")
+    runs = Counter()
+    for module, name in ((analysis, "settle"), (core, "settle"),
+                         (analysis, "pair_spans"), (analysis, "_fits")):
+        def counting(*args, _f=getattr(module, name), _key=(module, name)):
+            runs[_key] += 1
+            return _f(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    def shortest_family():
+        for q in M.states:
+            shortest_word_lengths(M)[q], shortest_words(M)[q]
+            shortest_word(M, q), shortest_nonempty_word(M, q), is_erasing(M, q)
+        erasing_states(M)
+
+    def the_rest():
+        productive_rules(M)
+        for q in M.states:
+            periodic_word(M, q), shortest_domain_tree(M, q)
+
+    shortest_family()
+    shortest_family()
+    assert runs == {(analysis, "settle"): 1}    # one settle for the family
+    the_rest()
+    the_rest()
+    once = dict(runs)
+    assert set(once) == {(analysis, "settle"), (core, "settle"),
+                         (analysis, "pair_spans"), (analysis, "_fits")}
+    W.set_equality_seed(7)
+    try:
+        for read in (shortest_family, the_rest, shortest_family, the_rest):
+            read()
+        assert runs == {key: 2 * n for key, n in once.items()}
     finally:
         W.set_equality_seed(0)
 

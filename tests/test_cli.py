@@ -225,6 +225,21 @@ def test_normalize_writes_nothing_when_a_target_cannot_open(flag, tmp_path, caps
     assert not bad.exists() and (not other.exists() or other.read_text() == "")
 
 
+def test_normalize_refuses_one_file_for_both_targets(tmp_path, capsys, monkeypatch):
+    # the normal form and the report would share, and spoil, one file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    os.symlink("x.txt", "link")
+    for out, report in [("x.txt", "x.txt"), ("x.txt", "sub/../x.txt"),
+                        (str(tmp_path / "x.txt"), "./x.txt"), ("link", "x.txt")]:
+        assert main(["normalize", EX3, "-o", out, "--report", report]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.startswith("error:")
+        assert sorted(os.listdir(tmp_path)) == ["link", "sub"]
+    assert main(["normalize", EX3, "-o", "x.txt", "--report", "sub/x.txt"]) == 0
+    assert (tmp_path / "x.txt").read_text().startswith("input")
+
+
 def test_normalize_deeply_nested_word(tmp_path, capsys):
     # a word built by 1500 nested concatenations prints without recursion
     lines = ["input f:1 g:0", 'slp W0 = "%s"' % ("ab" * 21)]

@@ -15,7 +15,7 @@ from ltw.normalize import (_fresh, _strip_hat, erase_order, make_state_earliest,
                            partial_normal_form, processing_order,
                            reorder_periodic_runs)
 
-from _support import (check_elimination_laws, random_cyclic_text,
+from _support import (axiom_handle, check_elimination_laws, random_cyclic_text,
                       random_layered_text, replay_with_laws, split_state,
                       stage_pipeline, un_earliest)
 
@@ -160,6 +160,16 @@ def test_split_state_pairs_have_same_ordered_idempotent_normal_forms():
             N = edit(N, rng) or N
         pairs += 1
         _assert_normal_forms_agree(M, N)
+
+
+def test_axiom_handle_pairs_have_same_ordered_idempotent_normal_forms():
+    # each pair writes one random word next to the axiom call, once in the
+    # axiom and once inside every rule of a fresh copy of the axiom state
+    rng = random.Random(28)
+    for pairs in range(300):
+        gen = random_layered_text if pairs % 2 else random_cyclic_text
+        M = parse_ltw(gen(rng, rng.randrange(2, 5)))
+        _assert_normal_forms_agree(*axiom_handle(M, rng))
 
 
 @pytest.mark.parametrize("name", FIX_NAMES)

@@ -15,7 +15,12 @@ name ``args``: those are argparse options.
 
 Every defaulted parameter of a module-level function or of a class
 constructor is passed by some call in the package, the benchmark or the
-tests; one that none passes is a constant."""
+tests; one that none passes is a constant.
+
+The slot ``Ltw._analysis``, where analyses are kept, is read and written
+only by the memo helper ``ltw.core.memo``, apart from the slot's
+declaration and ``Ltw.__init__``; a hand-rolled cache beside it would keep
+its own keys and miss the memo's rule for a change of seed."""
 
 import ast
 import pathlib
@@ -254,3 +259,50 @@ def test_the_guard_sees_a_constructor_parameter_no_call_passes(tmp_path):
         "class D:\n    def __init__(self, *, e=5):\n        pass\n")
     (other / "test_m.py").write_text("import m\n\nm.B(0, 1)\nD(e=6)\n")
     assert unpassed_defaults(src, (other,)) == [("m", "B", "c")]
+
+
+def memo_bypasses(src=SRC, bench=BENCH):
+    """(module, enclosing definitions) of every read or write of the slot
+    `_analysis` under `src` or `bench`, as an attribute or named by a
+    string, outside the memo helper (`memo` and what it nests) and outside
+    the body and `__init__` of `Ltw`, which declare and set the slot."""
+    found = []
+
+    def walk(node, path, module):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+                walk(sub, path + (sub.name,), module)
+                continue
+            if (isinstance(sub, ast.Attribute) and sub.attr == "_analysis"
+                    or isinstance(sub, ast.Constant) and sub.value == "_analysis"):
+                if path[:1] != ("memo",) and path not in (("Ltw",), ("Ltw", "__init__")):
+                    found.append((module, ".".join(path)))
+            walk(sub, path, module)
+
+    for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), (), path.stem)
+    return found
+
+
+def test_only_the_memo_touches_the_analysis_slot():
+    assert memo_bypasses() == []
+
+
+def test_the_guard_sees_a_cache_beside_the_memo(tmp_path):
+    src, bench = tmp_path / "ltw", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "core.py").write_text(
+        "class Ltw:\n    __slots__ = ('rules', '_analysis')\n\n"
+        "    def __init__(self):\n        _set(self, '_analysis', {})\n\n"
+        "    def peek(self):\n        return self._analysis\n\n"
+        "def memo(fn):\n    def cached(M, *args):\n"
+        "        return M._analysis.setdefault((fn, *args), fn(M, *args))\n"
+        "    return cached\n")
+    (src / "analysis.py").write_text(
+        "def shortest(M):\n    c = M._analysis\n    return c.get('w')\n\n"
+        "def spans(M):\n    return getattr(M, '_analysis')\n")
+    (bench / "tracer.py").write_text("def clear(M):\n    M._analysis.clear()\n")
+    assert memo_bypasses(src, bench) == [
+        ("analysis", "shortest"), ("analysis", "spans"), ("core", "Ltw.peek"),
+        ("tracer", "clear")]
