@@ -58,21 +58,21 @@ def _qp_lines(M: Ltw, q: str, directions) -> list[str]:
     return ["not quasi-periodic"]
 
 
+def _print_refutation(verdict) -> None:
+    """A negative verdict of `check` or `oracle`: its reason and its tree."""
+    print(f"not equivalent: {verdict.reason}")
+    print(f"witness: {print_tree(verdict.witness)}")
+
+
 def cmd_check(args) -> int:
-    M1 = load_ltw(args.a)
-    M2 = load_ltw(args.b)
-    verdict = decide_equiv(M1, M2)
+    verdict = decide_equiv(load_ltw(args.a), load_ltw(args.b))
     if verdict.equivalent:
         print("equivalent")
-        if verdict.detail:
-            print(verdict.detail, file=sys.stderr)
-        return OK
-    print(f"not equivalent: {verdict.reason}")
-    if verdict.witness is not None:
-        print(f"witness: {print_tree(verdict.witness)}")
+    else:
+        _print_refutation(verdict)
     if verdict.detail:
         print(verdict.detail, file=sys.stderr)
-    return NEGATIVE
+    return OK if verdict.equivalent else NEGATIVE
 
 
 def cmd_normalize(args) -> int:
@@ -147,14 +147,13 @@ def cmd_analyze(args) -> int:
         cells = " ".join(f"{p}={table[p]}" for p in M.states if p in table)
         _write_latin1("\n".join([*block, f"shifts: {cells}"]) + "\n")
     for q in targets:
-        for sym in M.rule_symbols(q):
-            r = M.rule(q, sym)
+        for r in M.rules_of(q):
             for i, (callee, _) in enumerate(r.calls):
                 if m[callee] == 0 and r.words[i + 1].length == 0:
                     continue
-                v = rule_part_quasi_periodicity(M, q, sym, i)
+                v = rule_part_quasi_periodicity(M, q, r.symbol, i)
                 if v is not None:
-                    _write_latin1(f"part {q} {sym} pos={i + 1} callee={callee}: "
+                    _write_latin1(f"part {q} {r.symbol} pos={i + 1} callee={callee}: "
                                   f"quasi-periodic(left): {_fmt('handle', v.handle)} "
                                   f"{_fmt('period', v.period)}\n")
     return OK
@@ -176,9 +175,7 @@ def cmd_oracle(args) -> int:
     if verdict.equivalent:
         print(f"equivalent (checked {verdict.trees_checked} trees{suffix})")
         return OK
-    print(f"not equivalent: {verdict.reason}")
-    if verdict.witness is not None:
-        print(f"witness: {print_tree(verdict.witness)}")
+    _print_refutation(verdict)
     return NEGATIVE
 
 

@@ -113,9 +113,6 @@ class Ltw(Frozen):
                 out.append(r)
         return out
 
-    def rule_symbols(self, state: str) -> tuple[str, ...]:
-        return tuple(sym for sym in self.alphabet if (state, sym) in self.rules)
-
     def with_(self, **kw) -> Ltw:
         """Replace some fields (others are a TypeError); the new memo starts empty."""
         fields = {f: kw.pop(f, getattr(self, f)) for f in self._fields}
@@ -313,24 +310,27 @@ def accessible(M: Ltw, q: str) -> set[str]:
 
 
 def trim(M: Ltw) -> Ltw:
-    """Restrict to productive states accessible from the axiom.
+    """Keep the productive rules of the states the axiom reaches through them.
 
     Raises EmptyTransducer if the axiom state has an empty domain.
     """
-    live = productive_rules(M)
-    if not live.get(M.axiom[1]):
-        raise EmptyTransducer(f"axiom state {M.axiom[1]} has an empty domain")
-    rules = {k: r for k, r in M.rules.items() if k[1] in live.get(k[0], ())}
-    keep = accessible(M.with_(rules=rules), M.axiom[1])
-    states = tuple(s for s in M.states if s in keep)
-    rules = {k: r for k, r in rules.items() if k[0] in keep}
-    return M.with_(states=states, rules=rules)
+    live, q = productive_rules(M), M.axiom[1]
+    if not live.get(q):
+        raise EmptyTransducer(f"axiom state {q} has an empty domain")
+    keep, frontier = {q}, [q]
+    while frontier:
+        for _, by in live[frontier.pop()].values():
+            new = set(by) - keep
+            keep |= new
+            frontier += new
+    return M.with_(states=tuple(s for s in M.states if s in keep),
+                   rules={k: r for k, r in M.rules.items()
+                          if k[0] in keep and k[1] in live[k[0]]})
 
 
 def mirror(M: Ltw) -> Ltw:
     """Reverse every word and every call order; evaluate(mirror(M), t) is
     the reversal of evaluate(M, t)."""
-    pool = M.pool
     rules = {}
     for key, r in M.rules.items():
         rwords = tuple(words.reverse(w) for w in reversed(r.words))
@@ -343,8 +343,7 @@ def mirror(M: Ltw) -> Ltw:
 def with_axiom_state(M: Ltw, q: str) -> Ltw:
     """M restarted at state q with an empty axiom frame, trimmed to acc(q)."""
     keep = accessible(M, q)
-    states = tuple(s for s in M.states if s in keep)
-    rules = {k: r for k, r in M.rules.items() if k[0] in keep}
-    return M.with_(states=states, rules=rules,
+    return M.with_(states=tuple(s for s in M.states if s in keep),
+                   rules={k: r for k, r in M.rules.items() if k[0] in keep},
                    axiom=(M.pool.empty, q, M.pool.empty))
 

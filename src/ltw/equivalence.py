@@ -71,6 +71,15 @@ class EquivVerdict(words.Record):
         self.witness, self.detail = witness, detail
 
 
+def _refuted(M1: Ltw, M2: Ltw, reason: str, t: Tree, detail: str) -> EquivVerdict:
+    """The "not equivalent" verdict on t, once t is re-run on both machines:
+    exactly one is defined on t ("domain"), or both are and differ ("output")."""
+    if (domain_defined(M1, t) == domain_defined(M2, t) if reason == "domain"
+            else words.equals(evaluate(M1, t), evaluate(M2, t))):
+        raise RuntimeError(f"{reason} witness failed verification")
+    return EquivVerdict(False, reason=reason, witness=t, detail=detail)
+
+
 def morphism_equivalence(ps: PairSpace) -> tuple[str, Tree | None]:
     """("span", a common tree on which the outputs differ, or None).
 
@@ -100,15 +109,10 @@ def decide_same_ordered_equiv(M1: Ltw, M2: Ltw) -> EquivVerdict:
     ps = PairSpace(M1, M2)
     diff = domains_equal(ps)
     if diff is not None:
-        t, detail = diff
-        if domain_defined(M1, t) == domain_defined(M2, t):
-            raise RuntimeError("domain witness failed verification")
-        return EquivVerdict(False, reason="domain", witness=t, detail=detail)
+        return _refuted(M1, M2, "domain", *diff)
     method, t = morphism_equivalence(ps)
     if t is not None:
-        if words.equals(evaluate(M1, t), evaluate(M2, t)):
-            raise RuntimeError("output witness failed verification")
-        return EquivVerdict(False, reason="output", witness=t, detail=method)
+        return _refuted(M1, M2, "output", t, method)
     return EquivVerdict(True, detail=method)
 
 
@@ -123,9 +127,6 @@ def decide_equiv(M1: Ltw, M2: Ltw) -> EquivVerdict:
         return EquivVerdict(True, detail="both domains empty")
     if empty1 or empty2:
         M = M2 if empty1 else M1
-        t = shortest_domain_tree(M, M.axiom[1])
-        if domain_defined(M1, t) == domain_defined(M2, t):
-            raise RuntimeError("domain witness failed verification")
-        return EquivVerdict(False, reason="domain", witness=t,
-                            detail="one domain is empty")
+        return _refuted(M1, M2, "domain", shortest_domain_tree(M, M.axiom[1]),
+                        "one domain is empty")
     return decide_same_ordered_equiv(M1, M2)

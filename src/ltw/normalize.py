@@ -211,28 +211,28 @@ def eliminate_quasi_periodic_states(
 
     A state is already earliest on both sides when its shortest word is
     empty, which also holds for every copy an elimination introduces, so the
-    loop terminates.  Verdicts are cached by state name, the one result
-    carried across rewrites (every other analysis starts afresh on each new
-    machine): a surviving state's language never changes, and reused names
-    only ever go to fresh copies, which the empty-shortest-word test skips
-    before the cache is consulted.
+    loop terminates.  Only the states found not quasi-periodic are carried
+    across rewrites, as a surviving state's language never changes; a
+    quasi-periodic one loses every caller and the axiom at once, so the
+    next trim drops it.  Reused names only go to fresh copies, which the
+    empty-shortest-word test skips before the set is read.
     """
     entries: list[str] = []
     eliminated: list[tuple[str, str]] = []
-    cache: dict[str, tuple[str, QuasiPeriodicity] | None] = {}
+    not_qp: set[str] = set()
     while True:
         m = shortest_word_lengths(M)
         for s in processing_order(M):
-            if m[s] == 0:
+            if m[s] == 0 or s in not_qp:
                 continue
-            if s not in cache:
-                cache[s] = next(((d, v) for d in ("left", "right")
-                                 if (v := quasi_periodicity(M, s, d)) is not None), None)
-            if cache[s] is not None:
+            found = next(((d, v) for d in ("left", "right")
+                          if (v := quasi_periodicity(M, s, d)) is not None), None)
+            if found is not None:
                 break
+            not_qp.add(s)
         else:
             return M, entries, eliminated
-        d, v = cache[s]
+        d, v = found
         M = trim(make_state_earliest(M, s, v))
         entries.append(f"earliest-state {s} {d} "
                        f"handle_len={v.handle.length} period_len={v.period.length}")
@@ -279,20 +279,21 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
     """Hoist the handle of every quasi-periodic rule part.
 
     Rules are scanned right to left so a hoisted handle immediately becomes
-    part of the word trailing the call on its left.  Earlier rewrites are
+    part of the word trailing the call on its left.  Earlier verdicts are
     reused: identical parts (same callee, same trailing word) across the
-    machine share one earliest copy.  Runs to a fixpoint; the pass count is
-    reported.
+    machine share one earliest copy, and a part found not quasi-periodic is
+    not tested again.  Runs to a fixpoint; the pass count is reported.
     """
     entries: list[str] = []
-    registry: dict = {}
+    ruled_out: set = set()          # part keys known not quasi-periodic
+    copies: dict = {}               # part key -> (handle, root copy, period length)
     fp = words.fingerprinter()
     passes = 0
     changed = True
     while changed:
         changed = False
         passes += 1
-        keys = [(s, sym) for s in M.states for sym in M.rule_symbols(s)]
+        keys = [(s, r.symbol) for s in M.states for r in M.rules_of(s)]
         for key in keys:
             if key not in M.rules:
                 continue
@@ -306,10 +307,10 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                 # length and hash fix the whole fingerprint summary, so
                 # equal keys are equal words under words.equals
                 ukey = (callee, u.length, fp.summary(u)[1])
-                hit = registry.get(ukey, "miss")
-                if hit is None:
-                    continue            # known not quasi-periodic
-                if hit != "miss" and hit[1] in M.states:    # else a stale copy
+                if ukey in ruled_out:
+                    continue
+                hit = copies.get(ukey)
+                if hit is not None and hit[1] in M.states:    # else a stale copy
                     handle, root_copy, period_len = hit
                     wl, cl = list(r.words), list(r.calls)
                     wl[i] = M.pool.concat(wl[i], handle)
@@ -321,7 +322,7 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                 else:
                     v = part_quasi_periodicity(M, callee, u)
                     if v is None:
-                        registry[ukey] = None
+                        ruled_out.add(ukey)
                         continue
                     M2, hat = hat_state_machine(M, callee, u)
                     wl, cl = list(r.words), list(r.calls)
@@ -333,11 +334,11 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                     root_copy = M.rules[key].calls[i][0]
                     M = trim(M)
                     handle, period_len = v.handle, v.period.length
-                    registry[ukey] = (handle, root_copy, period_len)
+                    copies[ukey] = (handle, root_copy, period_len)
                 changed = True
                 entries.append(f"earliest-part {q} {sym} pos={i + 1} callee={callee} "
                                f"handle_len={handle.length} period_len={period_len}")
-    # a rewrite served from the registry bypasses the per-elimination trim,
+    # a rewrite served from `copies` bypasses the per-elimination trim,
     # which can strand the replaced callee; rewrites preserve the language,
     # so the machine stays nonempty and one final trim is always safe
     return trim(M), entries, passes
@@ -391,26 +392,18 @@ def partial_normal_form(M: Ltw) -> NormalizationReport:
     """Trim, eliminate quasi-periodic states, erase-order, make parts
     earliest, reorder runs.  Raises EmptyTransducer on an empty domain."""
     timings: dict[str, float] = {}
-    t0 = perf_counter()
-    M = trim(M)
-    timings["trim"] = perf_counter() - t0
 
-    t0 = perf_counter()
-    M, e1, eliminated = eliminate_quasi_periodic_states(M)
-    timings["eliminate"] = perf_counter() - t0
+    def timed(stage: str, run, M: Ltw):
+        t0 = perf_counter()
+        out = run(M)
+        timings[stage] = perf_counter() - t0
+        return out
 
-    t0 = perf_counter()
-    M, e2 = erase_order(M)
-    timings["erase-order"] = perf_counter() - t0
-
-    t0 = perf_counter()
-    M, e3, passes = make_rule_parts_earliest(M)
-    timings["parts"] = perf_counter() - t0
-
-    t0 = perf_counter()
-    M, e4 = reorder_periodic_runs(M)
-    timings["reorder"] = perf_counter() - t0
-
+    M = timed("trim", trim, M)
+    M, e1, eliminated = timed("eliminate", eliminate_quasi_periodic_states, M)
+    M, e2 = timed("erase-order", erase_order, M)
+    M, e3, passes = timed("parts", make_rule_parts_earliest, M)
+    M, e4 = timed("reorder", reorder_periodic_runs, M)
     validate(M)
     return NormalizationReport(M, e1 + e2 + e3 + e4, timings,
                                eliminated, passes)

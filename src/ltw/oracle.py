@@ -100,15 +100,28 @@ def enumerate_trees(M: Ltw, q: str | None = None,
     return out
 
 
-def every_tree_machine(alphabet: dict[str, int]) -> Ltw:
-    """One state q whose rule for each symbol calls every child in order
-    and writes nothing: its domain is every tree over the alphabet."""
-    pool = words.SlpPool()
-    e = pool.empty
-    return Ltw(alphabet, ("q",), (e, "q", e),
-               {("q", f): Rule("q", f, (e,) * (a + 1),
-                               tuple(("q", i) for i in range(1, a + 1)))
-                for f, a in alphabet.items()}, pool)
+def live_tree_machine(M1: Ltw, M2: Ltw, alphabet: dict[str, int]) -> Ltw:
+    """The product of M1 and M2, each with a state None that has no rule:
+    the pairs (q1 or None, q2 or None) but (None, None) that the axiom pair
+    reaches, whose rules write nothing.  Its domain is the trees with no
+    node where both machines are undefined, the only ones that can tell
+    them apart, and :func:`enumerate_trees` lists them in the order it
+    lists every tree over the alphabet, with the others left out."""
+    e, start = M1.pool.empty, (M1.axiom[1], M2.axiom[1])
+    states, todo, rules = {start: None}, [start], {}
+    while todo:
+        p = todo.pop()
+        for f, n in alphabet.items():
+            sides = [M.rules.get((q, f)) for M, q in zip((M1, M2), p)]
+            if not any(sides):
+                continue
+            by = [{slot: c for c, slot in r.calls} if r else {} for r in sides]
+            calls = tuple(((by[0].get(i), by[1].get(i)), i) for i in range(1, n + 1))
+            rules[(p, f)] = Rule(p, f, (e,) * (n + 1), calls)
+            new = dict.fromkeys(kid for kid, _ in calls if kid not in states)
+            states.update(new)
+            todo += new
+    return Ltw(alphabet, tuple(states), (e, start, e), rules, M1.pool)
 
 
 def _rule(M: Ltw, q: str, node: Tree):
@@ -189,12 +202,12 @@ def evaluate_explicit(M: Ltw, t: Tree, cap: int = MAX_WORD_LEN,
 def brute_equiv(M1: Ltw, M2: Ltw,
                 budget: EnumerationBudget = EnumerationBudget()) -> BruteVerdict:
     """Compare definedness and explicit outputs on every budgeted tree over
-    the merged alphabet."""
+    the merged alphabet that one machine can run (:func:`live_tree_machine`)."""
     merged = dict(M1.alphabet)
     for s, a in M2.alphabet.items():
         if merged.setdefault(s, a) != a:
             raise ValueError(f"alphabets disagree on the arity of {s}")
-    trees = enumerate_trees(every_tree_machine(merged), budget=budget)
+    trees = enumerate_trees(live_tree_machine(M1, M2, merged), budget=budget)
     hit = "trees" if len(trees) >= budget.max_trees else None
     memo1: dict = defaultdict(dict)
     memo2: dict = defaultdict(dict)

@@ -51,8 +51,8 @@ class PoolMismatch(ValueError):
 
 
 def valid_symbol(ch: str) -> bool:
-    """Symbols are single printable 8-bit characters (no control codes)."""
-    if len(ch) != 1:
+    """Symbols: printable 8-bit characters but '#' (a .ltw comment)."""
+    if len(ch) != 1 or ch == "#":
         return False
     o = ord(ch)
     return 32 <= o <= 126 or 160 <= o <= 255
@@ -187,10 +187,6 @@ class SlpPool:
         for r in refs:
             out = self.concat(out, r)
         return out
-
-
-def concat(a: WordRef, b: WordRef) -> WordRef:
-    return a.pool.concat(a, b)
 
 
 def expand(w: WordRef, cap: int = DEFAULT_EXPAND_CAP) -> str:
@@ -336,7 +332,7 @@ def rotate_left(w: WordRef, n: int) -> WordRef:
     n %= w.length
     if n == 0:
         return w
-    return concat(strip_prefix(w, n), prefix(w, n))
+    return w.pool.concat(strip_prefix(w, n), prefix(w, n))
 
 
 def reverse(w: WordRef) -> WordRef:

@@ -4,7 +4,9 @@ that trimming removes, the word-equality differential, and the elimination
 law harness used by both the unit suites and the acceptance gate; and the
 helpers only tests need: word powers, structural machine equality, the
 companion machine, a state's primitive period, tree size and depth, the
-tree enumerator over a whole alphabet and brute-force quasi-periodicity;
+tree enumerator over a whole alphabet with its one-state machine, the
+predicate that keeps the trees one of two machines can run, and
+brute-force quasi-periodicity;
 the un-earliest, state-splitting and axiom-handle edits that make
 equivalent copies of a machine; the plain references that faster code is tested against: the
 heap settle, the span fixpoint, rank by row reduction and the token-cursor
@@ -940,8 +942,40 @@ def tree_depth(t: Tree) -> int:
     return deepest
 
 
-# the reference for brute_equiv's enumeration, which lists the domain of
-# ltw.oracle.every_tree_machine with ltw.oracle.enumerate_trees
+def every_tree_machine(alphabet: dict[str, int]) -> Ltw:
+    """One state q whose rule for each symbol calls every child in order
+    and writes nothing: its domain is every tree over the alphabet."""
+    pool = W.SlpPool()
+    e = pool.empty
+    return Ltw(alphabet, ("q",), (e, "q", e),
+               {("q", f): Rule("q", f, (e,) * (a + 1),
+                               tuple(("q", i) for i in range(1, a + 1)))
+                for f, a in alphabet.items()}, pool)
+
+
+def is_live(M1: Ltw, M2: Ltw, t: Tree) -> bool:
+    """Whether t has no node where both machines are undefined, a machine
+    undefined at a node being undefined on its whole subtree."""
+    todo = [(t, (M1.axiom[1], M2.axiom[1]))]
+    while todo:
+        node, states = todo.pop()
+        kids = [[None, None] for _ in node.children]
+        defined = False
+        for side, (M, q) in enumerate(zip((M1, M2), states)):
+            r = M.rules.get((q, node.symbol))
+            if r is not None and r.arity == len(node.children):
+                defined = True
+                for callee, slot in r.calls:
+                    kids[slot - 1][side] = callee
+        if not defined:
+            return False
+        todo += zip(node.children, kids)
+    return True
+
+
+# the reference for brute_equiv's enumeration: the trees that
+# ltw.oracle.enumerate_trees lists for every_tree_machine, and those of
+# them that is_live accepts for ltw.oracle.live_tree_machine
 def enumerate_all_trees(alphabet_items, budget: EnumerationBudget) -> list[Tree]:
     """All trees over the alphabet (not just domain trees), depth-major."""
     cap = budget.max_trees

@@ -147,6 +147,21 @@ def test_shift_table_reads_only_accessible_rules(monkeypatch):
     assert set(table) == acc
 
 
+def test_shift_table_skips_rules_that_call_an_empty_domain():
+    # on an untrimmed machine, a rule that calls a state with an empty
+    # domain never fires, so it adds no edge: the shift of p comes from the
+    # f-rule alone, and z gets none
+    M = parse_ltw('input f:1 g:0 h:2\naxiom = q(x)\n'
+                  'rule q g = "a"\n'
+                  'rule q f(x1) = "bb" p(x1) "c"\n'
+                  'rule q h(x1,x2) = p(x1) "dd" z(x2) "e"\n'
+                  'rule p g = "d"\n'
+                  'rule z f(x1) = z(x1)\n')
+    assert shortest_word_lengths(M)["z"] is None
+    assert mock_shift_table(M, "q") == {"q": 0, "p": 1}
+    assert mock_shift_table(trim(M), "q") == {"q": 0, "p": 1}
+
+
 # -- companion transducer --------------------------------------------------
 
 

@@ -13,11 +13,10 @@ from ltw.analysis import QuasiPeriodicity
 from ltw.core import (accessible, domain_defined, productive_rules, settle,
                       with_axiom_state)
 from ltw.equivalence import EquivVerdict
-from ltw.oracle import (EnumerationBudget, enumerate_trees, evaluate_explicit,
-                        every_tree_machine)
+from ltw.oracle import EnumerationBudget, enumerate_trees, evaluate_explicit
 
-from _support import (random_layered, reference_settle, same_structure,
-                      tree_depth, tree_size)
+from _support import (every_tree_machine, random_layered, reference_settle,
+                      same_structure, tree_depth, tree_size)
 
 from conftest import FIXTURES
 

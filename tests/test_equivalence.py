@@ -5,6 +5,8 @@ import hashlib
 import random
 from collections import Counter
 
+import pytest
+
 from ltw import analysis, core, oracle, words
 from ltw.core import (EmptyTransducer, Ltw, Rule, trim, domain_defined,
                       evaluate, with_axiom_state)
@@ -81,6 +83,35 @@ def test_output_difference_witnessed(fixtures):
     assert t is not None
     assert domain_defined(M, t) and domain_defined(N, t)
     assert not words.equals(evaluate(M, t), evaluate(N, t))
+
+
+def _edited(M, key, word=None):
+    """M in its own pool without the rule `key`, or with its last word
+    replaced by `word`."""
+    rules = dict(M.rules)
+    r = rules.pop(key)
+    if word is not None:
+        rules[key] = Rule(r.state, r.symbol, r.words[:-1] + (M.pool.literal(word),),
+                          r.calls)
+    return M.with_(rules=rules)
+
+
+@pytest.mark.parametrize("name, key, word, reason", [
+    ("ex3", ("q2", "g"), None, "domain"),       # an empty domain
+    ("ex7", ("q", "k"), None, "domain"),
+    ("ex3", ("q1", "f"), "ba", "output"),
+])
+def test_a_witness_that_does_not_separate_is_refused(monkeypatch, fixtures,
+                                                     name, key, word, reason):
+    # the decision finds its witness without reading a rule by key, so once
+    # both machines run on the rules of the first, the re-run of the
+    # witness finds no difference and the verdict is refused
+    M = _load(fixtures, name)
+    N = _edited(M, key, word)
+    assert decide_equiv(M, N).reason == reason
+    monkeypatch.setattr(Ltw, "rule", lambda self, q, f: M.rules.get((q, f)))
+    with pytest.raises(RuntimeError, match=f"^{reason} witness failed verification$"):
+        decide_equiv(M, N)
 
 
 # -- domain witnesses ---------------------------------------------------------

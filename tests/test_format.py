@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from ltw import ParseError, expand, load_ltw, parse_ltw, parse_tree, print_ltw
+from ltw import (Ltw, ParseError, Rule, expand, load_ltw, parse_ltw, parse_tree,
+                 print_ltw)
 from ltw.ltwfile import INLINE_MAX, print_tree
+from ltw.words import SlpPool, valid_symbol
 
 from _support import (random_cyclic_text, random_layered_text,
                       reference_parse_ltw, same_structure)
@@ -53,6 +55,23 @@ def test_escapes_roundtrip():
     M = parse_ltw('input g:0\naxiom = q(x)\nrule q g = "a\\"b\\\\c"\n')
     assert expand(M.rule("q", "g").words[0]) == 'a"b\\c'
     roundtrip(M)
+
+
+def test_every_output_symbol_round_trips():
+    # '#' starts a comment even inside quotes, so it is no output symbol;
+    # every other printable 8-bit character prints and parses back, in
+    # short inline literals and in the slp declarations of a long word
+    symbols = "".join(filter(valid_symbol, map(chr, range(256))))
+    assert len(symbols) == 95 + 96 - 1 and "#" not in symbols
+    pool = SlpPool()
+    with pytest.raises(ValueError):
+        pool.literal("#")
+    chunks = [pool.literal(symbols[i:i + 30]) for i in range(0, len(symbols), 30)]
+    rules = {("q", "g"): Rule("q", "g", (pool.literal(symbols[::-1]),), ()),
+             ("q", "f"): Rule("q", "f", (chunks[0], pool.concat_all(chunks[1:])),
+                              (("q", 1),))}
+    roundtrip(Ltw({"f": 1, "g": 0}, ("q",),
+                  (pool.literal(symbols), "q", pool.empty), rules, pool))
 
 
 def test_long_words_become_slp_declarations():

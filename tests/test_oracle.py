@@ -5,11 +5,14 @@ import pytest
 
 from ltw import Tree, evaluate, expand, load_ltw, parse_ltw, parse_tree
 from ltw import words as W
+from ltw.equivalence import decide_equiv
 from ltw.oracle import (EnumerationBudget, brute_equiv, enumerate_trees,
-                        evaluate_explicit, every_tree_machine)
+                        evaluate_explicit, live_tree_machine)
 
 from _support import (RuleBudget, brute_quasi_periodic, enumerate_all_trees,
-                      mutate, random_layered, string_primitive_root, tree_depth)
+                      every_tree_machine, is_live, mutate, random_cyclic_text,
+                      random_layered, string_primitive_root, tree_depth,
+                      wide_pair)
 
 from conftest import FIXTURES
 
@@ -222,6 +225,50 @@ def test_brute_equiv_finds_definedness_difference():
     assert not v.equivalent and v.reason == "definedness"
     assert (evaluate_explicit(M, v.witness) is None) != \
            (evaluate_explicit(N, v.witness) is None)
+
+
+def test_live_trees_are_every_tree_but_the_dead_ones_in_reference_order():
+    # the oracle lists the trees with no node where both machines are
+    # undefined: the reference enumeration over the merged alphabet, uncut,
+    # filtered by that predicate and then cut at the tree budget
+    rng = random.Random(41)
+    pairs = [(ex(a), ex(b)) for a, b in (("ex3", "ex6"), ("ex6", "ex3"),
+                                         ("ex7", "ex3"), ("ex3", "ex7"))]
+    for _ in range(12):
+        M = random_layered(rng, rng.randrange(2, 5))
+        pairs.append((M, mutate(M, rng)))
+        M = parse_ltw(random_cyclic_text(rng, rng.randrange(2, 4)))
+        pairs.append((M, mutate(M, rng)))
+    for M in pairs[-4:]:                  # every tree is live
+        pairs += [(every_tree_machine(M[0].alphabet), M[0]),
+                  (M[1], every_tree_machine(M[1].alphabet))]
+    for case, (M1, M2) in enumerate(pairs):
+        items = list({**M1.alphabet, **M2.alphabet}.items())
+        depth = case % 4 + 1
+        every = enumerate_all_trees(items, EnumerationBudget(depth, 10 ** 6))
+        live = [str(t) for t in every if is_live(M1, M2, t)]
+        assert len(every) < 10 ** 6
+        for cap in (1, 3, 50, 10 ** 6):
+            machine = live_tree_machine(M1, M2, dict(items))
+            got = enumerate_trees(machine, budget=EnumerationBudget(depth, cap))
+            assert [str(t) for t in got] == live[:cap], (case, cap)
+
+
+def test_wide_pairs_past_the_old_budget_get_witnesses():
+    # among 150 wide_pair pairs (seed 6), these 10 are not equivalent, yet
+    # came back "equivalent, budget hit" at this budget while the oracle
+    # listed every tree over the alphabet; over the live trees, each gets
+    # an output witness
+    rng = random.Random(6)
+    pairs = [wide_pair(rng) for _ in range(150)]
+    budget = EnumerationBudget(max_depth=6, max_trees=200000)
+    for i in (6, 12, 30, 37, 63, 77, 83, 88, 98, 149):
+        A, B = pairs[i]
+        assert not decide_equiv(A, B).equivalent
+        v = brute_equiv(A, B, budget)
+        assert not v.equivalent and v.reason == "output"
+        o1, o2 = (evaluate_explicit(M, v.witness) for M in (A, B))
+        assert None not in (o1, o2) and o1 != o2
 
 
 def test_brute_equiv_arity_conflict():

@@ -55,6 +55,13 @@ def test_valid_symbol_boundaries():
     assert not valid_symbol(chr(127)) and not valid_symbol(chr(159))
     assert valid_symbol(chr(160)) and valid_symbol(chr(255))
     assert not valid_symbol(chr(256))
+    assert not valid_symbol("#")          # starts a comment in a .ltw file
+    assert not valid_symbol("ab") and not valid_symbol("")
+
+
+def test_repr_shows_a_short_word_and_the_length_of_a_long_one(pool):
+    assert repr(pool.literal("ab" * 12)) == "WordRef('%s')" % ("ab" * 12)
+    assert repr(pool.literal("a" * 25)) == "WordRef(len=25)"
 
 
 def test_pool_mismatch(pool):
