@@ -1,9 +1,10 @@
 """Language analyses on transducer states.
 
 Everything a normal form needs to know about a state's output language:
-shortest words, erasing detection, the co-reachable pair space two machines
-induce on a common domain and the span of their outputs over it, the
-companion rules, and the verdicts on rule parts.
+shortest words (one settle with a node per state), erasing detection (one
+reachability settle), the co-reachable pair space two machines induce on a
+common domain and the span of their outputs over it, the companion rules,
+and the verdicts on rule parts.
 
 The language verdicts (periodic and quasi-periodic; a singleton language is
 the quasi-periodic case with an empty period) all read one object: the span
@@ -45,40 +46,23 @@ def _assemble(M: Ltw, r: Rule, subs) -> WordRef:
 
 @memo
 def _shortest(M: Ltw):
-    """(shortest words, shortest nonempty words, shortest lengths) by state,
-    from one weighted settle.
-
-    Its nodes are (q, False), a shortest output of q, and (q, True), a
-    shortest nonempty one; a node's value is the word's length.  A rule
-    reaches (q, False) through its callees' shortest outputs, and (q, True)
-    the same way when its own words are nonempty, else with exactly one
-    callee upgraded to (c, True).  At equal length the rule that became
-    ready first wins; words are assembled in settling order, so a rule's
-    callee words always exist before its own.
+    """(shortest words, shortest lengths) by state, from one weighted
+    settle whose nodes are the states: each rule reaches its state through
+    its callees, in call order, at the length of its own words.  At equal
+    length the rule that became ready first wins; words are assembled in
+    settling order, so a rule's callee words always exist before its own.
     """
-    rules = []
-    for p in M.states:
-        for r in M.rules_of(p):
-            cost = sum(w.length for w in r.words)
-            plain = [(callee, False) for callee, _ in r.calls]
-            rules.append(((p, False), r, plain, cost))
-            if cost:
-                rules.append(((p, True), r, plain, cost))
-                continue
-            for i, (callee, _) in enumerate(r.calls):
-                rules.append(((p, True), r,
-                              plain[:i] + [(callee, True)] + plain[i + 1:], 0))
-    out: dict[tuple[str, bool], WordRef] = {}
-    for node, (_, r, body) in settle(rules).items():
-        out[node] = _assemble(M, r, [out[b] for b in body])
-    w = {q: w for (q, nonempty), w in out.items() if not nonempty}
-    plus = {q: w for (q, nonempty), w in out.items() if nonempty}
-    return w, plus, {q: w[q].length if q in w else None for q in M.states}
+    out: dict[str, WordRef] = {}
+    for q, (_, r, body) in settle(
+            (p, r, [callee for callee, _ in r.calls], sum(w.length for w in r.words))
+            for p in M.states for r in M.rules_of(p)).items():
+        out[q] = _assemble(M, r, [out[c] for c in body])
+    return out, {q: out[q].length if q in out else None for q in M.states}
 
 
 def shortest_word_lengths(M: Ltw) -> dict[str, int | None]:
     """Minimal output length per state; None for states with empty domain."""
-    return _shortest(M)[2]
+    return _shortest(M)[1]
 
 
 def shortest_words(M: Ltw) -> dict[str, WordRef]:
@@ -94,17 +78,18 @@ def shortest_word(M: Ltw, q: str) -> WordRef | None:
     return shortest_words(M).get(q)
 
 
-def shortest_nonempty_word(M: Ltw, q: str) -> WordRef | None:
-    """A minimal-length nonempty output of q, or None if q only erases
-    (or has an empty domain); ties broken as in :func:`shortest_words`."""
-    return _shortest(M)[1].get(q)
-
-
 @memo
 def erasing_states(M: Ltw) -> set[str]:
-    """Productive states whose every output is the empty word."""
-    _, plus, m = _shortest(M)
-    return {q for q in M.states if m[q] == 0 and q not in plus}
+    """Productive states whose every output is the empty word: those that
+    reach no productive rule with a nonempty word, from one cost-0
+    :func:`settle` over the productive rules, where such a rule needs no
+    callee and every other one gives one rule per callee."""
+    live = productive_rules(M)
+    writes = settle((q, None, body, 0)
+                    for q, mine in live.items() for r, by in mine.values()
+                    for body in ([[]] if any(w.length for w in r.words)
+                                 else [[c] for c in by]))
+    return {q for q, mine in live.items() if mine and q not in writes}
 
 
 def is_erasing(M: Ltw, q: str) -> bool:
@@ -213,15 +198,17 @@ def _fits(vectors, u: WordRef, rho: WordRef, direction: str) -> bool:
 
 @memo
 def periodic_word(M: Ltw, q: str) -> WordRef | None:
-    """The shortest nonempty output w of q when L(q) lies inside sigma* for
-    w's primitive root sigma, the empty word when q has no nonempty output,
-    else None.
+    """A nonempty output w of q when L(q) lies inside sigma* for w's
+    primitive root sigma, the empty word when q has no nonempty output,
+    else None.  w is the first shortest nonempty word of q's basis: in a
+    periodic language every nonempty word is a power of the root.
 
     :func:`_fits` reads w in place of sigma: for w = sigma^k, w^omega =
     sigma^omega, so the verdict is the same and |w| is never factored."""
-    w = shortest_nonempty_word(M, q)
-    if w is None:                         # erasing, or vacuously: empty domain
+    if not productive_rules(M)[q] or is_erasing(M, q):  # empty domain: vacuously
         return M.pool.empty
+    w = min((w for w in _basis_words(M, q) if w.length), key=lambda w: w.length,
+            default=M.pool.empty)       # none only on a fingerprint collision
     return w if _fits(_state_span(M, q).vectors, M.pool.empty, w, "left") else None
 
 

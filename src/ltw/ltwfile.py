@@ -83,6 +83,15 @@ def _take_x(toks, i) -> bool:
     return toks[i] == "x"
 
 
+def _number(text, no, toks, i, digits: str) -> int:
+    """The number `digits` read at toks[i]; one too long for Python to
+    convert (past sys.get_int_max_str_digits()) is an error there."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _fail(text, no, toks, i, "number too long") from None
+
+
 def _spaced_slot(text, no, toks, i) -> tuple[int, int]:
     """The variable at toks[i] when it is not one name like x1, as in x 1,
     and the index after it."""
@@ -90,7 +99,7 @@ def _spaced_slot(text, no, toks, i) -> tuple[int, int]:
         raise _fail(text, no, toks, i, "expected 'x'")
     if not toks[i + 1][:1].isdecimal():
         raise _fail(text, no, toks, i + 1, "expected a number")
-    return int(toks[i + 1]), i + 2
+    return _number(text, no, toks, i + 1, toks[i + 1]), i + 2
 
 
 def parse_ltw(text: str) -> Ltw:
@@ -129,7 +138,7 @@ def parse_ltw(text: str) -> Ltw:
                 i += 2
                 if not toks[i][:1].isdecimal():
                     raise _fail(stripped, no, toks, i, "expected a number")
-                arity = int(toks[i])
+                arity = _number(stripped, no, toks, i, toks[i])
                 old = alphabet.setdefault(sym, arity)
                 if old != arity:
                     raise _fail(stripped, no, toks, i, f"symbol {sym} redeclared "
@@ -155,7 +164,7 @@ def parse_ltw(text: str) -> Ltw:
                         i += 1
                     tok = toks[i]
                     if tok[:1] == "x" and tok[1:].isdecimal():
-                        slot, i = int(tok[1:]), i + 1
+                        slot, i = _number(stripped, no, toks, i, tok[1:]), i + 1
                     else:
                         slot, i = _spaced_slot(stripped, no, toks, i)
                     slots.append(slot)
@@ -227,7 +236,7 @@ def parse_ltw(text: str) -> Ltw:
                         raise _fail(stripped, no, toks, i + 2, "expected 'x'")
                     slot, i = 0, i + 3
                 elif var[:1] == "x" and var[1:].isdecimal():
-                    slot, i = int(var[1:]), i + 3
+                    slot, i = _number(stripped, no, toks, i + 2, var[1:]), i + 3
                 else:
                     slot, i = _spaced_slot(stripped, no, toks, i + 2)
                 if toks[i] != ")":

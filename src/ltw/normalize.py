@@ -351,7 +351,7 @@ def reorder_periodic_runs(M: Ltw) -> tuple[Ltw, list[str]]:
 
     Two calls belong to one run when nothing is written between them and
     both erase, or both are periodic (:func:`~ltw.analysis.periodic_word`)
-    with shortest nonempty words that commute, i.e. share one primitive root
+    with nonempty words that commute, i.e. share one primitive root
     (Lyndon-Schuetzenberger); all their words then commute, so any fixed
     order preserves the output.  Only calls with such a neighbour are
     tested, and no word length is factored."""

@@ -10,6 +10,7 @@ whose outputs exceed the word cap fail loudly rather than silently skipping.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterator
 from itertools import product
 
 from . import words
@@ -57,21 +58,22 @@ def _exact_depth_combos(shallow, exact, full, arity, cap):
 
 
 def enumerate_trees(M: Ltw, q: str | None = None,
-                    budget: EnumerationBudget = EnumerationBudget()) -> list[Tree]:
+                    budget: EnumerationBudget = EnumerationBudget()) -> Iterator[Tree]:
     """Domain trees of state q (default: the axiom state), depth-major,
     symbols in declaration order, child combinations grouped by the first
-    slot holding a deepest subtree.  Stops at whichever budget bound is
-    reached first.  Every intermediate pool is capped by the tree budget,
-    which drops only combinations beyond the budget anyway, and q's by what
-    is left of it: a level of q that reaches that cap ends the enumeration,
-    so no pool of its depth is read again."""
+    slot holding a deepest subtree, each depth built only once the trees
+    before it are taken.  Stops at whichever budget bound is reached first.
+    Every intermediate pool is capped by the tree budget, which drops only
+    combinations beyond the budget anyway, and q's by what is left of it: a
+    level of q that reaches that cap ends the enumeration, so no pool of
+    its depth is read again."""
     q = q if q is not None else M.axiom[1]
     cap = budget.max_trees
     by_state: dict[str, list[list[Tree]]] = {s: [[]] for s in M.states}
-    out: list[Tree] = []
+    made = 0
     for depth in range(1, budget.max_depth + 1):
         for s in M.states:
-            limit = cap - len(out) if s == q else cap
+            limit = cap - made if s == q else cap
             exact: list[Tree] = []
             for r in M.rules_of(s):
                 if len(exact) >= limit:
@@ -94,10 +96,10 @@ def enumerate_trees(M: Ltw, q: str | None = None,
                                                  r.arity, limit - len(exact)):
                     exact.append(Tree(r.symbol, tuple(combo)))
             by_state[s].append(exact)
-        out += by_state[q][depth]
-        if len(out) >= cap:
-            break
-    return out
+        yield from by_state[q][depth]
+        made += len(by_state[q][depth])
+        if made >= cap:
+            return
 
 
 def live_tree_machine(M1: Ltw, M2: Ltw, alphabet: dict[str, int]) -> Ltw:
@@ -202,23 +204,22 @@ def evaluate_explicit(M: Ltw, t: Tree, cap: int = MAX_WORD_LEN,
 def brute_equiv(M1: Ltw, M2: Ltw,
                 budget: EnumerationBudget = EnumerationBudget()) -> BruteVerdict:
     """Compare definedness and explicit outputs on every budgeted tree over
-    the merged alphabet that one machine can run (:func:`live_tree_machine`)."""
+    the merged alphabet that one machine can run (:func:`live_tree_machine`)
+    up to the first witness, by when the tree budget may have been hit."""
     merged = dict(M1.alphabet)
     for s, a in M2.alphabet.items():
         if merged.setdefault(s, a) != a:
             raise ValueError(f"alphabets disagree on the arity of {s}")
-    trees = enumerate_trees(live_tree_machine(M1, M2, merged), budget=budget)
-    hit = "trees" if len(trees) >= budget.max_trees else None
     memo1: dict = defaultdict(dict)
     memo2: dict = defaultdict(dict)
-    checked = 0
-    for t in trees:
+    checked, witness, reason = 0, None, None
+    for t in enumerate_trees(live_tree_machine(M1, M2, merged), budget=budget):
         checked += 1
         o1 = evaluate_explicit(M1, t, MAX_WORD_LEN, memo1)
         o2 = evaluate_explicit(M2, t, MAX_WORD_LEN, memo2)
-        if (o1 is None) != (o2 is None):
-            return BruteVerdict(False, t, "definedness", checked, hit)
-        if o1 is not None and o1 != o2:
-            return BruteVerdict(False, t, "output", checked, hit)
-    return BruteVerdict(True, None, None, checked, hit)
+        if o1 != o2:
+            witness, reason = t, "output" if None not in (o1, o2) else "definedness"
+            break
+    hit = "trees" if checked >= budget.max_trees else None
+    return BruteVerdict(witness is None, witness, reason, checked, hit)
 

@@ -9,15 +9,16 @@ from ltw.analysis import (PairSpace, domains_equal, erasing_states,
                           is_erasing, mock_shift_table,
                           part_quasi_periodicity, periodic_word,
                           quasi_periodicity, rule_part_quasi_periodicity,
-                          same_ordered, shortest_domain_tree,
-                          shortest_nonempty_word, shortest_word,
+                          same_ordered, shortest_domain_tree, shortest_word,
                           shortest_word_lengths, shortest_words)
 from ltw.core import accessible, evaluate, productive_rules, with_axiom_state
 from ltw.normalize import hat_state_machine
 from ltw.oracle import EnumerationBudget, enumerate_trees, evaluate_explicit
 
-from _support import (brute_quasi_periodic, build_Tq, chain,
-                      is_periodic_state, plain_rank, same_structure)
+from _support import (brute_quasi_periodic, build_Tq, chain, comb,
+                      is_periodic_state, plain_rank, random_cyclic_text,
+                      random_layered_text, same_structure,
+                      string_primitive_root)
 from conftest import FIXTURES
 
 
@@ -59,13 +60,6 @@ def test_shortest_word_agrees_with_enumeration():
             assert outs
             assert shortest_word_lengths(M)[q] == min(map(len, outs))
             assert expand(shortest_word(M, q)) in outs
-            nonempty = {o for o in outs if o}
-            plus = shortest_nonempty_word(M, q)
-            if nonempty:
-                assert expand(plus) in nonempty
-                assert plus.length == min(map(len, nonempty))
-            else:
-                assert plus is None
             assert is_erasing(M, q) == (outs == {""})
             v = quasi_periodicity(M, q)
             single = v is not None and v.period.length == 0
@@ -74,17 +68,60 @@ def test_shortest_word_agrees_with_enumeration():
                 assert {expand(v.handle)} == outs
 
 
-def test_shortest_nonempty_ex5a():
-    M = ex("ex5a")
-    assert shortest_nonempty_word(M, "q1") is None  # erasing: only empty output
-    assert expand(shortest_nonempty_word(M, "q2")) == "abab"
-    assert expand(shortest_nonempty_word(M, "q4")) == "ab"
-
-
 def test_erasing_states():
     assert erasing_states(ex("ex5a")) == {"q1"}
     assert erasing_states(ex("ex3")) == set()
     assert is_erasing(ex("ex5a"), "q1")
+
+
+@pytest.mark.parametrize("text", [
+    None,                                   # comb(20)
+    'input f:3 g:0\naxiom = q(x)\nrule q f(x1,x2,x3) = p(x1) p(x2) p(x3)\n'
+    'rule q g = ""\nrule p g = "b"\n',      # a zero-cost fan-out rule
+], ids=["comb20", "fan-out"])
+def test_the_shortest_word_settle_reads_each_rule_once(monkeypatch, text):
+    # its nodes are the states, so each rule is one settle rule
+    M = comb(20) if text is None else parse_ltw(text)
+    fed = []
+
+    def counting(rules, _settle=analysis.settle):
+        rules = list(rules)
+        fed.append(len(rules))
+        return _settle(rules)
+    monkeypatch.setattr(analysis, "settle", counting)
+    shortest_words(M)
+    assert fed == [len(M.rules)]
+
+
+def test_periodic_and_erasing_verdicts_agree_with_enumerated_outputs():
+    # a periodic verdict admits every output as a power of its word's
+    # primitive root; outputs with two primitive roots refute periodicity;
+    # erasing means every output is empty (exactly so when every tree up to
+    # depth n + 1, enough to reach each rule, was enumerated)
+    rng = random.Random(30)
+    seen = Counter()
+    for i in range(300):
+        n = rng.randrange(2, 5)
+        text = (random_layered_text if i % 2 else random_cyclic_text)(rng, n)
+        M = trim(parse_ltw(text))
+        for q in M.states:
+            Mq = with_axiom_state(M, q)
+            budget = EnumerationBudget(max_depth=n + 1, max_trees=300)
+            trees = list(enumerate_trees(Mq, q, budget))
+            outs = {evaluate_explicit(Mq, t) for t in trees} - {None}
+            roots = {string_primitive_root(o) for o in outs if o}
+            w = periodic_word(M, q)
+            if w is not None:
+                root = string_primitive_root(expand(w))
+                assert roots <= {root} if root else not roots, (text, q)
+            if len(roots) > 1:
+                assert w is None, (text, q)
+            if is_erasing(M, q):
+                assert outs == {""}, (text, q)
+            elif len(trees) < budget.max_trees:
+                assert outs != {""}, (text, q)
+            seen[w is None, w is not None and w.length == 0, is_erasing(M, q)] += 1
+    assert len(seen) == 3, seen         # periodic, erasing and neither all occur
 
 
 def test_singleton_word():
@@ -247,13 +284,13 @@ def test_each_analysis_runs_once_per_machine_and_seed(monkeypatch):
     def shortest_family():
         for q in M.states:
             shortest_word_lengths(M)[q], shortest_words(M)[q]
-            shortest_word(M, q), shortest_nonempty_word(M, q), is_erasing(M, q)
-        erasing_states(M)
+            shortest_word(M, q)
 
     def the_rest():
         productive_rules(M)
         for q in M.states:
-            periodic_word(M, q), shortest_domain_tree(M, q)
+            is_erasing(M, q), periodic_word(M, q), shortest_domain_tree(M, q)
+        erasing_states(M)
 
     shortest_family()
     shortest_family()

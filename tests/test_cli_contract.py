@@ -66,9 +66,22 @@ def run_cli(argv):
     return rc, out.getvalue() + err.getvalue()
 
 
+# a number past Python's limit on converting digit strings (4300 digits by
+# default) in each place the grammar reads one
+LONG = "9" * 5000
+_LEAF = 'rule q g = "a"\n'
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(a=ltw_texts(), b=ltw_texts(), tree=trees)
+@example(a=f"input f:{LONG} g:0\naxiom = q(x)\n" + _LEAF, b=BASES[0], tree="g")
+@example(a=f"input f:1 g:0\naxiom = q(x)\nrule q f(x{LONG}) = q(x1)\n" + _LEAF,
+         b=BASES[0], tree="g")
+@example(a=f"input f:1 g:0\naxiom = q(x)\nrule q f(x1) = q(x{LONG})\n" + _LEAF,
+         b=BASES[0], tree="g")
+@example(a=f"input f:1 g:0\naxiom = q(x)\nrule q f(x1) = q(x {LONG})\n" + _LEAF,
+         b=BASES[0], tree="g")
 def test_every_subcommand_keeps_the_exit_code_contract(a, b, tree):
     with tempfile.TemporaryDirectory() as d:
         fa, fb = os.path.join(d, "a.ltw"), os.path.join(d, "b.ltw")
@@ -76,7 +89,8 @@ def test_every_subcommand_keeps_the_exit_code_contract(a, b, tree):
             with open(path, "w", encoding="latin-1") as f:
                 f.write(text)
         for argv in (["check", fa, fb], ["normalize", fa], ["analyze", fa],
-                     ["run", fa, "--tree", tree]):
+                     ["run", fa, "--tree", tree],
+                     ["oracle", fa, fb, "--depth", "3", "--max-trees", "200"]):
             rc, printed = run_cli(argv)
             assert rc in (0, 1, 2, 3), (argv, rc)
             assert "Traceback" not in printed

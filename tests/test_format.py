@@ -226,6 +226,20 @@ def test_malformed_input_message_and_position(text, msg, line, col):
     assert (e.value.line, e.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("line,col", [
+    ("input f:{n} g:0", 9),                      # an arity
+    ("rule q f(x{n}) = q(x1)", 10),              # a head variable
+    ("rule q f(x1) = q(x{n})", 18),              # a call slot
+    ("rule q f(x1) = q(x {n})", 20),             # a spaced slot
+], ids=["arity", "head variable", "call slot", "spaced slot"])
+def test_a_number_too_long_to_convert_is_a_parse_error(line, col):
+    # 5000 digits pass Python's default limit of 4300 on int(str)
+    text = "input f:1 g:0\n" + line.format(n="9" * 5000) + "\naxiom = q(x)\n"
+    with pytest.raises(ParseError) as e:
+        parse_ltw(text)
+    assert str(e.value) == f"number too long (line 2, col {col})"
+
+
 def test_missing_axiom_has_no_position():
     with pytest.raises(ParseError) as e:
         parse_ltw("input g:0\n")

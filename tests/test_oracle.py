@@ -33,7 +33,7 @@ def test_enumerate_ex3_domain():
 
 def all_trees(alphabet_items, budget):
     """Every tree over the alphabet, as brute_equiv enumerates them."""
-    return enumerate_trees(every_tree_machine(dict(alphabet_items)), budget=budget)
+    return list(enumerate_trees(every_tree_machine(dict(alphabet_items)), budget=budget))
 
 
 def test_enumerate_depth_major_unary():
