@@ -92,6 +92,12 @@ def _number(text, no, toks, i, digits: str) -> int:
         raise _fail(text, no, toks, i, "number too long") from None
 
 
+def _brief(n: int) -> str:
+    """n as an error message quotes it: past 20 digits, its digit count, so
+    that the message stays one short line."""
+    return str(n) if n < 10**20 else f"<{len(str(n))} digits>"
+
+
 def _spaced_slot(text, no, toks, i) -> tuple[int, int]:
     """The variable at toks[i] when it is not one name like x1, as in x 1,
     and the index after it."""
@@ -142,7 +148,7 @@ def parse_ltw(text: str) -> Ltw:
                 old = alphabet.setdefault(sym, arity)
                 if old != arity:
                     raise _fail(stripped, no, toks, i, f"symbol {sym} redeclared "
-                                f"with arity {arity} != {old}", after=True)
+                                f"with arity {_brief(arity)} != {_brief(old)}", after=True)
                 i += 1
             continue
         if head == "rule":
@@ -269,12 +275,13 @@ def parse_ltw(text: str) -> Ltw:
                             f"head declares {len(slots)} children but {n} are called")
             called = sorted([slot for _, slot in calls])
             if called != list(range(1, n + 1)):
-                raise _fail(stripped, no, toks, i, f"call slots {called} "
+                shown = ", ".join(map(_brief, called[:5])) + ", ..." * (n > 5)
+                raise _fail(stripped, no, toks, i, f"call slots [{shown}] "
                             "are not a permutation of the children")
             old = alphabet.setdefault(symbol, n)
             if old != n:
                 raise _fail(stripped, no, toks, i,
-                            f"symbol {symbol} redeclared with arity {n} != {old}")
+                            f"symbol {symbol} redeclared with arity {n} != {_brief(old)}")
             rules[key] = Rule(state, symbol, tuple(rwords), tuple(calls))
 
     if axiom is None:

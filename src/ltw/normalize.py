@@ -282,12 +282,16 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
     part of the word trailing the call on its left.  Earlier verdicts are
     reused: identical parts (same callee, same trailing word) across the
     machine share one earliest copy, and a part found not quasi-periodic is
-    not tested again.  Runs to a fixpoint; the pass count is reported.
+    not tested again.  The machine is trimmed on entry and after every
+    rewrite: rewriting (q, f) changes that rule only and adds copies, so q
+    stays live, and a rule of a state cut off earlier is skipped, not read.
+    Runs to a fixpoint; the pass count is reported.
     """
     entries: list[str] = []
     ruled_out: set = set()          # part keys known not quasi-periodic
-    copies: dict = {}               # part key -> (handle, root copy, period length)
+    copies: dict = {}               # part key -> (certificate, root copy)
     fp = words.fingerprinter()
+    M = trim(M)
     passes = 0
     changed = True
     while changed:
@@ -311,14 +315,14 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                     continue
                 hit = copies.get(ukey)
                 if hit is not None and hit[1] in M.states:    # else a stale copy
-                    handle, root_copy, period_len = hit
+                    v, root_copy = hit
                     wl, cl = list(r.words), list(r.calls)
-                    wl[i] = M.pool.concat(wl[i], handle)
+                    wl[i] = M.pool.concat(wl[i], v.handle)
                     wl[i + 1] = M.pool.empty
                     cl[i] = (root_copy, slot)
                     rules = dict(M.rules)
                     rules[key] = Rule(q, sym, tuple(wl), tuple(cl))
-                    M = M.with_(rules=rules)
+                    M = trim(M.with_(rules=rules))
                 else:
                     v = part_quasi_periodicity(M, callee, u)
                     if v is None:
@@ -330,18 +334,12 @@ def make_rule_parts_earliest(M: Ltw) -> tuple[Ltw, list[str], int]:
                     cl[i] = (hat, slot)
                     rules = dict(M2.rules)
                     rules[key] = Rule(q, sym, tuple(wl), tuple(cl))
-                    M = make_state_earliest(M2.with_(rules=rules), hat, v)
-                    root_copy = M.rules[key].calls[i][0]
-                    M = trim(M)
-                    handle, period_len = v.handle, v.period.length
-                    copies[ukey] = (handle, root_copy, period_len)
+                    M = trim(make_state_earliest(M2.with_(rules=rules), hat, v))
+                    copies[ukey] = (v, M.rules[key].calls[i][0])
                 changed = True
                 entries.append(f"earliest-part {q} {sym} pos={i + 1} callee={callee} "
-                               f"handle_len={handle.length} period_len={period_len}")
-    # a rewrite served from `copies` bypasses the per-elimination trim,
-    # which can strand the replaced callee; rewrites preserve the language,
-    # so the machine stays nonempty and one final trim is always safe
-    return trim(M), entries, passes
+                               f"handle_len={v.handle.length} period_len={v.period.length}")
+    return M, entries, passes
 
 
 # -- stage 4: periodic runs ---------------------------------------------------

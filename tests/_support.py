@@ -8,7 +8,8 @@ tree enumerator over a whole alphabet with its one-state machine, the
 predicate that keeps the trees one of two machines can run, and
 brute-force quasi-periodicity;
 the un-earliest, state-splitting and axiom-handle edits that make
-equivalent copies of a machine; the plain references that faster code is tested against: the
+equivalent copies of a machine, and those copies of random cyclic machines
+that round-trip tests normalize; the plain references that faster code is tested against: the
 heap settle, the span fixpoint, rank by row reduction and the token-cursor
 loader; and a counter of the span fixpoint's products."""
 
@@ -20,7 +21,7 @@ import random
 import re
 from collections import defaultdict, deque
 
-from ltw import Ltw, ParseError, Rule, Tree, analysis, parse_ltw
+from ltw import Ltw, ParseError, Rule, Tree, analysis, parse_ltw, print_ltw
 from ltw import words as W
 from ltw.core import EmptyTransducer, accessible, mirror, trim
 from ltw.analysis import (companion_rules, mock_shift_table, periodic_word,
@@ -63,6 +64,17 @@ def comb_text(n: int) -> str:
 
 def comb(n: int) -> Ltw:
     return parse_ltw(comb_text(n))
+
+
+# stage 3 serves p__e's second part from the copy its first part made,
+# which cuts q__e off; the scan must not go on into q__e's rules
+STRANDED_BY_REUSE = """input b:2 n:0
+axiom = p(x)
+rule p b(x1,x2) = q(x2) q(x1) "aabbbb"
+rule p n = "abbbb"
+rule q b(x1,x2) = q(x2) q(x1)
+rule q n = "a"
+"""
 
 
 def _word(rng: random.Random, max_len: int = 4) -> str:
@@ -396,6 +408,17 @@ def axiom_handle(M: Ltw, rng: random.Random) -> tuple[Ltw, Ltw]:
         rules[(copy, r.symbol)] = Rule(copy, r.symbol, tuple(ws), r.calls)
     inner = M.with_(states=M.states + (copy,), rules=rules, axiom=(u0, copy, u1))
     return framed, inner
+
+
+def cyclic_variants(rng: random.Random, bases: int):
+    """For each of `bases` random cyclic machines, its un-earliest,
+    state-split and axiom-handle copies (each when there is one), printed
+    and parsed back: machines that stage 3 rewrites often."""
+    for _ in range(bases):
+        M = parse_ltw(random_cyclic_text(rng, rng.randrange(2, 7)))
+        for V in (un_earliest(M, rng), split_state(M, rng), axiom_handle(M, rng)[1]):
+            if V is not None:
+                yield parse_ltw(print_ltw(V))
 
 
 def random_word_ref(pool, rng: random.Random, depth: int = 4):

@@ -14,7 +14,7 @@ from ltw.core import domain_defined, evaluate
 from ltw.ltwfile import parse_ltw, parse_tree, print_ltw
 from ltw.oracle import EnumerationBudget
 
-from _support import pow_family_text
+from _support import STRANDED_BY_REUSE, pow_family_text
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -269,6 +269,16 @@ rule q f(x1) = "a" q(x1)
     empty = parse_ltw(cap.out)
     assert empty.alphabet == {"f": 1, "g": 0}
     assert not domain_defined(empty, parse_tree("g", empty.alphabet))
+
+
+def test_normalize_a_machine_whose_part_rewrite_cuts_off_a_state(tmp_path):
+    src, normal = tmp_path / "src.ltw", tmp_path / "normal.ltw"
+    src.write_text(STRANDED_BY_REUSE)
+    rc, out, err = _cli("normalize", str(src))
+    assert rc == 0 and "Traceback" not in err, err
+    normal.write_bytes(out)
+    rc, out, err = _cli("check", str(src), str(normal))
+    assert (rc, out) == (0, b"equivalent\n"), err
 
 
 # -- analyze ------------------------------------------------------------------

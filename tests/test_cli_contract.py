@@ -15,7 +15,7 @@ from ltw.cli import main
 from ltw.core import validate
 from ltw.ltwfile import ParseError, parse_ltw
 
-from _support import random_layered_text
+from _support import STRANDED_BY_REUSE, random_layered_text
 from conftest import FIXTURES
 
 BASES = [(FIXTURES / f"{name}.ltw").read_text(encoding="latin-1")
@@ -82,6 +82,7 @@ _LEAF = 'rule q g = "a"\n'
          b=BASES[0], tree="g")
 @example(a=f"input f:1 g:0\naxiom = q(x)\nrule q f(x1) = q(x {LONG})\n" + _LEAF,
          b=BASES[0], tree="g")
+@example(a=STRANDED_BY_REUSE, b=BASES[0], tree="b(n,n)")
 def test_every_subcommand_keeps_the_exit_code_contract(a, b, tree):
     with tempfile.TemporaryDirectory() as d:
         fa, fb = os.path.join(d, "a.ltw"), os.path.join(d, "b.ltw")

@@ -240,6 +240,24 @@ def test_a_number_too_long_to_convert_is_a_parse_error(line, col):
     assert str(e.value) == f"number too long (line 2, col {col})"
 
 
+@pytest.mark.parametrize("text,msg,line,col", [
+    ("input f:2 g:0\naxiom = q(x)\nrule q f(x1,x2) = q(x1) q(x{n})\n",
+     "call slots [1, <4000 digits>] are not a permutation of the children", 3, 4029),
+    ("input f:1 f:{n}\n", "symbol f redeclared with arity <4000 digits> != 1", 1, 4013),
+    ("input f:7 g:0\naxiom = q(x)\nrule q f(x1,x2,x3,x4,x5,x6,x7) = "
+     + "q(x1) " * 6 + "q(x{n})\n",
+     "call slots [1, 1, 1, 1, 1, ...] are not a permutation of the children", 3, 4074),
+], ids=["non-permutation", "arity conflict", "many calls"])
+def test_errors_quoting_numbers_stay_short(text, msg, line, col):
+    # 4000 digits are within Python's limit on int(str), so they parse; a
+    # number past 20 digits is quoted as its digit count, a list past 5
+    # numbers is cut short
+    with pytest.raises(ParseError) as e:
+        parse_ltw(text.format(n="9" * 4000))
+    assert str(e.value) == f"{msg} (line {line}, col {col})"
+    assert len(str(e.value)) < 200
+
+
 def test_missing_axiom_has_no_position():
     with pytest.raises(ParseError) as e:
         parse_ltw("input g:0\n")

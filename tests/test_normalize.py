@@ -15,9 +15,9 @@ from ltw.normalize import (_fresh, _strip_hat, erase_order, make_state_earliest,
                            partial_normal_form, processing_order,
                            reorder_periodic_runs)
 
-from _support import (axiom_handle, check_elimination_laws, random_cyclic_text,
-                      random_layered_text, replay_with_laws, split_state,
-                      stage_pipeline, un_earliest)
+from _support import (STRANDED_BY_REUSE, axiom_handle, check_elimination_laws,
+                      cyclic_variants, random_cyclic_text, random_layered_text,
+                      replay_with_laws, split_state, stage_pipeline, un_earliest)
 
 FIX_NAMES = ("ex3", "ex5a", "ex5b", "ex6", "ex7")
 
@@ -347,6 +347,43 @@ def test_part_rewrite_that_strands_its_own_rule():
     assert decide_equiv(M, N).equivalent
     for t in oracle.enumerate_trees(M, None, oracle.EnumerationBudget(max_depth=5)):
         assert oracle.evaluate_explicit(M, t) == oracle.evaluate_explicit(N, t)
+
+
+# q0__e's second part is served from the copy its first part made, which
+# cuts q3__e and q2__e off; q2__e's own part is neither rewritten nor reported
+CUT_OFF_PART = """
+input n0:0 n1:0 u:1 b2:2
+axiom = q0(x)
+rule q0 b2(x1,x2) = q3(x1) q3(x2) "aababa"
+rule q0 u(x1) = q1(x1) "ababa"
+rule q1 n0 = ""
+rule q2 n1 = ""
+rule q2 u(x1) = q2(x1) "a"
+rule q3 u(x1) = q2(x1)
+"""
+
+
+def test_a_reused_copy_never_strands_a_rule_the_scan_reads():
+    M = parse_ltw(STRANDED_BY_REUSE)
+    assert decide_equiv(M, partial_normal_form(M).result).equivalent
+
+
+def test_parts_of_cut_off_states_are_not_reported():
+    rep = partial_normal_form(parse_ltw(CUT_OFF_PART))
+    assert rep.entries == [
+        "earliest-state q0 right handle_len=5 period_len=1",
+        "earliest-part q0__e b2 pos=2 callee=q3__e handle_len=1 period_len=1",
+        "earliest-part q0__e b2 pos=1 callee=q3__e handle_len=1 period_len=1",
+    ]
+    kept = set(rep.result.states)
+    assert all(e.split()[1] in kept for e in rep.entries[1:])
+
+
+def test_cyclic_variants_round_trip():
+    # random cyclic machines with one un-earliest edit, split state or
+    # axiom handle each; their normal forms stay equivalent to them
+    for src in cyclic_variants(random.Random(32), 135):
+        assert decide_equiv(src, partial_normal_form(src).result).equivalent
 
 
 # -- small helpers ------------------------------------------------------------
